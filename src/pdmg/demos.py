@@ -1,249 +1,35 @@
-"""Desk-scale demo models used by the test suite and the example scripts.
+"""Desk-scale demo models: the documents in ``models/*.json`` of the source
+checkout, the only copy of them.  Each has a closed form or a role:
 
-Each builder returns a model document (the JSON-compatible dict accepted by
-``model_from_dict``); ``write_demo_files`` materialises them on disk.
+- ``const_cost``: single state, no jumps, c = 2, lambda = 0.5: phi(0) = e.
+- ``matching_pennies``: single state, zero rates, the +-1 cost table: value 0.
+- ``two_state``: rate 1 into an absorbing state, c = (1, 0):
+  J(0, 0) = E[exp(min(tau, 1))] with tau ~ Exp(1), which equals 2.
+- ``controlled_two_state``: 2x2 actions, max q* = max|c| = 1; the saddle
+  drifts with time, so freezing it on a grid leaves a first-order gap.
+- ``grid_flow``: two drifting modes over 24 cells, uncontrolled,
+  position-dependent cost: exercises the advection term.
+- ``signed_cost``: 2x2 actions, costs down to -3 and signed terminal values;
+  feeds the signed-cost clip ladder.
+- ``nonneg_ladder``: three states with V = (1, 3, 9) and costs up to 5:
+  truncation levels progressively uncover states and uncap costs.
 """
 
 from __future__ import annotations
 
 import json
-import os
+from pathlib import Path
 
 from .model import GameModel, model_from_dict
 
-
-def const_cost_doc() -> dict:
-    """Single state, no jumps, c = 2, lambda = 0.5: phi(0) = e exactly."""
-    return {
-        "lambda": 0.5,
-        "horizon": 1.0,
-        "states": {"finite": ["only"]},
-        "actions": {"p1": [[0]], "p2": [[0]]},
-        "rates": [],
-        "costs": [{"state": 0, "a": 0, "b": 0, "value": 2.0}],
-    }
+MODELS_DIR = Path(__file__).resolve().parents[2] / "models"
 
 
-def matching_pennies_doc() -> dict:
-    """Single state, zero rates, the classic +-1 cost table: value 0."""
-    return {
-        "lambda": 1.0,
-        "horizon": 1.0,
-        "states": {"finite": ["table"]},
-        "actions": {"p1": [[0, 1]], "p2": [[0, 1]]},
-        "rates": [],
-        "costs": [
-            {"state": 0, "a": 0, "b": 0, "value": 1.0},
-            {"state": 0, "a": 0, "b": 1, "value": -1.0},
-            {"state": 0, "a": 1, "b": 0, "value": -1.0},
-            {"state": 0, "a": 1, "b": 1, "value": 1.0},
-        ],
-    }
-
-
-def two_state_doc() -> dict:
-    """Uncontrolled benchmark: rate 1 into an absorbing state, c = (1, 0).
-
-    J(0, state 0) = E[exp(min(tau, 1))] with tau ~ Exp(1), which equals 2.
-    """
-    return {
-        "lambda": 1.0,
-        "horizon": 1.0,
-        "states": {"finite": ["active", "absorbed"]},
-        "actions": {"p1": [[0], [0]], "p2": [[0], [0]]},
-        "rates": [{"from": 0, "a": 0, "b": 0, "to": 1, "rate": 1.0}],
-        "costs": [{"state": 0, "a": 0, "b": 0, "value": 1.0}],
-        "lyapunov": {
-            "V": [1.0, 1.0],
-            "V1": [1.0, 1.0],
-            "rho1": 0.5,
-            "b1": 0.1,
-            "M1": 1.0,
-            "M2": 60.0,
-            "kappa": 1.5,
-            "rho2": 0.5,
-            "M3": 1.0,
-            "b2": 0.5,
-        },
-    }
-
-
-def controlled_two_state_doc() -> dict:
-    """Controlled 2x2 model with asymmetric coordination costs.
-
-    max q* = max|c| = 1 (so the contraction bound demo applies with T = 1);
-    the saddle mixtures drift with time, so freezing them on a grid leaves a
-    first-order exploitability gap.
-    """
-    return {
-        "lambda": 0.5,
-        "horizon": 1.0,
-        "states": {"finite": ["hot", "cold"]},
-        "actions": {"p1": [[0, 1], [0, 1]], "p2": [[0, 1], [0, 1]]},
-        "rates": [
-            {"from": 0, "a": 0, "b": 0, "to": 1, "rate": 1.0},
-            {"from": 0, "a": 1, "b": 1, "to": 1, "rate": 0.5},
-            {"from": 1, "a": 0, "b": 1, "to": 0, "rate": 1.0},
-            {"from": 1, "a": 1, "b": 0, "to": 0, "rate": 0.7},
-        ],
-        "costs": [
-            {"state": 0, "a": 0, "b": 0, "value": 1.0},
-            {"state": 0, "a": 1, "b": 1, "value": 0.4},
-            {"state": 1, "a": 0, "b": 1, "value": 0.8},
-            {"state": 1, "a": 1, "b": 0, "value": 1.0},
-            {"state": 1, "a": 1, "b": 1, "value": 0.2},
-        ],
-        "lyapunov": {
-            "V": [1.0, 1.0],
-            "V1": [1.0, 1.0],
-            "rho1": 0.5,
-            "b1": 0.1,
-            "M1": 1.0,
-            "M2": 60.0,
-            "kappa": 1.5,
-            "rho2": 0.5,
-            "M3": 1.0,
-            "b2": 0.5,
-        },
-    }
-
-
-def grid_flow_doc(cells: int = 24) -> dict:
-    """Two drifting modes over a cell grid, uncontrolled, position-dependent
-    cost: exercises the advection term of the backward operator."""
-    modes = [{"name": "up", "drift": 0.8}, {"name": "down", "drift": -0.5}]
-    n = 2 * cells
-    rates = []
-    costs = []
-    for cell in range(cells):
-        pos = (cell + 0.5) / cells
-        rates.append({"from": cell, "a": 0, "b": 0, "to": cells + cell, "rate": 0.6})
-        rates.append({"from": cells + cell, "a": 0, "b": 0, "to": cell, "rate": 0.4})
-        costs.append({"state": cell, "a": 0, "b": 0, "value": 0.3 + 0.5 * pos})
-        costs.append({"state": cells + cell, "a": 0, "b": 0, "value": 0.8 - 0.5 * pos})
-    return {
-        "lambda": 0.5,
-        "horizon": 1.0,
-        "states": {
-            "grid_flow": {
-                "modes": modes,
-                "grid": {"min": 0.0, "max": 1.0, "cells": cells},
-                "boundary": "clamp",
-            }
-        },
-        "actions": {"p1": [[0]], "p2": [[0]]},
-        "rates": rates,
-        "costs": costs,
-        "lyapunov": {
-            "V": [1.0] * n,
-            "V1": [1.0] * n,
-            "rho1": 0.5,
-            "b1": 0.1,
-            "M1": 1.0,
-            "M2": 30.0,
-            "kappa": 1.0,
-            "rho2": 0.5,
-            "M3": 1.0,
-            "b2": 0.5,
-        },
-    }
-
-
-def signed_cost_doc() -> dict:
-    """Controlled 2x2 model with signed costs (down to -3) and signed
-    terminal values; feeds the signed-cost clip ladder."""
-    return {
-        "lambda": 0.5,
-        "horizon": 1.0,
-        "states": {"finite": ["a", "b"]},
-        "actions": {"p1": [[0, 1], [0, 1]], "p2": [[0, 1], [0, 1]]},
-        "rates": [
-            {"from": 0, "a": 0, "b": 0, "to": 1, "rate": 1.0},
-            {"from": 0, "a": 1, "b": 1, "to": 1, "rate": 1.0},
-            {"from": 1, "a": 0, "b": 1, "to": 0, "rate": 1.0},
-            {"from": 1, "a": 1, "b": 0, "to": 0, "rate": 1.0},
-        ],
-        "costs": [
-            {"state": 0, "a": 0, "b": 0, "value": -3.0},
-            {"state": 0, "a": 0, "b": 1, "value": 0.5},
-            {"state": 0, "a": 1, "b": 0, "value": 1.0},
-            {"state": 0, "a": 1, "b": 1, "value": -1.0},
-            {"state": 1, "a": 0, "b": 0, "value": 0.5},
-            {"state": 1, "a": 0, "b": 1, "value": -1.0},
-            {"state": 1, "a": 1, "b": 0, "value": -3.0},
-            {"state": 1, "a": 1, "b": 1, "value": 1.0},
-        ],
-        "terminal": [{"state": 0, "value": -0.2}, {"state": 1, "value": 0.3}],
-        "lyapunov": {
-            "V": [1.0, 1.0],
-            "V1": [1.0, 1.0],
-            "rho1": 0.5,
-            "b1": 0.1,
-            "M1": 1.0,
-            "M2": 2.0e5,
-            "kappa": 1.5,
-            "rho2": 0.5,
-            "M3": 1.0,
-            "b2": 0.5,
-        },
-    }
-
-
-def nonneg_ladder_doc() -> dict:
-    """Three states with spread Lyapunov weights V = (1, 3, 9) and costs up
-    to 5: truncation levels progressively uncover states and uncap costs."""
-    return {
-        "lambda": 0.5,
-        "horizon": 1.0,
-        "states": {"finite": ["lo", "mid", "hi"]},
-        "actions": {"p1": [[0]] * 3, "p2": [[0]] * 3},
-        "rates": [
-            {"from": 0, "a": 0, "b": 0, "to": 1, "rate": 0.5},
-            {"from": 1, "a": 0, "b": 0, "to": 2, "rate": 0.5},
-            {"from": 2, "a": 0, "b": 0, "to": 0, "rate": 1.0},
-        ],
-        "costs": [
-            {"state": 0, "a": 0, "b": 0, "value": 0.4},
-            {"state": 1, "a": 0, "b": 0, "value": 2.0},
-            {"state": 2, "a": 0, "b": 0, "value": 5.0},
-        ],
-        "lyapunov": {
-            "V": [1.0, 3.0, 9.0],
-            "V1": [1.0, 9.0, 81.0],
-            "rho1": 1.2,
-            "b1": 0.1,
-            "M1": 1.0,
-            "M2": 6.0e7,
-            "kappa": 1.5,
-            "rho2": 45.0,
-            "M3": 1.0,
-            "b2": 1.0,
-        },
-    }
-
-
-ALL_DOCS = {
-    "const_cost": const_cost_doc,
-    "matching_pennies": matching_pennies_doc,
-    "two_state": two_state_doc,
-    "controlled_two_state": controlled_two_state_doc,
-    "grid_flow": grid_flow_doc,
-    "signed_cost": signed_cost_doc,
-    "nonneg_ladder": nonneg_ladder_doc,
-}
+def doc(name: str) -> dict:
+    """The model document ``models/<name>.json`` as a dict."""
+    with open(MODELS_DIR / f"{name}.json") as fh:
+        return json.load(fh)
 
 
 def build(name: str) -> GameModel:
-    return model_from_dict(ALL_DOCS[name]())
-
-
-def write_demo_files(directory: str) -> list[str]:
-    os.makedirs(directory, exist_ok=True)
-    paths = []
-    for name, builder in ALL_DOCS.items():
-        path = os.path.join(directory, f"{name}.json")
-        with open(path, "w") as fh:
-            json.dump(builder(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        paths.append(path)
-    return paths
+    return model_from_dict(doc(name))

@@ -139,10 +139,13 @@ class LyapunovData:
 class GameModel:
     """Immutable two-player zero-sum jump-game instance.
 
-    Dense per-state tables are materialised per time segment:
-    ``rate_tensor(seg, x)`` has shape (|A(x)|, |B(x)|, n_states) with the
-    diagonal completed so every row sums to zero; ``cost_matrix(seg, x)``
-    has shape (|A(x)|, |B(x)|).
+    Tables are dense per time segment and zero-padded past each state's
+    action counts to the widths ``(A, B)``: ``costs`` and ``q_totals`` (total
+    off-diagonal rate) have shape (segments, S, A, B) and ``rates`` has shape
+    (segments, S, A, B, S), its diagonal completed so every row sums to zero;
+    the mask ``cells`` (S, A, B) marks the admissible action pairs.
+    ``rate_tensor(seg, x)`` and ``cost_matrix(seg, x)`` are the unpadded
+    (|A(x)|, |B(x)|, ...) views of one state.
     """
 
     def __init__(
@@ -168,11 +171,15 @@ class GameModel:
         self.lyapunov = lyapunov
 
         n = states.n_states
-        self._rates = []
-        self._costs = []
-        self._q_total = []
+        A = max((len(a) for a in self.actions_p1), default=0)
+        B = max((len(b) for b in self.actions_p2), default=0)
+        self.widths = (A, B)
+        shape = (len(self.time_breaks), n, A, B)
+        self.costs = np.zeros(shape)
+        self.rates = np.zeros(shape + (n,))
+        self.q_totals = np.zeros(shape)
+        self.cells = np.zeros(shape[1:], dtype=bool)  # admissible action pairs per state
         for seg in range(len(self.time_breaks)):
-            seg_rates, seg_costs, seg_qtot = [], [], []
             for x in range(n):
                 m, k = len(self.actions_p1[x]), len(self.actions_p2[x])
                 r = np.array(rates[seg][x], dtype=float)
@@ -192,13 +199,14 @@ class GameModel:
                     )
                 qtot = off.sum(axis=2)
                 r[:, :, x] = -qtot  # conservativity fixes the diagonal
-                seg_rates.append(r)
-                seg_costs.append(c)
-                seg_qtot.append(qtot)
-            self._rates.append(seg_rates)
-            self._costs.append(seg_costs)
-            self._q_total.append(seg_qtot)
+                self.rates[seg, x, :m, :k] = r
+                self.costs[seg, x, :m, :k] = c
+                self.q_totals[seg, x, :m, :k] = qtot
+                self.cells[x, :m, :k] = True
         self.validate()
+        self.q_stars = self.q_totals.max(axis=(0, 2, 3))
+        for table in (self.costs, self.rates, self.q_totals, self.cells, self.q_stars):
+            table.flags.writeable = False
 
     # -- structure ---------------------------------------------------------
 
@@ -222,27 +230,23 @@ class GameModel:
         return idx
 
     def rate_tensor(self, seg: int, x: int) -> np.ndarray:
-        return self._rates[seg][x]
+        return self.rates[seg, x, : len(self.actions_p1[x]), : len(self.actions_p2[x])]
 
     def cost_matrix(self, seg: int, x: int) -> np.ndarray:
-        return self._costs[seg][x]
+        return self.costs[seg, x, : len(self.actions_p1[x]), : len(self.actions_p2[x])]
 
     def q_total(self, seg: int, x: int) -> np.ndarray:
         """Total off-diagonal rate per action pair, shape (|A(x)|, |B(x)|)."""
-        return self._q_total[seg][x]
+        return self.q_totals[seg, x, : len(self.actions_p1[x]), : len(self.actions_p2[x])]
 
     def q_star(self, x: int) -> float:
-        return max(float(self._q_total[s][x].max()) for s in range(self.n_segments))
+        return float(self.q_stars[x])
 
     def q_star_max(self) -> float:
-        return max(self.q_star(x) for x in range(self.n_states))
+        return float(self.q_stars.max())
 
     def max_abs_cost(self) -> float:
-        return max(
-            float(np.abs(self._costs[s][x]).max())
-            for s in range(self.n_segments)
-            for x in range(self.n_states)
-        )
+        return float(np.abs(self.costs).max())
 
     def flow(self, x: int, dt: float) -> int:
         return self.states.flow(x, dt)
@@ -262,13 +266,13 @@ class GameModel:
         mu = self._check_simplex(mu, len(self.actions_p1[x]), "mu")
         nu = self._check_simplex(nu, len(self.actions_p2[x]), "nu")
         seg = self.segment_index(t)
-        return np.einsum("a,b,abs->s", mu, nu, self._rates[seg][x])
+        return np.einsum("a,b,abs->s", mu, nu, self.rate_tensor(seg, x))
 
     def mixed_cost(self, t: float, x: int, mu, nu) -> float:
         mu = self._check_simplex(mu, len(self.actions_p1[x]), "mu")
         nu = self._check_simplex(nu, len(self.actions_p2[x]), "nu")
         seg = self.segment_index(t)
-        return float(mu @ self._costs[seg][x] @ nu)
+        return float(mu @ self.cost_matrix(seg, x) @ nu)
 
     # -- validation ---------------------------------------------------------
 
@@ -297,8 +301,8 @@ class GameModel:
             raise ModelValidationError("terminal must have one entry per state")
         for s in range(self.n_segments):
             for x in range(self.n_states):
-                rows = self._rates[s][x].sum(axis=2)
-                scale = max(1.0, float(self._q_total[s][x].max()))
+                rows = self.rate_tensor(s, x).sum(axis=2)
+                scale = max(1.0, float(self.q_total(s, x).max()))
                 if np.abs(rows).max() > SIMPLEX_TOL * scale:
                     raise ModelValidationError(
                         f"rates[seg {s}][state {x}]: row does not sum to zero"

@@ -81,6 +81,11 @@ class TimeGrid:
     def knots(self) -> np.ndarray:
         return np.arange(self.n_steps + 1) * (self.horizon / self.n_steps)
 
+    def knot_at(self, t: float) -> Optional[int]:
+        """Index of the knot within 1e-12*max(1, T) of t, else None."""
+        j = round(t / self.delta)
+        return j if abs(t - j * self.delta) <= 1e-12 * max(1.0, self.horizon) else None
+
 
 @dataclass
 class ValueField:
@@ -89,21 +94,24 @@ class ValueField:
     grid: TimeGrid
     phi: np.ndarray  # (N+1, n_states)
 
-    def at(self, k: int, x: int) -> float:
-        return float(self.phi[k, x])
-
 
 @dataclass
 class StrategyField:
     """Randomized Markov strategies, piecewise constant on [t_k, t_{k+1}).
 
-    ``mu[k][x]`` / ``nu[k][x]`` are simplices over the admissible actions of
-    players 1 / 2 at state x; there are N slices (k = 0..N-1).
+    ``mu`` (N, S, A) and ``nu`` (N, S, B) are float arrays: ``mu[k, x]`` is a
+    simplex over the admissible actions of player 1 at state x on slice k,
+    padded with exact zeros past the state's action count (likewise ``nu``
+    for player 2).
     """
 
     grid: TimeGrid
-    mu: list  # [k][x] -> np.ndarray
-    nu: list
+    mu: np.ndarray
+    nu: np.ndarray
+
+    def __post_init__(self):
+        self.mu = np.asarray(self.mu, dtype=float)
+        self.nu = np.asarray(self.nu, dtype=float)
 
     def slice_at_time(self, t: float) -> int:
         n = self.grid.n_steps
@@ -115,14 +123,12 @@ class StrategyField:
         if factor < 1:
             raise ValueError("factor must be >= 1")
         fine = TimeGrid(self.grid.n_steps * factor, self.grid.horizon)
-        mu = [self.mu[j // factor] for j in range(fine.n_steps)]
-        nu = [self.nu[j // factor] for j in range(fine.n_steps)]
-        return StrategyField(fine, mu, nu)
+        return StrategyField(fine, np.repeat(self.mu, factor, axis=0), np.repeat(self.nu, factor, axis=0))
 
     def resample(self, grid: "TimeGrid") -> "StrategyField":
         """Piecewise-constant lookup onto an arbitrary grid over the same horizon."""
         ks = [self.slice_at_time(grid.knot(j)) for j in range(grid.n_steps)]
-        return StrategyField(grid, [self.mu[k] for k in ks], [self.nu[k] for k in ks])
+        return StrategyField(grid, self.mu[ks], self.nu[ks])
 
 
 @dataclass(frozen=True)
@@ -157,12 +163,46 @@ def terminal_field(model: GameModel) -> np.ndarray:
     return np.exp(expo)
 
 
+def _bad_entries(phi: np.ndarray) -> np.ndarray:
+    """(knot, state) of every entry of phi that is not finite and positive."""
+    return np.argwhere(~(np.isfinite(phi) & (phi > 0.0)))
+
+
 def to_risk_value(field: ValueField, lam: float) -> np.ndarray:
     """Certainty-equivalent values (1/lambda) * ln phi, entrywise."""
-    if np.any(field.phi <= 0.0):
-        k, x = np.argwhere(field.phi <= 0.0)[0]
-        raise SolverError(f"nonpositive phi at knot {k}, state {x}")
+    bad = _bad_entries(field.phi)
+    if bad.size:
+        k, x = bad[0]
+        raise SolverError(f"nonpositive or non-finite phi at knot {k}, state {x}")
     return np.log(field.phi) / lam
+
+
+def knot_segments(model: GameModel, grid: TimeGrid) -> np.ndarray:
+    """Time segment of every knot, shape (N+1,).
+
+    A break within 1e-12*max(1, T) of a knot starts its segment at that
+    knot (the simulator's tables rely on the same rule); any other break
+    starts it at the first knot past the break.
+    """
+    knots = np.arange(grid.n_steps + 1) * grid.horizon / grid.n_steps
+    starts = []
+    for b in model.time_breaks:
+        j = grid.knot_at(b)
+        starts.append(int(np.searchsorted(knots, b)) if j is None else j)
+    return np.searchsorted(starts, np.arange(grid.n_steps + 1), side="right") - 1
+
+
+def _cell_entries(diag: np.ndarray, jump: np.ndarray, v_self, v: np.ndarray) -> np.ndarray:
+    """Cell-game entries diag*v_self + sum_y jump[..., y]*v[y] on the (A, B) axes.
+
+    ``diag`` (..., A, B) and ``jump`` (..., A, B, S) are coefficient tables,
+    over all states or of one state; ``v`` is one slice (S,) or a stack of
+    slices (K, S), and ``v_self`` holds the matching values of the states
+    themselves (``v`` again for tables over all states).
+    """
+    flat = jump.reshape(-1, jump.shape[-1])
+    jumps = (v @ flat.T).reshape(v.shape[:-1] + diag.shape)
+    return diag * np.asarray(v_self)[..., None, None] + jumps
 
 
 def local_game_matrix(
@@ -171,23 +211,15 @@ def local_game_matrix(
     x: int,
     next_slice: np.ndarray,
     phi_self: float,
-    dt: float = 0.0,
 ) -> MatrixGame:
     """Cell game of the optimality equation at (t, x).
 
-    Entry (a, b) = lambda*c(t,x,a,b)*phi_self + sum_y q(y|t,x,a,b)*slice(y),
-    where slice values are looked up through the flow over dt (identity for
-    finite spaces or dt = 0).
+    Entry (a, b) = lambda*c(t,x,a,b)*phi_self + sum_y q(y|t,x,a,b)*slice(y).
     """
     seg = model.segment_index(t)
-    if dt != 0.0:
-        lookup = next_slice[[model.flow(y, dt) for y in range(model.n_states)]]
-    else:
-        lookup = next_slice
-    entries = model.lam * model.cost_matrix(seg, x) * phi_self + np.einsum(
-        "abs,s->ab", model.rate_tensor(seg, x), lookup
-    )
-    return MatrixGame(entries)
+    m, n = len(model.actions_p1[x]), len(model.actions_p2[x])
+    entries = _cell_entries(model.lam * model.costs[seg, x], model.rates[seg, x], phi_self, next_slice)
+    return MatrixGame(entries[:m, :n])
 
 
 def _ediff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -246,40 +278,36 @@ class _FlowLags:
         else:
             self._disp = None
 
+    def _shifted(self, disp: np.ndarray) -> np.ndarray:
+        """State lookup moving every cell of mode m by disp[m] cells."""
+        sp = self.model.states
+        out = np.empty(self.model.n_states, dtype=int)
+        for mode, shift in enumerate(disp.tolist()):
+            base = mode * sp.cells
+            for cell in range(sp.cells):
+                out[base + cell] = base + sp.apply_boundary(cell + shift)
+        return out
+
     def lag_map(self, lag: int) -> np.ndarray:
         """State lookup for a displacement of `lag` steps along the flow."""
         if self._disp is None:
             return self.identity
-        sp = self.model.states
-        out = np.empty(self.model.n_states, dtype=int)
-        for mode in range(len(sp.modes)):
-            base = mode * sp.cells
-            d = int(self._disp[mode, lag])
-            for cell in range(sp.cells):
-                out[base + cell] = base + sp.apply_boundary(cell + d)
-        return out
+        return self._shifted(self._disp[:, lag])
 
     def step_map(self, k: int) -> np.ndarray:
         """Lookup from knot k into slice k+1 (increment of the anchored path)."""
         if self._disp is None:
             return self.identity
-        sp = self.model.states
         n = self.grid.n_steps
-        out = np.empty(self.model.n_states, dtype=int)
-        for mode in range(len(sp.modes)):
-            base = mode * sp.cells
-            inc = int(self._disp[mode, n - k] - self._disp[mode, n - k - 1])
-            for cell in range(sp.cells):
-                out[base + cell] = base + sp.apply_boundary(cell + inc)
-        return out
+        return self._shifted(self._disp[:, n - k] - self._disp[:, n - k - 1])
 
 
 # ---------------------------------------------------------------------------
 # the exponential first-jump cell update
 
 
-class _Stepper:
-    """Per-cell update coefficients, precomputed per time segment.
+def _step_coefficients(model: GameModel, grid: TimeGrid, game_tol: float) -> tuple[list, list]:
+    """Per segment, the dense coefficients of the exponential first-jump update.
 
     With c0(x) the value of the instantaneous cost game at x, chat = c - c0
     and qtot the total off-diagonal rate, the cell update reads
@@ -290,80 +318,86 @@ class _Stepper:
     with dlt(y) = lam*(c0(y)-c0(x))*D and psi the next slice composed with
     the one-step flow.  This is the linear semi-Lagrangian bracket plus
     O(D^2) corrections that integrate the action-independent cost level and
-    the first jump exactly.
+    the first jump exactly.  Returns the psi(x) coefficients (S, A, B) and
+    the psi(y) coefficients (S, A, B, S), zero past each state's actions.
     """
-
-    def __init__(self, model: GameModel, grid: TimeGrid, game_tol: float):
-        self.model = model
-        self.grid = grid
-        self.game_tol = game_tol
-        self.lags = _FlowLags(model, grid)
-        d = grid.delta
-        lam = model.lam
-        n = model.n_states
-
-        self.c0 = []  # [seg] -> (S,)
-        self.self_coef = []  # [seg][x] -> (m, n)
-        self.jump_coef = []  # [seg][x] -> (m, n, S) including the exp(lam*c0*D) factor
-        for seg in range(model.n_segments):
-            c0 = np.empty(n)
-            for x in range(n):
-                c0[x] = solve_game(MatrixGame(model.cost_matrix(seg, x)), game_tol).value
-            self.c0.append(c0)
-            coefs, jumps = [], []
-            for x in range(n):
-                C = model.cost_matrix(seg, x)
-                qt = model.q_total(seg, x)
-                chat = C - c0[x]
-                outer = math.exp(lam * c0[x] * d)
-                self_c = outer * np.exp(-qt * d) * (1.0 + lam * chat * d)
-                if np.any(self_c <= 0.0):
-                    raise PositivityError(
-                        f"cell update loses positivity at state {x} (segment {seg}); "
-                        "increase N"
-                    )
-                R = model.rate_tensor(seg, x).copy()
-                R[:, :, x] = 0.0
-                theta = (lam * chat - qt) * d  # (m, n)
-                dlt = lam * (c0 - c0[x]) * d  # (S,)
-                ew = _ediff(theta[:, :, None], dlt[None, None, :])
-                jumps.append(outer * d * R * ew)
-                coefs.append(self_c)
-            self.self_coef.append(coefs)
-            self.jump_coef.append(jumps)
-
-        self._knot_seg = np.array(
-            [model.segment_index(grid.knot(k)) for k in range(grid.n_steps + 1)]
+    d, lam, n = grid.delta, model.lam, model.n_states
+    diags, jumps = [], []
+    for seg in range(model.n_segments):
+        c0 = np.array(
+            [solve_game(MatrixGame(model.cost_matrix(seg, x)), game_tol).value for x in range(n)]
         )
-
-        self.trivial = all(
-            len(a) == 1 and len(b) == 1 for a, b in zip(model.actions_p1, model.actions_p2)
-        )
-        if self.trivial:
-            self._self_vec = [
-                np.array([self.self_coef[s][x][0, 0] for x in range(n)])
-                for s in range(model.n_segments)
-            ]
-            self._jump_mat = [
-                np.stack([self.jump_coef[s][x][0, 0] for x in range(n)])
-                for s in range(model.n_segments)
-            ]
-
-    def entries(self, k: int, x: int, psi: np.ndarray) -> np.ndarray:
-        seg = self._knot_seg[k]
-        return self.self_coef[seg][x] * psi[x] + self.jump_coef[seg][x] @ psi
-
-    def psi(self, k: int, next_slice: np.ndarray) -> np.ndarray:
-        return next_slice[self.lags.step_map(k)]
-
-    def step_trivial(self, k: int, next_slice: np.ndarray) -> np.ndarray:
-        seg = self._knot_seg[k]
-        psi = self.psi(k, next_slice)
-        return self._self_vec[seg] * psi + self._jump_mat[seg] @ psi
+        # math.exp per state: np.exp may differ in the last bit
+        outer = np.array([math.exp(lam * c * d) for c in c0])[:, None, None]
+        chat = model.costs[seg] - c0[:, None, None]
+        qt = model.q_totals[seg]
+        diag = np.where(model.cells, outer * np.exp(-qt * d) * (1.0 + lam * chat * d), 0.0)
+        lost = np.argwhere(model.cells & (diag <= 0.0))
+        if lost.size:
+            raise PositivityError(
+                f"cell update loses positivity at state {lost[0][0]} (segment {seg}); increase N"
+            )
+        R = model.rates[seg].copy()
+        R[np.arange(n), :, :, np.arange(n)] = 0.0
+        theta = (lam * chat - qt) * d  # (S, A, B)
+        dlt = lam * (c0[None, :] - c0[:, None]) * d  # [x, y]
+        diags.append(diag)
+        jumps.append(outer[..., None] * d * R * _ediff(theta[..., None], dlt[:, None, None, :]))
+    return diags, jumps
 
 
 # ---------------------------------------------------------------------------
-# solvers
+# solvers: one backward sweep, four cell reducers
+
+
+def _sweep(model: GameModel, grid: TimeGrid, game_tol: float, reduce) -> ValueField:
+    """Backward recursion phi[k] = reduce(k, E_k) from the terminal slice.
+
+    E_k (S, A, B) holds the cell games of the first-jump update at knot k;
+    the reducer maps it to the S values of slice k.  When no player ever has
+    a choice every reducer is E_k[:, 0, 0].  Raises PositivityError unless
+    phi ends finite and positive.
+    """
+    lags = _FlowLags(model, grid)
+    knot_seg = knot_segments(model, grid)
+    diags, jumps = _step_coefficients(model, grid, game_tol)
+    if model.widths == (1, 1):
+        reduce = lambda k, E: E[:, 0, 0]  # noqa: E731
+    N = grid.n_steps
+    phi = np.empty((N + 1, model.n_states))
+    phi[N] = terminal_field(model)
+    for k in range(N - 1, -1, -1):
+        psi = phi[k + 1][lags.step_map(k)]
+        phi[k] = reduce(k, _cell_entries(diags[knot_seg[k]], jumps[knot_seg[k]], psi, psi))
+    bad = _bad_entries(phi)
+    if bad.size:
+        k, x = bad[-1]
+        raise PositivityError(f"phi is not finite and positive at knot {k}, state {x}")
+    return ValueField(grid, phi)
+
+
+def _pure_mixtures(model: GameModel, n_slices: int) -> tuple[np.ndarray, np.ndarray]:
+    """Strategy arrays on each player's first action: the saddle of 1x1 cells."""
+    mu = np.zeros((n_slices, model.n_states, model.widths[0]))
+    nu = np.zeros((n_slices, model.n_states, model.widths[1]))
+    mu[..., 0] = nu[..., 0] = 1.0
+    return mu, nu
+
+
+def _solve_cells(model: GameModel, E: np.ndarray, game_tol: float, mu=None, nu=None) -> np.ndarray:
+    """Game value of every cell E[x]; saddle mixtures go to rows mu[x], nu[x]."""
+    out = np.empty(len(E))
+    for x, entries in enumerate(E):
+        m, n = len(model.actions_p1[x]), len(model.actions_p2[x])
+        if m == n == 1:
+            out[x] = entries[0, 0]
+            continue
+        sol = solve_game(MatrixGame(entries[:m, :n]), game_tol)
+        out[x] = sol.value
+        if mu is not None:
+            mu[x, :m] = sol.row_mix
+            nu[x, :n] = sol.col_mix
+    return out
 
 
 def backward_solve(model: GameModel, config: SolverConfig) -> tuple[ValueField, StrategyField]:
@@ -374,32 +408,12 @@ def backward_solve(model: GameModel, config: SolverConfig) -> tuple[ValueField, 
     """
     grid = TimeGrid(config.n_steps, model.horizon)
     check_cfl(model, grid, config.cfl_safety)
-    stepper = _Stepper(model, grid, config.game_tol)
-    n, N = model.n_states, grid.n_steps
+    mu, nu = _pure_mixtures(model, grid.n_steps)
 
-    phi = np.empty((N + 1, n))
-    phi[N] = terminal_field(model)
-    mu = [[None] * n for _ in range(N)]
-    nu = [[None] * n for _ in range(N)]
+    def value(k, E):
+        return _solve_cells(model, E, config.game_tol, mu[k], nu[k])
 
-    for k in range(N - 1, -1, -1):
-        if stepper.trivial:
-            phi[k] = stepper.step_trivial(k, phi[k + 1])
-            for x in range(n):
-                mu[k][x] = np.ones(1)
-                nu[k][x] = np.ones(1)
-        else:
-            psi = stepper.psi(k, phi[k + 1])
-            for x in range(n):
-                sol = solve_game(MatrixGame(stepper.entries(k, x, psi)), config.game_tol)
-                phi[k, x] = sol.value
-                mu[k][x] = sol.row_mix
-                nu[k][x] = sol.col_mix
-        if np.any(phi[k] <= 0.0):
-            x = int(np.argmax(phi[k] <= 0.0))
-            raise PositivityError(f"phi <= 0 at knot {k}, state {x}")
-
-    return ValueField(grid, phi), StrategyField(grid, mu, nu)
+    return _sweep(model, grid, config.game_tol, value), StrategyField(grid, mu, nu)
 
 
 def policy_evaluate(model: GameModel, strategies: StrategyField) -> ValueField:
@@ -409,23 +423,12 @@ def policy_evaluate(model: GameModel, strategies: StrategyField) -> ValueField:
     replaced by the bilinear mixture of the entry matrix, so evaluating the
     computed saddle reproduces the saddle field exactly.
     """
-    grid = strategies.grid
-    stepper = _Stepper(model, grid, 1e-9)
-    n, N = model.n_states, grid.n_steps
-    phi = np.empty((N + 1, n))
-    phi[N] = terminal_field(model)
-    for k in range(N - 1, -1, -1):
-        if stepper.trivial:
-            phi[k] = stepper.step_trivial(k, phi[k + 1])
-        else:
-            psi = stepper.psi(k, phi[k + 1])
-            for x in range(n):
-                E = stepper.entries(k, x, psi)
-                phi[k, x] = float(strategies.mu[k][x] @ E @ strategies.nu[k][x])
-        if np.any(phi[k] <= 0.0):
-            x = int(np.argmax(phi[k] <= 0.0))
-            raise PositivityError(f"phi <= 0 at knot {k}, state {x}")
-    return ValueField(grid, phi)
+    mu, nu = strategies.mu, strategies.nu
+
+    def pair(k, E):
+        return (mu[k][:, None, :] @ E @ nu[k][:, :, None])[:, 0, 0]
+
+    return _sweep(model, strategies.grid, 1e-9, pair)
 
 
 def best_response_solve(
@@ -445,57 +448,26 @@ def best_response_solve(
         raise ValueError("side must be 'maximize' or 'minimize'")
     grid = TimeGrid(config.n_steps, model.horizon)
     check_cfl(model, grid, config.cfl_safety)
-    stepper = _Stepper(model, grid, config.game_tol)
-    n, N = model.n_states, grid.n_steps
-    phi = np.empty((N + 1, n))
-    phi[N] = terminal_field(model)
-    for k in range(N - 1, -1, -1):
-        kc = fixed.slice_at_time(grid.knot(k))
-        if stepper.trivial:
-            phi[k] = stepper.step_trivial(k, phi[k + 1])
-        else:
-            psi = stepper.psi(k, phi[k + 1])
-            for x in range(n):
-                E = stepper.entries(k, x, psi)
-                if side == "maximize":
-                    phi[k, x] = float(np.max(E @ fixed.nu[kc][x]))
-                else:
-                    phi[k, x] = float(np.min(fixed.mu[kc][x] @ E))
-        if np.any(phi[k] <= 0.0):
-            x = int(np.argmax(phi[k] <= 0.0))
-            raise PositivityError(f"phi <= 0 at knot {k}, state {x}")
-    return ValueField(grid, phi)
+    ks = [fixed.slice_at_time(grid.knot(k)) for k in range(grid.n_steps)]
+
+    def row_max(k, E):
+        rows = (E @ fixed.nu[ks[k]][:, :, None])[:, :, 0]
+        return np.where(model.cells[:, :, 0], rows, -np.inf).max(axis=1)
+
+    def col_min(k, E):
+        cols = (fixed.mu[ks[k]][:, None, :] @ E)[:, 0, :]
+        return np.where(model.cells[:, 0, :], cols, np.inf).min(axis=1)
+
+    return _sweep(model, grid, config.game_tol, row_max if side == "maximize" else col_min)
 
 
-def _bracket_values(model: GameModel, u_slice: np.ndarray, t: float, game_tol: float) -> np.ndarray:
-    """val[lambda*c*u + sum u*q](t, x) for every state (the integrand of Gamma)."""
-    n = model.n_states
-    seg = model.segment_index(t)
-    out = np.empty(n)
-    for x in range(n):
-        m, kk = len(model.actions_p1[x]), len(model.actions_p2[x])
-        entries = model.lam * model.cost_matrix(seg, x) * u_slice[x] + np.einsum(
-            "abs,s->ab", model.rate_tensor(seg, x), u_slice
-        )
-        if m == 1 and kk == 1:
-            out[x] = entries[0, 0]
-        else:
-            out[x] = solve_game(MatrixGame(entries), game_tol).value
-    return out
-
-
-def _bracket_values_trivial(model: GameModel, u: np.ndarray, knot_seg: np.ndarray) -> np.ndarray:
-    """Vectorised integrand for singleton-action models: (N+1, S) at once."""
-    n = model.n_states
-    out = np.empty_like(u)
+def _bracket_entries(model: GameModel, u: np.ndarray, knot_seg: np.ndarray) -> np.ndarray:
+    """Cell games lambda*c*u(x) + sum_y q(y|x,a,b)*u(y) at every row of u: (K, S, A, B)."""
+    E = np.empty(u.shape + model.widths)
     for seg in range(model.n_segments):
-        rows = np.where(knot_seg == seg)[0]
-        if rows.size == 0:
-            continue
-        c = np.array([model.cost_matrix(seg, x)[0, 0] for x in range(n)])
-        Q = np.stack([model.rate_tensor(seg, x)[0, 0] for x in range(n)])
-        out[rows] = model.lam * c * u[rows] + u[rows] @ Q.T
-    return out
+        rows = knot_seg == seg
+        E[rows] = _cell_entries(model.lam * model.costs[seg], model.rates[seg], u[rows], u[rows])
+    return E
 
 
 def gamma_apply(
@@ -516,15 +488,11 @@ def gamma_apply(
     d = grid.delta
     if lags is None:
         lags = _FlowLags(model, grid)
-    knot_seg = np.array([model.segment_index(grid.knot(k)) for k in range(N + 1)])
-
-    trivial = all(len(a) == 1 and len(b) == 1 for a, b in zip(model.actions_p1, model.actions_p2))
-    if trivial:
-        w = _bracket_values_trivial(model, u, knot_seg)
+    E = _bracket_entries(model, u, knot_segments(model, grid))
+    if model.widths == (1, 1):
+        w = E[:, :, 0, 0]
     else:
-        w = np.empty((N + 1, n))
-        for j in range(N + 1):
-            w[j] = _bracket_values(model, u[j], grid.knot(j), game_tol)
+        w = np.array([_solve_cells(model, entries, game_tol) for entries in E])
 
     g = model.terminal
     out = np.empty((N + 1, n))
@@ -596,28 +564,17 @@ def picard_solve(
 def saddle_from_field(model: GameModel, field: ValueField, game_tol: float = 1e-9) -> StrategyField:
     """Extract per-cell saddle mixtures from a solved value field."""
     grid = field.grid
-    n, N = model.n_states, grid.n_steps
-    mu = [[None] * n for _ in range(N)]
-    nu = [[None] * n for _ in range(N)]
-    for k in range(N):
-        t = grid.knot(k)
-        for x in range(n):
-            game = local_game_matrix(model, t, x, field.phi[k], float(field.phi[k, x]))
-            sol = solve_game(game, game_tol)
-            mu[k][x] = sol.row_mix
-            nu[k][x] = sol.col_mix
+    N = grid.n_steps
+    mu, nu = _pure_mixtures(model, N)
+    if model.widths != (1, 1):
+        E = _bracket_entries(model, field.phi[:N], knot_segments(model, grid)[:N])
+        for k in range(N):
+            _solve_cells(model, E[k], game_tol, mu[k], nu[k])
     return StrategyField(grid, mu, nu)
 
 
 # ---------------------------------------------------------------------------
 # CSV export / import (combined value + strategy table)
-
-
-def _action_widths(model: GameModel) -> tuple[int, int]:
-    return (
-        max(len(a) for a in model.actions_p1),
-        max(len(b) for b in model.actions_p2),
-    )
 
 
 def export_solution_csv(model: GameModel, field: ValueField, strategies: StrategyField) -> str:
@@ -626,13 +583,15 @@ def export_solution_csv(model: GameModel, field: ValueField, strategies: Strateg
     12 significant digits; strategies are piecewise constant on
     [t_k, t_{k+1}) and the final row repeats the last slice.
     """
-    wa, wb = _action_widths(model)
+    wa, wb = model.widths
     grid = field.grid
     n, N = model.n_states, grid.n_steps
-    if np.any(field.phi <= 0.0):
-        raise SolverError("cannot export a field with nonpositive phi")
+    if _bad_entries(field.phi).size:
+        raise SolverError("cannot export a field with nonpositive or non-finite phi")
     cols = ["t", "state", "phi", "risk_value"]
     cols += [f"mu_{i}" for i in range(wa)] + [f"nu_{i}" for i in range(wb)]
+    counts = [(len(a), len(b)) for a, b in zip(model.actions_p1, model.actions_p2)]
+    mus, nus = strategies.mu.tolist(), strategies.nu.tolist()
     buf = io.StringIO()
     buf.write(",".join(cols) + "\n")
     for k in range(N + 1):
@@ -643,9 +602,9 @@ def export_solution_csv(model: GameModel, field: ValueField, strategies: Strateg
             # export -> import -> export is byte-identical
             phi_q = float(FMT % field.phi[k, x])
             row = [t, str(x), FMT % phi_q, FMT % (math.log(phi_q) / model.lam)]
-            mu, nu = strategies.mu[ks][x], strategies.nu[ks][x]
-            row += [FMT % v for v in mu] + [""] * (wa - len(mu))
-            row += [FMT % v for v in nu] + [""] * (wb - len(nu))
+            ma, mb = counts[x]
+            row += [FMT % v for v in mus[ks][x][:ma]] + [""] * (wa - ma)
+            row += [FMT % v for v in nus[ks][x][:mb]] + [""] * (wb - mb)
             buf.write(",".join(row) + "\n")
     return buf.getvalue()
 
@@ -667,10 +626,10 @@ def import_solution_csv(model: GameModel, text: str) -> tuple[ValueField, Strate
         raise SolverError("solution CSV must contain at least two knots")
     N = n_knots - 1
     grid = TimeGrid(N, model.horizon)
-    wa, wb = _action_widths(model)
+    wa, wb = model.widths
     phi = np.empty((N + 1, n))
-    mu = [[None] * n for _ in range(N)]
-    nu = [[None] * n for _ in range(N)]
+    mu = np.zeros((N, n, wa))
+    nu = np.zeros((N, n, wb))
     for k in range(N + 1):
         for x in range(n):
             parts = rows[k * n + x].split(",")
@@ -679,11 +638,10 @@ def import_solution_csv(model: GameModel, text: str) -> tuple[ValueField, Strate
             phi[k, x] = float(parts[2])
             if k < N:
                 ma, mb = len(model.actions_p1[x]), len(model.actions_p2[x])
-                mu_vals = parts[4 : 4 + ma]
-                nu_vals = parts[4 + wa : 4 + wa + mb]
-                mu[k][x] = np.array([float(v) for v in mu_vals])
-                nu[k][x] = np.array([float(v) for v in nu_vals])
-    if np.any(phi <= 0.0):
-        k, x = np.argwhere(phi <= 0.0)[0]
-        raise SolverError(f"solution CSV: nonpositive phi at knot {k}, state {x}")
+                mu[k, x, :ma] = [float(v) for v in parts[4 : 4 + ma]]
+                nu[k, x, :mb] = [float(v) for v in parts[4 + wa : 4 + wa + mb]]
+    bad = _bad_entries(phi)
+    if bad.size:
+        k, x = bad[0]
+        raise SolverError(f"solution CSV: nonpositive or non-finite phi at knot {k}, state {x}")
     return ValueField(grid, phi), StrategyField(grid, mu, nu)

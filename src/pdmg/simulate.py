@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .model import FiniteStates, GameModel, GridFlowStates
-from .shapley import SolverError, StrategyField
+from .shapley import SolverError, StrategyField, knot_segments
 
 
 @dataclass(frozen=True)
@@ -95,21 +95,24 @@ def _constant_pieces(model: GameModel, t_anchor: float, x_anchor: int, w0: float
     raise SolverError("cell-crossing enumeration failed to terminate")
 
 
-def _segment_bound(model: GameModel, x: int, factor: float) -> float:
-    """Intensity bound valid along the flow from x until the next jump."""
+def _rate_bounds(model: GameModel, factor: float) -> np.ndarray:
+    """Per state, an intensity bound valid along the flow from it until the next jump.
+
+    The flow keeps a grid-flow state in its mode, so the bound there is the
+    mode's largest q*.
+    """
+    q = model.q_stars
     sp = model.states
     if isinstance(sp, GridFlowStates):
-        mode, _ = sp.split(x)
-        cells = range(mode * sp.cells, (mode + 1) * sp.cells)
-        return factor * max(model.q_star(y) for y in cells)
-    return factor * model.q_star(x)
+        q = np.repeat(q.reshape(len(sp.modes), sp.cells).max(axis=1), sp.cells)
+    return factor * q
 
 
 def _mixed_at(model: GameModel, strategies: StrategyField, t: float, x: int):
     k = strategies.slice_at_time(t)
     seg = model.segment_index(t)
-    mu, nu = strategies.mu[k][x], strategies.nu[k][x]
-    lam_total = float(mu @ model.q_total(seg, x) @ nu)
+    mu, nu = strategies.mu[k, x], strategies.nu[k, x]
+    lam_total = float(mu @ model.q_totals[seg, x] @ nu)
     return seg, mu, nu, lam_total
 
 
@@ -133,17 +136,15 @@ def simulate_path(
     grid = strategies.grid
     # singleton action sets make the strategy knots irrelevant to the
     # dynamics, so the walk only needs the model's own time segments
-    trivial = all(
-        len(a) == 1 and len(b) == 1 for a, b in zip(model.actions_p1, model.actions_p2)
-    )
     knots = (
         set()
-        if trivial
+        if model.widths == (1, 1)
         else {grid.knot(k) for k in range(grid.n_steps + 1) if t0 < grid.knot(k) < T}
     )
     breaks = sorted({t0, T} | knots | {b for b in model.time_breaks if t0 < b < T})
 
     lam = model.lam
+    bounds = _rate_bounds(model, rate_bound_factor)
     t_anchor, x_anchor = t0, x0
     exponent = 0.0
     jumps: list = []
@@ -153,11 +154,11 @@ def simulate_path(
     i = 0
     while i < len(breaks) - 1:
         u0, u1 = breaks[i], breaks[i + 1]
-        qbar = _segment_bound(model, x_anchor, rate_bound_factor)
+        qbar = bounds[x_anchor]
         jumped = False
         for v0, v1, state in _constant_pieces(model, t_anchor, x_anchor, u0, u1):
             seg, mu, nu, lam_total = _mixed_at(model, strategies, v0, state)
-            cbar = float(mu @ model.cost_matrix(seg, state) @ nu)
+            cbar = float(mu @ model.costs[seg, state] @ nu)
             # thinning on [v0, v1): actual intensity is constant here
             if lam_total > qbar * (1.0 + 1e-9):
                 raise SolverError(
@@ -172,9 +173,7 @@ def simulate_path(
                 if rng.random() < lam_total / qbar:
                     # accept: jump at tau
                     exponent += lam * cbar * (tau - v0)
-                    row = np.einsum(
-                        "a,b,abs->s", mu, nu, model.rate_tensor(seg, state)
-                    )
+                    row = np.einsum("a,b,abs->s", mu, nu, model.rates[seg, state])
                     row[state] = 0.0
                     row = np.clip(row, 0.0, None)
                     cdf = np.cumsum(row)
@@ -221,13 +220,13 @@ class _FiniteTables:
         self.lam_tot = np.empty((N, S))
         self.cbar = np.empty((N, S))
         self.cdf = np.empty((N, S, S))
+        knot_seg = knot_segments(model, grid)
         for k in range(N):
-            t = grid.knot(k)
-            seg = model.segment_index(t)
+            seg = knot_seg[k]
             for x in range(S):
-                mu, nu = strategies.mu[k][x], strategies.nu[k][x]
-                self.cbar[k, x] = float(mu @ model.cost_matrix(seg, x) @ nu)
-                row = np.einsum("a,b,abs->s", mu, nu, model.rate_tensor(seg, x))
+                mu, nu = strategies.mu[k, x], strategies.nu[k, x]
+                self.cbar[k, x] = float(mu @ model.costs[seg, x] @ nu)
+                row = np.einsum("a,b,abs->s", mu, nu, model.rates[seg, x])
                 row[x] = 0.0
                 row = np.clip(row, 0.0, None)
                 self.lam_tot[k, x] = row.sum()
@@ -235,7 +234,7 @@ class _FiniteTables:
         # prefix[k, x] = int_0^{t_k} cbar(s, x) ds
         self.prefix = np.zeros((N + 1, S))
         np.cumsum(self.cbar * grid.delta, axis=0, out=self.prefix[1:])
-        self.q_star = np.array([model.q_star(x) for x in range(S)])
+        self.q_star = model.q_stars
 
     def cost_integral(self, t0: float, t1: float, x: int) -> float:
         d = self.grid.delta
@@ -254,12 +253,7 @@ class _FiniteTables:
 
 
 def _breaks_on_knots(model: GameModel, grid) -> bool:
-    d = grid.delta
-    for b in model.time_breaks[1:]:
-        j = round(b / d)
-        if abs(b - j * d) > 1e-12 * max(1.0, model.horizon):
-            return False
-    return True
+    return all(grid.knot_at(b) is not None for b in model.time_breaks[1:])
 
 
 def _simulate_exponent_finite(

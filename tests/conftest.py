@@ -60,11 +60,5 @@ def singleton_strategies(model, n_steps=1):
     """Trivial strategy field for singleton-action models."""
     from pdmg.shapley import StrategyField, TimeGrid
 
-    grid = TimeGrid(n_steps, model.horizon)
-    one = [[np.ones(len(model.actions_p1[x])) for x in range(model.n_states)]]
-    mu = [one[0]] * n_steps
-    nu = [
-        [np.ones(len(model.actions_p2[x])) for x in range(model.n_states)]
-        for _ in range(n_steps)
-    ]
-    return StrategyField(grid, mu, nu)
+    ones = np.ones((n_steps, model.n_states, 1))
+    return StrategyField(TimeGrid(n_steps, model.horizon), ones, ones)

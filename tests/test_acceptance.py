@@ -226,7 +226,7 @@ def test_11_determinism(tmp_path, two_state):
     import os
 
     model_path = tmp_path / "two_state.json"
-    model_path.write_text(json.dumps(demos.two_state_doc()))
+    model_path.write_text(json.dumps(demos.doc("two_state")))
     sol = tmp_path / "sol"
     cli_main(["solve", "--model", str(model_path), "--steps", "50", "--out", str(sol)])
     blobs = []

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -10,10 +9,8 @@ from pdmg.cli import main
 
 
 @pytest.fixture(scope="module")
-def model_files(tmp_path_factory):
-    directory = tmp_path_factory.mktemp("models")
-    paths = demos.write_demo_files(str(directory))
-    return {os.path.splitext(os.path.basename(p))[0]: p for p in paths}
+def model_files():
+    return {p.stem: str(p) for p in demos.MODELS_DIR.glob("*.json")}
 
 
 def read_json(path):
@@ -38,7 +35,7 @@ class TestValidate:
         assert "assumptions: skipped" in capsys.readouterr().out
 
     def test_negative_rate_exits_one(self, tmp_path, capsys):
-        doc = demos.two_state_doc()
+        doc = demos.doc("two_state")
         doc["rates"][0]["rate"] = -0.5
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -260,11 +257,21 @@ class TestEnvironment:
         assert (target / "solution.csv").exists()
 
 
-class TestShippedModels:
-    def test_model_files_match_builders(self):
-        import pathlib
 
-        root = pathlib.Path(__file__).resolve().parent.parent / "models"
-        for name, builder in demos.ALL_DOCS.items():
-            with open(root / f"{name}.json") as fh:
-                assert json.load(fh) == builder(), f"models/{name}.json is stale"
+class TestNonFiniteValues:
+    def test_overflowing_solve_exits_one_without_csv(self, tmp_path):
+        # lambda*c*T = 800: phi overflows past the largest float
+        doc = {
+            "lambda": 1.0,
+            "horizon": 1.0,
+            "states": {"finite": ["a"]},
+            "actions": {"p1": [[0]], "p2": [[0]]},
+            "costs": [{"state": 0, "a": 0, "b": 0, "value": 800.0}],
+        }
+        model = tmp_path / "hot.json"
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["solve", "--model", str(model), "--steps", "2000", "--out", str(out)])
+        assert rc == 1
+        assert not (out / "solution.csv").exists()

@@ -95,3 +95,20 @@ def test_reflect_boundary_solve_converges():
     assert coarse.phi.min() >= 1.0  # nonnegative costs: phi >= 1
     assert coarse.phi[0].min() > 1.0  # drift sweeps every cell through cost
     assert np.abs(coarse.phi - fine.phi[::2]).max() <= 5e-3
+
+
+def test_break_on_a_knot_starts_its_segment():
+    # knot 3 of T = 0.7, N = 7 is 0.29999999999999993, one ulp below the
+    # break at 0.3: the cost-1 segment covers knots 3..6, so J = e^{0.5*0.4}
+    doc = {
+        "lambda": 0.5,
+        "horizon": 0.7,
+        "states": {"finite": ["a"]},
+        "actions": {"p1": [[0]], "p2": [[0]]},
+        "segments": [{"t_start": 0.3, "costs": [{"state": 0, "a": 0, "b": 0, "value": 1.0}]}],
+    }
+    m = model_from_dict(doc)
+    field, _ = backward_solve(m, SolverConfig(n_steps=7))
+    assert field.phi[0, 0] == pytest.approx(math.exp(0.2), abs=1e-12)
+    est = estimate_J(m, singleton_strategies(m, 7), 0.0, 0, SimConfig(n_paths=3, rng_seed=0))
+    assert est.mean == pytest.approx(math.exp(0.2), abs=1e-12)

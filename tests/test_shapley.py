@@ -25,6 +25,7 @@ from pdmg.shapley import (
     terminal_field,
     to_risk_value,
 )
+from pdmg.simulate import SimConfig, estimate_J
 
 from conftest import singleton_strategies
 
@@ -234,9 +235,9 @@ class TestPolicyEvaluate:
         k0 = 250
         n_rest = 1000 - k0
         t_rest = controlled.horizon * n_rest / 1000
-        from pdmg.demos import controlled_two_state_doc
+        from pdmg import demos
 
-        doc = controlled_two_state_doc()
+        doc = demos.doc("controlled_two_state")
         doc["horizon"] = t_rest
         m2 = model_from_dict(doc)
         tail = StrategyField(TimeGrid(n_rest, t_rest), strategies.mu[k0:], strategies.nu[k0:])
@@ -348,4 +349,99 @@ class TestSolutionCsv:
         fine = strategies.refine(4)
         assert fine.grid.n_steps == 80
         for j in range(80):
-            assert fine.mu[j][0] is strategies.mu[j // 4][0]
+            assert np.array_equal(fine.mu[j], strategies.mu[j // 4])
+            assert np.array_equal(fine.nu[j], strategies.nu[j // 4])
+
+
+def mixed_widths_doc():
+    """A 2x2, a 1x3 and a 3x1 state; costs change at t = 0.5."""
+    return {
+        "lambda": 0.5,
+        "horizon": 1.0,
+        "states": {"finite": ["square", "wide", "tall"]},
+        "actions": {"p1": [[0, 1], [0], [0, 1, 2]], "p2": [[0, 1], [0, 1, 2], [0]]},
+        "rates": [
+            {"from": 0, "a": 0, "b": 0, "to": 1, "rate": 0.9},
+            {"from": 0, "a": 1, "b": 1, "to": 2, "rate": 0.6},
+            {"from": 0, "a": 0, "b": 1, "to": 2, "rate": 0.2},
+            {"from": 1, "a": 0, "b": 1, "to": 0, "rate": 0.7},
+            {"from": 1, "a": 0, "b": 2, "to": 2, "rate": 0.4},
+            {"from": 2, "a": 1, "b": 0, "to": 0, "rate": 0.5},
+            {"from": 2, "a": 2, "b": 0, "to": 1, "rate": 0.8},
+        ],
+        "costs": [
+            {"state": 0, "a": 0, "b": 0, "value": 1.0},
+            {"state": 0, "a": 0, "b": 1, "value": -0.4},
+            {"state": 0, "a": 1, "b": 0, "value": -0.2},
+            {"state": 0, "a": 1, "b": 1, "value": 0.6},
+            {"state": 1, "a": 0, "b": 0, "value": 0.9},
+            {"state": 1, "a": 0, "b": 1, "value": 0.3},
+            {"state": 1, "a": 0, "b": 2, "value": 0.5},
+            {"state": 2, "a": 0, "b": 0, "value": -0.3},
+            {"state": 2, "a": 1, "b": 0, "value": 0.4},
+            {"state": 2, "a": 2, "b": 0, "value": 0.1},
+        ],
+        "segments": [
+            {
+                "t_start": 0.5,
+                "costs": [
+                    {"state": 0, "a": 0, "b": 0, "value": 0.2},
+                    {"state": 0, "a": 1, "b": 1, "value": 0.8},
+                    {"state": 1, "a": 0, "b": 1, "value": 1.1},
+                    {"state": 2, "a": 2, "b": 0, "value": -0.5},
+                ],
+            }
+        ],
+        "terminal": [{"state": 1, "value": 0.3}],
+    }
+
+
+class TestMixedWidths:
+    @pytest.fixture(scope="class")
+    def solved(self):
+        model = model_from_dict(mixed_widths_doc())
+        field, strategies = backward_solve(model, SolverConfig(n_steps=200))
+        return model, field, strategies
+
+    def test_saddle_replay(self, solved):
+        model, field, strategies = solved
+        assert np.abs(policy_evaluate(model, strategies).phi - field.phi).max() <= 1e-11
+
+    def test_best_responses_bound_the_pair(self, solved):
+        model, field, strategies = solved
+        cfg = SolverConfig(n_steps=200)
+        pair = policy_evaluate(model, strategies).phi
+        sup_side = best_response_solve(model, strategies, "maximize", cfg).phi
+        inf_side = best_response_solve(model, strategies, "minimize", cfg).phi
+        assert np.all(sup_side >= pair - 1e-12)
+        assert np.all(inf_side <= pair + 1e-12)
+
+    def test_mixtures_are_padded_simplices(self, solved):
+        model, _, strategies = solved
+        assert strategies.mu.shape == (200, 3, 3) and strategies.nu.shape == (200, 3, 3)
+        for side, actions in ((strategies.mu, model.actions_p1), (strategies.nu, model.actions_p2)):
+            for x, acts in enumerate(actions):
+                w = side[:, x, : len(acts)]
+                assert np.all(w >= -1e-15)
+                assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-12
+                assert np.all(side[:, x, len(acts) :] == 0.0)
+
+    def test_csv_round_trip(self, solved):
+        model, field, strategies = solved
+        text = export_solution_csv(model, field, strategies)
+        assert export_solution_csv(model, *import_solution_csv(model, text)) == text
+
+    def test_monte_carlo_runs(self, solved):
+        model, _, strategies = solved
+        est = estimate_J(model, strategies, 0.0, 0, SimConfig(n_paths=200, rng_seed=3))
+        assert est.n_paths == 200 and math.isfinite(est.mean)
+
+
+def test_import_rejects_nan_phi(matching_pennies):
+    field, strategies = backward_solve(matching_pennies, SolverConfig(n_steps=4))
+    lines = export_solution_csv(matching_pennies, field, strategies).splitlines()
+    parts = lines[2].split(",")
+    parts[2] = "nan"
+    lines[2] = ",".join(parts)
+    with pytest.raises(SolverError, match="non-finite"):
+        import_solution_csv(matching_pennies, "\n".join(lines) + "\n")

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pdmg.demos import two_state_doc
+from pdmg import demos
 from pdmg.model import ModelValidationError, model_from_dict
 from pdmg.shapley import (
     SolverConfig,
@@ -38,13 +38,13 @@ class TestCheckAssumptions:
 
     def test_tight_growth_constant_passes(self):
         # M2 = e^{2(T+1)|c|} exactly: margin zero, still a pass
-        doc = two_state_doc()
+        doc = demos.doc("two_state")
         doc["lyapunov"]["M2"] = math.exp(2.0 * 2.0 * 1.0)
         report = check_assumptions(model_from_dict(doc))
         assert report.passed
 
     def test_small_growth_constant_fails_with_location(self):
-        doc = two_state_doc()
+        doc = demos.doc("two_state")
         doc["lyapunov"]["M2"] = 10.0  # < e^4: cost growth violated at state 0
         report = check_assumptions(model_from_dict(doc))
         assert not report.passed
