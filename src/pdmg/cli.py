@@ -2,7 +2,9 @@
 
 Subcommands: validate, solve, evaluate, best-response, simulate, verify,
 ladder, game (debug matrix solve), oracle.  Every run writes one manifest
-next to its artifacts.  Exit codes: 0 success, 1 validation/check failure,
+next to its artifacts; its ``cell_games`` entry counts how the run's cell
+games were settled (pure saddles, equalizers, float simplex and exact
+re-solves).  Exit codes: 0 success, 1 validation/check failure,
 2 I/O or parse error.  The output directory may be overridden with the
 PDMG_OUT environment variable.
 """
@@ -19,10 +21,11 @@ import numpy as np
 
 from . import __version__
 from .approx import ladder_run, shift_identity_check
-from .matrix_game import MatrixGame, MatrixGameError, solve as solve_game
+from .matrix_game import COUNTS, MatrixGame, MatrixGameError, reset_counts, solve as solve_game
 from .model import GameModel, ModelFormatError, ModelValidationError, load_model
 from .shapley import (
     FMT,
+    SolutionFormatError,
     SolverConfig,
     SolverError,
     backward_solve,
@@ -78,6 +81,7 @@ def _manifest(out: str, command: str, args, artifacts: list, wall: float, extra=
         },
         "seed": getattr(args, "seed", None),
         "artifacts": artifacts,
+        "cell_games": dict(COUNTS),
         "wall_clock_s": round(wall, 6),
         "version": __version__,
     }
@@ -357,9 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    reset_counts()
     try:
         return args.func(args)
-    except (ModelFormatError, OSError, json.JSONDecodeError) as exc:
+    except (ModelFormatError, SolutionFormatError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ModelValidationError, SolverError, MatrixGameError, ValueError) as exc:

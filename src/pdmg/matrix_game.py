@@ -1,12 +1,25 @@
 """Exact solver for finite two-person zero-sum matrix games.
 
-The row player maximises, the column player minimises.  The game is reduced
-to a pair of primal/dual linear programs (shift entries positive, maximise
-the column player's scaled mixture) and solved by a dense tableau simplex
-with Bland's rule.  The fast path runs in floats with periodic basis
-reinversion; if its duality certificate misses the requested tolerance
-(near-duplicate rows can make the optimal basis arbitrarily
+The row player maximises, the column player minimises.  ``solve`` reduces
+one game to a pair of primal/dual linear programs (shift entries positive,
+maximise the column player's scaled mixture) and solves it by a dense
+tableau simplex with Bland's rule.  The fast path runs in floats with
+periodic basis reinversion; if its duality certificate misses the requested
+tolerance (near-duplicate rows can make the optimal basis arbitrarily
 ill-conditioned), the game is re-solved in exact rational arithmetic.
+
+``solve_stack`` solves a whole stack of small padded games at once.  A
+masked maximin == minimax test settles the games with a pure saddle; the
+square games left get their equalizing strategies from one batched linear
+solve (Shapley and Snow, *Basic solutions of discrete games*, 1950: an
+extreme optimal pair comes from a square nonsingular submatrix, here the
+full one); a game is accepted only when both mixtures are nonnegative and
+the duality certificate of ``solve`` holds on it.  Every other game goes
+through ``solve`` one at a time.
+
+``COUNTS`` tallies the route that settled each game since the last
+``reset_counts()``: pure saddles and equalizers of ``solve_stack``, float
+simplex runs and exact-rational re-solves of ``solve``.
 """
 
 from __future__ import annotations
@@ -18,6 +31,13 @@ import numpy as np
 
 _PIVOT_EPS = 1e-11
 _MAX_PIVOTS = 50_000
+
+COUNTS = {"pure_saddle": 0, "equalizer": 0, "simplex": 0, "exact": 0}
+
+
+def reset_counts() -> None:
+    for key in COUNTS:
+        COUNTS[key] = 0
 
 
 class MatrixGameError(RuntimeError):
@@ -160,10 +180,11 @@ def _polished_vertex(A_full: np.ndarray, b: np.ndarray, c_full: np.ndarray, basi
     return x, y
 
 
-def _certificate(payoffs: np.ndarray, value: float, row_mix, col_mix) -> float:
-    lo = float(np.min(row_mix @ payoffs))
-    hi = float(np.max(payoffs @ col_mix))
-    return max(value - lo, hi - value, 0.0)
+def _certificate(payoffs: np.ndarray, value, row_mix, col_mix):
+    """Duality gap of a mixture pair at ``value``: of one game, or of each game of a stack."""
+    lo = (row_mix[..., None, :] @ payoffs)[..., 0, :].min(axis=-1)
+    hi = (payoffs @ col_mix[..., None])[..., 0].max(axis=-1)
+    return np.maximum(np.maximum(value - lo, hi - value), 0.0)
 
 
 def _exact_simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray):
@@ -239,6 +260,7 @@ def solve(game: MatrixGame, tol: float = 1e-9) -> GameSolution:
     shifted = p + shift  # all entries >= 1 so the game value is positive
 
     # column player: maximise 1.w subject to shifted.w <= 1, w >= 0
+    COUNTS["simplex"] += 1
     try:
         w, duals, obj = _simplex_max(shifted, np.ones(m), np.ones(n))
         if obj > 0.0 and duals.sum() > 0.0:
@@ -255,6 +277,7 @@ def solve(game: MatrixGame, tol: float = 1e-9) -> GameSolution:
         pass
 
     # conditioning-pathological game: re-solve exactly in rationals
+    COUNTS["exact"] += 1
     w, duals, obj = _exact_simplex_max(shifted, np.ones(m), np.ones(n))
     wsum = sum(w, Fraction(0))
     dsum = sum(duals, Fraction(0))
@@ -267,6 +290,94 @@ def solve(game: MatrixGame, tol: float = 1e-9) -> GameSolution:
     if gap > tol:
         raise MatrixGameError(f"duality gap {gap:.3e} exceeds tolerance {tol:.3e}")
     return GameSolution(value, row_mix, col_mix, gap)
+
+
+def _equalizers(Q: np.ndarray, tol: float):
+    """Certified full-support equalizing strategies of square games Q (L, s, s).
+
+    Solves [Q -1; 1^T 0] [y; v] = [0; 1] and the same system for Q^T in
+    one batched call, each game scaled by its largest entry (the bordered
+    form needs no shift, so value-0 games such as matching pennies stay
+    nonsingular).  Returns (ok, value, row_mix, col_mix): ``ok`` marks the
+    games whose mixtures are nonnegative with the duality gap of
+    ``_certificate`` <= tol (which fails for a non-finite value).
+    """
+    L, s = Q.shape[:2]
+    scale = np.abs(Q).max(axis=(1, 2))  # > 0: an all-zero game is a pure saddle
+    M = np.zeros((2, L, s + 1, s + 1))
+    M[0, :, :s, :s] = Q / scale[:, None, None]
+    M[1, :, :s, :s] = np.swapaxes(M[0, :, :s, :s], 1, 2)
+    M[:, :, :s, s] = -1.0
+    M[:, :, s, :s] = 1.0
+    rhs = np.zeros((s + 1, 1))
+    rhs[s] = 1.0
+    try:
+        sol = np.linalg.solve(M, rhs)[..., 0]
+    except np.linalg.LinAlgError:  # some system is exactly singular
+        sol = np.full((2, L, s + 1), np.nan)
+        usable = np.all(np.linalg.det(M) != 0.0, axis=0)
+        sol[:, usable] = np.linalg.solve(M[:, usable], rhs)[..., 0]
+    mixes = sol[:, :, :s] / sol[:, :, :s].sum(axis=2, keepdims=True)
+    col_mix, row_mix = mixes
+    value = sol[0, :, s] * scale + 0.0  # + 0.0: no -0.0
+    ok = (row_mix >= 0.0).all(axis=1) & (col_mix >= 0.0).all(axis=1)
+    ok &= _certificate(Q, value, row_mix, col_mix) <= tol
+    return ok, value, row_mix, col_mix
+
+
+def solve_stack(payoffs, mask, tol: float = 1e-9, fallback=solve):
+    """Values and saddle mixtures of a stack of zero-padded games.
+
+    ``payoffs`` (..., A, B) holds one game per leading index; ``mask``
+    (broadcastable to it) marks each game's admissible entries, the leading
+    m rows and n columns.  Returns the values (...,) and the row and column
+    mixtures (..., A) and (..., B), zero past each game's m and n.  Pure
+    saddles (exact) and certified full-support equalizers of square games
+    are settled in batch; every other game goes through ``fallback``
+    (``solve`` by default), so every answer has a certified gap <= tol.
+    """
+    P = np.asarray(payoffs, dtype=float)
+    lead, (A, B) = P.shape[:-2], P.shape[-2:]
+    mask = np.broadcast_to(mask, P.shape).reshape(-1, A, B)
+    P = np.where(mask, P.reshape(-1, A, B), 0.0)
+    if not np.isfinite(P).all():
+        raise MatrixGameError("payoff matrix contains non-finite entries")
+    rows, cols = mask[:, :, 0], mask[:, 0, :]
+    m, n = rows.sum(axis=1), cols.sum(axis=1)
+
+    # 1. pure saddles: maximin == minimax, at the lowest maximin row and
+    #    the lowest minimax column
+    row_min = np.where(mask, P, np.inf).min(axis=2)
+    col_max = np.where(mask, P, -np.inf).max(axis=1)
+    i = np.where(rows, row_min, -np.inf).argmax(axis=1)
+    j = np.where(cols, col_max, np.inf).argmin(axis=1)
+    k = np.arange(len(P))
+    value = row_min[k, i]
+    pure = value == col_max[k, j]
+    row_mix = np.zeros((len(P), A))
+    col_mix = np.zeros((len(P), B))
+    row_mix[k, i] = col_mix[k, j] = pure
+    COUNTS["pure_saddle"] += int(pure.sum())
+
+    # 2.-3. square games left: certified full-support equalizers
+    left = ~pure
+    square = left & (m == n)
+    with np.errstate(all="ignore"):
+        for s in set(m[square].tolist()):
+            idx = np.flatnonzero(square & (m == s))
+            ok, v, x, y = _equalizers(P[idx, :s, :s], tol)
+            idx = idx[ok]
+            value[idx], row_mix[idx, :s], col_mix[idx, :s] = v[ok], x[ok], y[ok]
+            left[idx] = False
+            COUNTS["equalizer"] += len(idx)
+
+    # 4. the rest, one at a time
+    for c in np.flatnonzero(left).tolist():
+        sol = fallback(MatrixGame(P[c, : m[c], : n[c]]), tol)
+        value[c] = sol.value
+        row_mix[c, : m[c]] = sol.row_mix
+        col_mix[c, : n[c]] = sol.col_mix
+    return value.reshape(lead), row_mix.reshape(lead + (A,)), col_mix.reshape(lead + (B,))
 
 
 def best_response_value(game: MatrixGame, side: str, opponent_mix) -> tuple[float, int]:

@@ -93,6 +93,15 @@ class GridFlowStates:
             return _reflect_index(cell, self.cells)
         return min(max(cell, 0), self.cells - 1)
 
+    def shifted_cells(self, shift: int) -> np.ndarray:
+        """``apply_boundary(cell + shift)`` for every cell, as one int array."""
+        raw = np.arange(self.cells) + shift
+        if self.boundary == "reflect":
+            p = 2 * self.cells - 2
+            raw = raw % p
+            return np.minimum(raw, p - raw)
+        return np.clip(raw, 0, self.cells - 1)
+
     def flow(self, x: int, dt: float) -> int:
         mode, cell = self.split(x)
         raw = cell + self.modes[mode].drift * dt / self.cell_width
@@ -321,6 +330,18 @@ def _require(doc: dict, key: str, path: str):
     return doc[key]
 
 
+def _as_index(value, path: str) -> int:
+    """An integer field; anything int() cannot read fails with its path."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ModelFormatError(f"{path}: expected an integer, got {value!r}") from None
+
+
+def _index(doc: dict, key: str, path: str) -> int:
+    return _as_index(_require(doc, key, path), f"{path}.{key}")
+
+
 def _parse_states(doc, path: str) -> StateSpace:
     if not isinstance(doc, dict) or len(doc) != 1:
         raise ModelFormatError(f"{path}: expected {{'finite': ...}} or {{'grid_flow': ...}}")
@@ -340,7 +361,7 @@ def _parse_states(doc, path: str) -> StateSpace:
             modes=modes,
             grid_min=float(_require(grid, "min", f"{path}.grid")),
             grid_max=float(_require(grid, "max", f"{path}.grid")),
-            cells=int(_require(grid, "cells", f"{path}.grid")),
+            cells=_index(grid, "cells", f"{path}.grid"),
             boundary=str(g.get("boundary", "clamp")),
         )
     raise ModelFormatError(f"{path}: unknown state space kind {list(doc)}")
@@ -359,7 +380,13 @@ def _parse_actions(doc, n_states: int, path: str) -> tuple[list, list]:
             raise ModelFormatError(
                 f"{path}.{side}: expected {n_states} per-state lists, got {len(lists)}"
             )
-        return [[int(a) for a in row] for row in lists]
+        for x, row in enumerate(lists):
+            if not isinstance(row, list):
+                raise ModelFormatError(f"{path}.{side}[{x}]: expected a list of action labels")
+        return [
+            [_as_index(a, f"{path}.{side}[{x}][{j}]") for j, a in enumerate(row)]
+            for x, row in enumerate(lists)
+        ]
 
     return expand(p1, "p1"), expand(p2, "p2")
 
@@ -376,10 +403,10 @@ def _fill_rate_entries(entries, tables, model_shape, path: str):
     seen = set()
     for i, e in enumerate(entries):
         p = f"{path}[{i}]"
-        x = int(_require(e, "from", p))
-        a = int(_require(e, "a", p))
-        b = int(_require(e, "b", p))
-        y = int(_require(e, "to", p))
+        x = _index(e, "from", p)
+        a = _index(e, "a", p)
+        b = _index(e, "b", p)
+        y = _index(e, "to", p)
         rate = float(_require(e, "rate", p))
         if not (0 <= x < n and 0 <= y < n):
             raise ModelFormatError(f"{p}: state index out of range")
@@ -400,9 +427,9 @@ def _fill_cost_entries(entries, tables, model_shape, path: str):
     actions_p1, actions_p2, n = model_shape
     for i, e in enumerate(entries):
         p = f"{path}[{i}]"
-        x = int(_require(e, "state", p))
-        a = int(_require(e, "a", p))
-        b = int(_require(e, "b", p))
+        x = _index(e, "state", p)
+        a = _index(e, "a", p)
+        b = _index(e, "b", p)
         value = float(_require(e, "value", p))
         if not 0 <= x < n:
             raise ModelFormatError(f"{p}.state: index out of range")
@@ -468,7 +495,7 @@ def model_from_dict(doc: dict) -> GameModel:
     terminal = np.zeros(n)
     for i, e in enumerate(doc.get("terminal", [])):
         p = f"$.terminal[{i}]"
-        x = int(_require(e, "state", p))
+        x = _index(e, "state", p)
         if not 0 <= x < n:
             raise ModelFormatError(f"{p}.state: index out of range")
         terminal[x] = float(_require(e, "value", p))

@@ -19,8 +19,11 @@ matrix-game value (sup-inf = inf-sup).  Two discretisations are provided:
 * ``picard_solve`` iterates the integral fixed-point operator with
   right-endpoint Riemann quadrature on the same grid.
 
-Both reduce each cell to an exact finite matrix game solved by the LP in
-:mod:`pdmg.matrix_game`.
+Both reduce each cell to an exact finite matrix game.  The games of a
+whole slice (a whole field, for Picard sweeps and saddle extraction) are
+solved together by :func:`pdmg.matrix_game.solve_stack`: pure saddles and
+certified equalizers in batch, the rest by the simplex, called here as
+``solve_game``.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .matrix_game import MatrixGame, solve as solve_game
+from .matrix_game import MatrixGame, solve as solve_game, solve_stack
 from .model import GameModel, GridFlowStates
 
 FMT = "%.12g"
@@ -40,6 +43,10 @@ FMT = "%.12g"
 
 class SolverError(RuntimeError):
     pass
+
+
+class SolutionFormatError(ValueError):
+    """A solution CSV does not parse; the message names the row."""
 
 
 class CFLError(SolverError):
@@ -277,16 +284,17 @@ class _FlowLags:
             )  # (modes, N+1)
         else:
             self._disp = None
+        self._maps = {}  # per-mode displacements -> state lookup
 
     def _shifted(self, disp: np.ndarray) -> np.ndarray:
         """State lookup moving every cell of mode m by disp[m] cells."""
-        sp = self.model.states
-        out = np.empty(self.model.n_states, dtype=int)
-        for mode, shift in enumerate(disp.tolist()):
-            base = mode * sp.cells
-            for cell in range(sp.cells):
-                out[base + cell] = base + sp.apply_boundary(cell + shift)
-        return out
+        key = tuple(disp.tolist())
+        if key not in self._maps:
+            sp = self.model.states
+            self._maps[key] = np.concatenate(
+                [mode * sp.cells + sp.shifted_cells(shift) for mode, shift in enumerate(key)]
+            )
+        return self._maps[key]
 
     def lag_map(self, lag: int) -> np.ndarray:
         """State lookup for a displacement of `lag` steps along the flow."""
@@ -324,9 +332,7 @@ def _step_coefficients(model: GameModel, grid: TimeGrid, game_tol: float) -> tup
     d, lam, n = grid.delta, model.lam, model.n_states
     diags, jumps = [], []
     for seg in range(model.n_segments):
-        c0 = np.array(
-            [solve_game(MatrixGame(model.cost_matrix(seg, x)), game_tol).value for x in range(n)]
-        )
+        c0 = solve_stack(model.costs[seg], model.cells, game_tol, solve_game)[0]
         # math.exp per state: np.exp may differ in the last bit
         outer = np.array([math.exp(lam * c * d) for c in c0])[:, None, None]
         chat = model.costs[seg] - c0[:, None, None]
@@ -384,22 +390,6 @@ def _pure_mixtures(model: GameModel, n_slices: int) -> tuple[np.ndarray, np.ndar
     return mu, nu
 
 
-def _solve_cells(model: GameModel, E: np.ndarray, game_tol: float, mu=None, nu=None) -> np.ndarray:
-    """Game value of every cell E[x]; saddle mixtures go to rows mu[x], nu[x]."""
-    out = np.empty(len(E))
-    for x, entries in enumerate(E):
-        m, n = len(model.actions_p1[x]), len(model.actions_p2[x])
-        if m == n == 1:
-            out[x] = entries[0, 0]
-            continue
-        sol = solve_game(MatrixGame(entries[:m, :n]), game_tol)
-        out[x] = sol.value
-        if mu is not None:
-            mu[x, :m] = sol.row_mix
-            nu[x, :n] = sol.col_mix
-    return out
-
-
 def backward_solve(model: GameModel, config: SolverConfig) -> tuple[ValueField, StrategyField]:
     """Solve the optimality equation backward in time.
 
@@ -411,7 +401,8 @@ def backward_solve(model: GameModel, config: SolverConfig) -> tuple[ValueField, 
     mu, nu = _pure_mixtures(model, grid.n_steps)
 
     def value(k, E):
-        return _solve_cells(model, E, config.game_tol, mu[k], nu[k])
+        v, mu[k], nu[k] = solve_stack(E, model.cells, config.game_tol, solve_game)
+        return v
 
     return _sweep(model, grid, config.game_tol, value), StrategyField(grid, mu, nu)
 
@@ -492,7 +483,7 @@ def gamma_apply(
     if model.widths == (1, 1):
         w = E[:, :, 0, 0]
     else:
-        w = np.array([_solve_cells(model, entries, game_tol) for entries in E])
+        w = solve_stack(E, model.cells, game_tol, solve_game)[0]
 
     g = model.terminal
     out = np.empty((N + 1, n))
@@ -565,12 +556,10 @@ def saddle_from_field(model: GameModel, field: ValueField, game_tol: float = 1e-
     """Extract per-cell saddle mixtures from a solved value field."""
     grid = field.grid
     N = grid.n_steps
-    mu, nu = _pure_mixtures(model, N)
-    if model.widths != (1, 1):
-        E = _bracket_entries(model, field.phi[:N], knot_segments(model, grid)[:N])
-        for k in range(N):
-            _solve_cells(model, E[k], game_tol, mu[k], nu[k])
-    return StrategyField(grid, mu, nu)
+    if model.widths == (1, 1):
+        return StrategyField(grid, *_pure_mixtures(model, N))
+    E = _bracket_entries(model, field.phi[:N], knot_segments(model, grid)[:N])
+    return StrategyField(grid, *solve_stack(E, model.cells, game_tol, solve_game)[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -632,16 +621,41 @@ def import_solution_csv(model: GameModel, text: str) -> tuple[ValueField, Strate
     nu = np.zeros((N, n, wb))
     for k in range(N + 1):
         for x in range(n):
-            parts = rows[k * n + x].split(",")
-            if int(parts[1]) != x:
-                raise SolverError(f"solution CSV: unexpected state index at row {k * n + x + 1}")
-            phi[k, x] = float(parts[2])
-            if k < N:
-                ma, mb = len(model.actions_p1[x]), len(model.actions_p2[x])
-                mu[k, x, :ma] = [float(v) for v in parts[4 : 4 + ma]]
-                nu[k, x, :mb] = [float(v) for v in parts[4 + wa : 4 + wa + mb]]
+            row = k * n + x + 1
+            parts = rows[row - 1].split(",")
+            if len(parts) != 4 + wa + wb:
+                raise SolutionFormatError(
+                    f"solution CSV row {row}: expected {4 + wa + wb} fields, got {len(parts)}"
+                )
+            try:
+                state = int(parts[1])
+                phi[k, x] = float(parts[2])
+                if k < N:
+                    ma, mb = len(model.actions_p1[x]), len(model.actions_p2[x])
+                    mu[k, x, :ma] = [float(v) for v in parts[4 : 4 + ma]]
+                    nu[k, x, :mb] = [float(v) for v in parts[4 + wa : 4 + wa + mb]]
+            except ValueError as exc:
+                raise SolutionFormatError(f"solution CSV row {row}: {exc}") from None
+            if state != x:
+                raise SolverError(f"solution CSV: unexpected state index at row {row}")
     bad = _bad_entries(phi)
     if bad.size:
         k, x = bad[0]
         raise SolverError(f"solution CSV: nonpositive or non-finite phi at knot {k}, state {x}")
+    for name, mix in (("mu", mu), ("nu", nu)):
+        # written as negations so that NaN fails too
+        neg = np.argwhere(~(mix >= -1e-12))
+        if neg.size:
+            k, x, j = neg[0]
+            raise SolverError(
+                f"solution CSV row {k * n + x + 1}, column {name}_{j}: "
+                f"{float(mix[k, x, j]):.12g} is not a probability"
+            )
+        off = np.argwhere(~(np.abs(mix.sum(axis=2) - 1.0) <= 1e-9))
+        if off.size:
+            k, x = off[0]
+            raise SolverError(
+                f"solution CSV row {k * n + x + 1}, columns {name}_*: "
+                f"probabilities sum to {float(mix[k, x].sum()):.12g}"
+            )
     return ValueField(grid, phi), StrategyField(grid, mu, nu)

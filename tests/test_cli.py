@@ -50,6 +50,15 @@ class TestValidate:
         bad.write_text("{")
         assert main(["validate", "--model", str(bad)]) == 2
 
+    @pytest.mark.parametrize("value", [None, "x"])
+    def test_bad_index_field_exits_two_with_its_path(self, tmp_path, capsys, value):
+        doc = demos.doc("two_state")
+        doc["rates"][0]["from"] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", "--model", str(bad)]) == 2
+        assert "$.rates(seg 0)[0].from: expected an integer" in capsys.readouterr().err
+
 
 class TestSolve:
     def test_constant_cost_csv(self, model_files, tmp_path):
@@ -164,6 +173,57 @@ class TestRoundTrip:
         model = load_model(open(model_files["controlled_two_state"]).read())
         field, strategies = import_solution_csv(model, first.decode())
         assert export_solution_csv(model, field, strategies).encode() == first
+
+
+    def test_malformed_row_exits_two(self, model_files, tmp_path, capsys):
+        sol = tmp_path / "sol"
+        main(["solve", "--model", model_files["matching_pennies"], "--steps", "4",
+              "--out", str(sol)])
+        lines = (sol / "solution.csv").read_text().splitlines()
+        lines[3] = lines[3].replace(",", ";")
+        bad = sol / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        rc = main(["evaluate", "--model", model_files["matching_pennies"], "--strategies",
+                   str(bad), "--out", str(tmp_path / "ev")])
+        assert rc == 2
+        assert "solution CSV row 3" in capsys.readouterr().err
+
+    def test_non_simplex_mixture_exits_one(self, model_files, tmp_path, capsys):
+        sol = tmp_path / "sol"
+        main(["solve", "--model", model_files["matching_pennies"], "--steps", "4",
+              "--out", str(sol)])
+        lines = (sol / "solution.csv").read_text().splitlines()
+        parts = lines[1].split(",")
+        parts[4:6] = ["1.5", "-0.5"]
+        lines[1] = ",".join(parts)
+        bad = sol / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        rc = main(["evaluate", "--model", model_files["matching_pennies"], "--strategies",
+                   str(bad), "--out", str(tmp_path / "ev")])
+        assert rc == 1
+        assert "row 1, column mu_1: -0.5 is not a probability" in capsys.readouterr().err
+
+
+class TestCellGameCounts:
+    def test_matching_pennies_cells_are_equalizers(self, model_files, tmp_path):
+        # one instantaneous-cost game plus one cell game per knot, all fully
+        # mixed 2x2 games; the counts restart with every command
+        for run in ("a", "b"):
+            out = tmp_path / run
+            assert main(["solve", "--model", model_files["matching_pennies"], "--steps", "10",
+                         "--out", str(out)]) == 0
+            assert read_json(out / "manifest.json")["cell_games"] == {
+                "pure_saddle": 0, "equalizer": 11, "simplex": 0, "exact": 0
+            }
+
+    def test_singleton_model_counts_its_cost_games(self, model_files, tmp_path):
+        # the two states' 1x1 instantaneous-cost games are pure saddles; the
+        # stepper values 1x1 cells without a game
+        out = tmp_path / "two"
+        main(["solve", "--model", model_files["two_state"], "--steps", "10", "--out", str(out)])
+        assert read_json(out / "manifest.json")["cell_games"] == {
+            "pure_saddle": 2, "equalizer": 0, "simplex": 0, "exact": 0
+        }
 
 
 class TestBestResponseCommand:

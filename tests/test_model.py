@@ -140,6 +140,15 @@ class TestFlow:
         if cell + k1 + k2 <= 19:
             assert sp.flow(sp.flow(cell, s), t) == sp.flow(cell, s + t)
 
+    @pytest.mark.parametrize("boundary", ["clamp", "reflect"])
+    def test_shifted_cells_match_apply_boundary(self, boundary):
+        sp = GridFlowStates(
+            modes=(Mode("m", 1.0),), grid_min=0.0, grid_max=1.0, cells=5, boundary=boundary
+        )
+        for shift in range(-17, 18):
+            expected = [sp.apply_boundary(cell + shift) for cell in range(5)]
+            assert sp.shifted_cells(shift).tolist() == expected
+
     def test_mode_cell_naming(self):
         sp = GridFlowStates(
             modes=(Mode("up", 1.0), Mode("dn", -1.0)),
@@ -306,6 +315,31 @@ class TestParsing:
     def test_rate_entry_path_in_error(self):
         doc = trivial_doc(rates=[{"from": 0, "a": 0, "b": 0, "to": 5, "rate": 1.0}])
         with pytest.raises(ModelFormatError, match=r"rates\(seg 0\)\[0\]"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("field", ["from", "to", "a", "b"])
+    @pytest.mark.parametrize("value", [None, "x"])
+    def test_bad_rate_index_names_its_field(self, field, value):
+        entry = {"from": 0, "a": 0, "b": 0, "to": 1, "rate": 1.0, field: value}
+        doc = trivial_doc(states={"finite": ["a", "b"]}, rates=[entry])
+        with pytest.raises(ModelFormatError, match=rf"rates\(seg 0\)\[0\]\.{field}: expected an integer"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("value", [None, "x"])
+    def test_bad_cost_and_terminal_state_name_their_field(self, value):
+        doc = trivial_doc(costs=[{"state": value, "a": 0, "b": 0, "value": 1.0}])
+        with pytest.raises(ModelFormatError, match=r"costs\(seg 0\)\[0\]\.state: expected an integer"):
+            model_from_dict(doc)
+        doc = trivial_doc(terminal=[{"state": value, "value": 1.0}])
+        with pytest.raises(ModelFormatError, match=r"terminal\[0\]\.state: expected an integer"):
+            model_from_dict(doc)
+
+    def test_bad_action_label_names_its_field(self):
+        doc = trivial_doc(actions={"p1": [[0, None]], "p2": [[0]]})
+        with pytest.raises(ModelFormatError, match=r"actions\.p1\[0\]\[1\]: expected an integer"):
+            model_from_dict(doc)
+        doc = trivial_doc(actions={"p1": [None], "p2": [[0]]})
+        with pytest.raises(ModelFormatError, match=r"actions\.p1\[0\]: expected a list"):
             model_from_dict(doc)
 
     def test_duplicate_rate_entry_rejected(self):

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdmg import demos
 from pdmg.model import model_from_dict
 from pdmg.shapley import (
     CFLError,
+    SolutionFormatError,
     SolverConfig,
     SolverError,
     StrategyField,
@@ -336,6 +338,41 @@ class TestSolutionCsv:
         lines = text.splitlines()
         assert lines[0] == "t,state,phi,risk_value,mu_0,mu_1,nu_0,nu_1"
         assert len(lines) == 1 + 5  # header + (N+1) knots x 1 state
+
+    def test_malformed_row_names_the_row(self, matching_pennies):
+        field, strategies = backward_solve(matching_pennies, SolverConfig(n_steps=4))
+        lines = export_solution_csv(matching_pennies, field, strategies).splitlines()
+        lines[3] = lines[3].replace(",", ";")
+        with pytest.raises(SolutionFormatError, match="row 3: expected 8 fields, got 1"):
+            import_solution_csv(matching_pennies, "\n".join(lines) + "\n")
+        lines = export_solution_csv(matching_pennies, field, strategies).splitlines()
+        lines[2] = lines[2].replace(",0.5,", ",half,", 1)
+        with pytest.raises(SolutionFormatError, match="row 2: could not convert"):
+            import_solution_csv(matching_pennies, "\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize(
+        "mix, match",
+        [
+            ("1.5,-0.5", r"row 2, column mu_1: -0\.5 is not a probability"),
+            ("0.5,0.6", r"row 2, columns mu_\*: probabilities sum to 1\.1"),
+            ("nan,0.5", r"row 2, column mu_0: nan is not a probability"),
+        ],
+    )
+    def test_import_rejects_non_simplex_mixtures(self, matching_pennies, mix, match):
+        field, strategies = backward_solve(matching_pennies, SolverConfig(n_steps=4))
+        lines = export_solution_csv(matching_pennies, field, strategies).splitlines()
+        parts = lines[2].split(",")
+        parts[4:6] = mix.split(",")
+        lines[2] = ",".join(parts)
+        with pytest.raises(SolverError, match=match):
+            import_solution_csv(matching_pennies, "\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in demos.MODELS_DIR.glob("*.json")))
+    def test_every_demo_export_imports(self, name):
+        model = demos.build(name)
+        field, strategies = backward_solve(model, SolverConfig(n_steps=200))
+        text = export_solution_csv(model, field, strategies)
+        assert export_solution_csv(model, *import_solution_csv(model, text)) == text
 
     def test_import_rejects_nonpositive_phi(self, matching_pennies):
         field, strategies = backward_solve(matching_pennies, SolverConfig(n_steps=4))
