@@ -4,9 +4,10 @@ Subcommands: validate, solve, evaluate, best-response, simulate, verify,
 ladder, game (debug matrix solve), oracle.  Every run writes one manifest
 next to its artifacts; its ``cell_games`` entry counts how the run's cell
 games were settled (pure saddles, equalizers, float simplex and exact
-re-solves).  Exit codes: 0 success, 1 validation/check failure,
-2 I/O or parse error.  The output directory may be overridden with the
-PDMG_OUT environment variable.
+re-solves), and a simulate run's ``simulation`` entry counts the walker's
+thinning candidates, accepted jumps and rejections.  Exit codes: 0 success,
+1 validation/check failure, 2 I/O or parse error.  The output directory may
+be overridden with the PDMG_OUT environment variable.
 """
 
 from __future__ import annotations
@@ -37,7 +38,9 @@ from .shapley import (
     saddle_from_field,
     to_risk_value,
 )
-from .simulate import SimConfig, estimate_J, simulate_path, _path_rng
+# simulate_path is not called here, but it is part of this module's namespace:
+# pdmgbench/tracing.py wraps it under this name
+from .simulate import SimConfig, estimate_J, simulate_path  # noqa: F401
 from .verify import check_assumptions, check_bounds, exploitability, oracle_fine_grid
 
 EXIT_OK = 0
@@ -162,7 +165,7 @@ def cmd_simulate(args) -> int:
     with open(args.strategies) as fh:
         _, strategies = import_solution_csv(model, fh.read())
     config = SimConfig(n_paths=args.paths, rng_seed=args.seed)
-    est = estimate_J(model, strategies, args.t0, args.x0, config)
+    est = estimate_J(model, strategies, args.t0, args.x0, config, record=args.dump_trajectories)
     doc = {
         "mean": _fnum(est.mean),
         "stderr": _fnum(est.stderr),
@@ -177,13 +180,20 @@ def cmd_simulate(args) -> int:
     est_path = _write(os.path.join(out, "estimate.json"), json.dumps(doc, indent=2, sort_keys=True) + "\n")
     artifacts = [est_path]
     if args.dump_trajectories:
+        # the walks of the first paths, exactly as the estimate averaged them
         lines = ["path_id,jump_index,time,state,exponent_so_far"]
-        for i in range(min(args.paths, args.dump_trajectories)):
-            tr = simulate_path(model, strategies, args.t0, args.x0, _path_rng(args.seed, i))
+        for i, tr in enumerate(est.trajectories):
             for j, ((t, x), e) in enumerate(zip(tr.jumps, tr.jump_exponents)):
                 lines.append(f"{i},{j},{FMT % t},{x},{FMT % e}")
         artifacts.append(_write(os.path.join(out, "trajectories.csv"), "\n".join(lines) + "\n"))
-    _manifest(out, "simulate", args, artifacts, time.time() - t_start)
+    simulation = {
+        "candidates": est.candidates,
+        "jumps": est.jumps,
+        "rejections": est.rejections,
+        "acceptance_rate": _fnum(est.jumps / est.candidates) if est.candidates else None,
+        "jumps_per_path": _fnum(est.jumps / est.n_paths),
+    }
+    _manifest(out, "simulate", args, artifacts, time.time() - t_start, {"simulation": simulation})
     print(f"mean {FMT % est.mean}  stderr {FMT % est.stderr}  ({est.n_paths} paths)")
     return EXIT_OK
 

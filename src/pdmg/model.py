@@ -93,14 +93,17 @@ class GridFlowStates:
             return _reflect_index(cell, self.cells)
         return min(max(cell, 0), self.cells - 1)
 
-    def shifted_cells(self, shift: int) -> np.ndarray:
-        """``apply_boundary(cell + shift)`` for every cell, as one int array."""
-        raw = np.arange(self.cells) + shift
+    def fold_cells(self, raw: np.ndarray) -> np.ndarray:
+        """``apply_boundary`` of every entry of an int array of raw cell indices."""
         if self.boundary == "reflect":
             p = 2 * self.cells - 2
             raw = raw % p
             return np.minimum(raw, p - raw)
         return np.clip(raw, 0, self.cells - 1)
+
+    def shifted_cells(self, shift: int) -> np.ndarray:
+        """``apply_boundary(cell + shift)`` for every cell, as one int array."""
+        return self.fold_cells(np.arange(self.cells) + shift)
 
     def flow(self, x: int, dt: float) -> int:
         mode, cell = self.split(x)
@@ -325,6 +328,8 @@ class GameModel:
 
 
 def _require(doc: dict, key: str, path: str):
+    if not isinstance(doc, dict):
+        raise ModelFormatError(f"{path}: expected an object, got {doc!r}")
     if key not in doc:
         raise ModelFormatError(f"{path}: missing required key '{key}'")
     return doc[key]
@@ -338,8 +343,29 @@ def _as_index(value, path: str) -> int:
         raise ModelFormatError(f"{path}: expected an integer, got {value!r}") from None
 
 
+def _entries(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ModelFormatError(f"{path}: expected a list, got {value!r}")
+    return value
+
+
 def _index(doc: dict, key: str, path: str) -> int:
     return _as_index(_require(doc, key, path), f"{path}.{key}")
+
+
+def _as_float(value, path: str) -> float:
+    """A finite float field; null, unreadable and non-finite values fail with the path."""
+    try:
+        out = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ModelFormatError(f"{path}: expected a number, got {value!r}") from None
+    if not math.isfinite(out):
+        raise ModelFormatError(f"{path}: expected a finite number, got {value!r}")
+    return out
+
+
+def _number(doc: dict, key: str, path: str) -> float:
+    return _as_float(_require(doc, key, path), f"{path}.{key}")
 
 
 def _parse_states(doc, path: str) -> StateSpace:
@@ -352,16 +378,17 @@ def _parse_states(doc, path: str) -> StateSpace:
         return FiniteStates(tuple(str(n) for n in names))
     if "grid_flow" in doc:
         g = doc["grid_flow"]
-        modes = tuple(
-            Mode(str(m.get("name", f"mode{i}")), float(_require(m, "drift", f"{path}.modes[{i}]")))
-            for i, m in enumerate(_require(g, "modes", f"{path}.grid_flow"))
-        )
+        modes = []
+        mode_docs = _entries(_require(g, "modes", f"{path}.grid_flow"), f"{path}.grid_flow.modes")
+        for i, m in enumerate(mode_docs):
+            drift = _number(m, "drift", f"{path}.grid_flow.modes[{i}]")
+            modes.append(Mode(str(m.get("name", f"mode{i}")), drift))
         grid = _require(g, "grid", f"{path}.grid_flow")
         return GridFlowStates(
-            modes=modes,
-            grid_min=float(_require(grid, "min", f"{path}.grid")),
-            grid_max=float(_require(grid, "max", f"{path}.grid")),
-            cells=_index(grid, "cells", f"{path}.grid"),
+            modes=tuple(modes),
+            grid_min=_number(grid, "min", f"{path}.grid_flow.grid"),
+            grid_max=_number(grid, "max", f"{path}.grid_flow.grid"),
+            cells=_index(grid, "cells", f"{path}.grid_flow.grid"),
             boundary=str(g.get("boundary", "clamp")),
         )
     raise ModelFormatError(f"{path}: unknown state space kind {list(doc)}")
@@ -401,13 +428,13 @@ def _blank_tables(model_shape):
 def _fill_rate_entries(entries, tables, model_shape, path: str):
     actions_p1, actions_p2, n = model_shape
     seen = set()
-    for i, e in enumerate(entries):
+    for i, e in enumerate(_entries(entries, path)):
         p = f"{path}[{i}]"
         x = _index(e, "from", p)
         a = _index(e, "a", p)
         b = _index(e, "b", p)
         y = _index(e, "to", p)
-        rate = float(_require(e, "rate", p))
+        rate = _number(e, "rate", p)
         if not (0 <= x < n and 0 <= y < n):
             raise ModelFormatError(f"{p}: state index out of range")
         if y == x:
@@ -425,12 +452,12 @@ def _fill_rate_entries(entries, tables, model_shape, path: str):
 
 def _fill_cost_entries(entries, tables, model_shape, path: str):
     actions_p1, actions_p2, n = model_shape
-    for i, e in enumerate(entries):
+    for i, e in enumerate(_entries(entries, path)):
         p = f"{path}[{i}]"
         x = _index(e, "state", p)
         a = _index(e, "a", p)
         b = _index(e, "b", p)
-        value = float(_require(e, "value", p))
+        value = _number(e, "value", p)
         if not 0 <= x < n:
             raise ModelFormatError(f"{p}.state: index out of range")
         if a not in actions_p1[x] or b not in actions_p2[x]:
@@ -440,28 +467,21 @@ def _fill_cost_entries(entries, tables, model_shape, path: str):
 
 def _parse_lyapunov(doc, path: str) -> LyapunovData:
     def arr(key):
-        return np.asarray([float(v) for v in _require(doc, key, path)], dtype=float)
+        values = _require(doc, key, path)
+        if not isinstance(values, list):
+            raise ModelFormatError(f"{path}.{key}: expected a list of numbers")
+        return np.asarray([_as_float(v, f"{path}.{key}[{i}]") for i, v in enumerate(values)])
 
-    return LyapunovData(
-        V=arr("V"),
-        V1=arr("V1"),
-        rho1=float(_require(doc, "rho1", path)),
-        b1=float(_require(doc, "b1", path)),
-        M1=float(_require(doc, "M1", path)),
-        M2=float(_require(doc, "M2", path)),
-        kappa=float(_require(doc, "kappa", path)),
-        rho2=float(_require(doc, "rho2", path)),
-        M3=float(_require(doc, "M3", path)),
-        b2=float(_require(doc, "b2", path)),
-    )
+    scalars = ("rho1", "b1", "M1", "M2", "kappa", "rho2", "M3", "b2")
+    return LyapunovData(V=arr("V"), V1=arr("V1"), **{k: _number(doc, k, path) for k in scalars})
 
 
 def model_from_dict(doc: dict) -> GameModel:
     """Build and validate a GameModel from a parsed model document."""
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be a JSON object")
-    lam = float(_require(doc, "lambda", "$"))
-    horizon = float(_require(doc, "horizon", "$"))
+    lam = _number(doc, "lambda", "$")
+    horizon = _number(doc, "horizon", "$")
     states = _parse_states(_require(doc, "states", "$"), "$.states")
     n = states.n_states
     actions_p1, actions_p2 = _parse_actions(_require(doc, "actions", "$"), n, "$.actions")
@@ -473,11 +493,13 @@ def model_from_dict(doc: dict) -> GameModel:
     # segment 0 holds the base tables; each later segment fully replaces the
     # tables it names (rates and/or costs) from its t_start onward
     seg_specs = [{"t_start": 0.0, "rates": doc.get("rates", []), "costs": doc.get("costs", [])}]
-    for i, s in enumerate(sorted(doc.get("segments", []), key=lambda s: s.get("t_start", 0.0))):
-        t0 = float(_require(s, "t_start", f"$.segments[{i}]"))
+    later = []
+    for i, s in enumerate(_entries(doc.get("segments", []), "$.segments")):
+        t0 = _number(s, "t_start", f"$.segments[{i}]")
         if not 0.0 < t0 < horizon:
             raise ModelFormatError(f"$.segments[{i}].t_start: must lie strictly inside (0, horizon)")
-        seg_specs.append({"t_start": t0, "rates": s.get("rates"), "costs": s.get("costs")})
+        later.append({"t_start": t0, "rates": s.get("rates"), "costs": s.get("costs")})
+    seg_specs += sorted(later, key=lambda s: s["t_start"])
 
     time_breaks, rates, costs = [], [], []
     prev_rate_entries, prev_cost_entries = [], []
@@ -493,12 +515,12 @@ def model_from_dict(doc: dict) -> GameModel:
         prev_rate_entries, prev_cost_entries = rate_entries, cost_entries
 
     terminal = np.zeros(n)
-    for i, e in enumerate(doc.get("terminal", [])):
+    for i, e in enumerate(_entries(doc.get("terminal", []), "$.terminal")):
         p = f"$.terminal[{i}]"
         x = _index(e, "state", p)
         if not 0 <= x < n:
             raise ModelFormatError(f"{p}.state: index out of range")
-        terminal[x] = float(_require(e, "value", p))
+        terminal[x] = _number(e, "value", p)
 
     lyap = _parse_lyapunov(doc["lyapunov"], "$.lyapunov") if "lyapunov" in doc else None
 

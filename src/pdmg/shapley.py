@@ -602,17 +602,17 @@ def import_solution_csv(model: GameModel, text: str) -> tuple[ValueField, Strate
     """Inverse of :func:`export_solution_csv` (byte-identical round trip)."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
-        raise SolverError("empty solution CSV")
+        raise SolutionFormatError("empty solution CSV")
     header = lines[0].split(",")
     if header[:4] != ["t", "state", "phi", "risk_value"]:
-        raise SolverError("solution CSV header mismatch")
+        raise SolutionFormatError("solution CSV header mismatch")
     n = model.n_states
     rows = lines[1:]
     if len(rows) % n != 0:
-        raise SolverError("solution CSV row count is not a multiple of the state count")
+        raise SolutionFormatError("solution CSV row count is not a multiple of the state count")
     n_knots = len(rows) // n
     if n_knots < 2:
-        raise SolverError("solution CSV must contain at least two knots")
+        raise SolutionFormatError("solution CSV must contain at least two knots")
     N = n_knots - 1
     grid = TimeGrid(N, model.horizon)
     wa, wb = model.widths
@@ -637,7 +637,7 @@ def import_solution_csv(model: GameModel, text: str) -> tuple[ValueField, Strate
             except ValueError as exc:
                 raise SolutionFormatError(f"solution CSV row {row}: {exc}") from None
             if state != x:
-                raise SolverError(f"solution CSV: unexpected state index at row {row}")
+                raise SolutionFormatError(f"solution CSV: unexpected state index at row {row}")
     bad = _bad_entries(phi)
     if bad.size:
         k, x = bad[0]

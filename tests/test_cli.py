@@ -6,6 +6,8 @@ import pytest
 
 from pdmg import demos
 from pdmg.cli import main
+from pdmg.shapley import FMT, import_solution_csv
+from pdmg.simulate import SimConfig, estimate_J
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +60,15 @@ class TestValidate:
         bad.write_text(json.dumps(doc))
         assert main(["validate", "--model", str(bad)]) == 2
         assert "$.rates(seg 0)[0].from: expected an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [None, float("nan")])
+    def test_bad_float_field_exits_two_with_its_path(self, tmp_path, capsys, value):
+        doc = demos.doc("two_state")
+        doc["rates"][0]["rate"] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))  # NaN is written as the bare token NaN
+        assert main(["validate", "--model", str(bad)]) == 2
+        assert "$.rates(seg 0)[0].rate: expected a" in capsys.readouterr().err
 
 
 class TestSolve:
@@ -135,6 +146,44 @@ class TestSimulate:
         doc = json.loads(outs[0])
         assert abs(doc["mean"] - 2.0) <= 3.0 * doc["stderr"] + 2e-3
 
+    def test_dump_holds_the_walks_the_estimate_averaged(self, model_files, tmp_path):
+        sol, out = tmp_path / "sol", tmp_path / "mc"
+        main(["solve", "--model", model_files["controlled_two_state"], "--steps", "40",
+              "--out", str(sol)])
+        assert main(["simulate", "--model", model_files["controlled_two_state"], "--strategies",
+                     str(sol / "solution.csv"), "--paths", "30", "--seed", "5",
+                     "--dump-trajectories", "12", "--out", str(out)]) == 0
+        model = demos.build("controlled_two_state")
+        _, strategies = import_solution_csv(model, (sol / "solution.csv").read_text())
+        est = estimate_J(model, strategies, 0.0, 0, SimConfig(n_paths=30, rng_seed=5), record=30)
+        # the estimate is the mean over exactly these walks ...
+        assert read_json(out / "estimate.json")["mean"] == float(
+            FMT % np.exp([tr.exponent for tr in est.trajectories]).mean())
+        # ... and the dump lists the jumps of the first twelve of them
+        _, rows = read_csv_rows(out / "trajectories.csv")
+        expect = [[str(i), str(j), FMT % t, str(x), FMT % e]
+                  for i, tr in enumerate(est.trajectories[:12])
+                  for j, ((t, x), e) in enumerate(zip(tr.jumps, tr.jump_exponents))]
+        assert rows == expect and rows
+
+    def test_manifest_counts_the_walk(self, model_files, tmp_path):
+        def run(name, x0, steps):
+            sol, out = tmp_path / f"sol-{name}", tmp_path / f"mc-{name}"
+            main(["solve", "--model", model_files[name], "--steps", str(steps), "--out", str(sol)])
+            assert main(["simulate", "--model", model_files[name], "--strategies",
+                         str(sol / "solution.csv"), "--paths", "200", "--seed", "3", "--x0", str(x0),
+                         "--out", str(out)]) == 0
+            return read_json(out / "manifest.json")["simulation"]
+
+        assert run("const_cost", 0, 10) == {"candidates": 0, "jumps": 0, "rejections": 0,
+                                             "acceptance_rate": None, "jumps_per_path": 0.0}
+        for name, x0, steps in (("two_state", 0, 20), ("controlled_two_state", 1, 20),
+                                ("grid_flow", 5, 50)):
+            sim = run(name, x0, steps)
+            assert sim["candidates"] == sim["jumps"] + sim["rejections"] > 0
+            assert sim["acceptance_rate"] == float(FMT % (sim["jumps"] / sim["candidates"]))
+            assert sim["jumps_per_path"] == float(FMT % (sim["jumps"] / 200))
+
     def test_trajectory_dump(self, model_files, tmp_path):
         sol = tmp_path / "sol"
         main(["solve", "--model", model_files["two_state"], "--steps", "20", "--out", str(sol)])
@@ -187,6 +236,34 @@ class TestRoundTrip:
                    str(bad), "--out", str(tmp_path / "ev")])
         assert rc == 2
         assert "solution CSV row 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("defect, message", [
+        ("empty", "empty solution CSV"),
+        ("header", "header mismatch"),
+        ("row count", "not a multiple of the state count"),
+        ("one knot", "at least two knots"),
+        ("state index", "unexpected state index at row 3"),
+    ])
+    def test_structural_defect_exits_two(self, model_files, tmp_path, capsys, defect, message):
+        sol = tmp_path / "sol"
+        main(["solve", "--model", model_files["two_state"], "--steps", "10", "--out", str(sol)])
+        lines = (sol / "solution.csv").read_text().splitlines()
+        if defect == "empty":
+            lines = []
+        elif defect == "header":
+            lines[0] = lines[0].replace("t,", "time,", 1)
+        elif defect == "row count":
+            lines = lines[:-1]
+        elif defect == "one knot":
+            lines = lines[:3]
+        else:
+            lines[3] = lines[3].replace(",0,", ",1,", 1)  # row 3 is knot 1, state 0
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        rc = main(["evaluate", "--model", model_files["two_state"], "--strategies", str(bad),
+                   "--out", str(tmp_path / "ev")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
     def test_non_simplex_mixture_exits_one(self, model_files, tmp_path, capsys):
         sol = tmp_path / "sol"

@@ -13,7 +13,7 @@ from pdmg.approx import truncate_nonneg
 from pdmg.matrix_game import MatrixGame, _exact_simplex_max, solve
 from pdmg.model import model_from_dict
 from pdmg.shapley import SolverConfig, backward_solve, policy_evaluate
-from pdmg.simulate import SimConfig, estimate_J, simulate_path, _path_rng
+from pdmg.simulate import SimConfig, estimate_J, simulate_path
 from pdmg.verify import exploitability
 
 from conftest import singleton_strategies
@@ -117,7 +117,7 @@ class TestReflectBoundary:
         strategies = singleton_strategies(model, n_steps=1)
         exps = set()
         for i in range(5):
-            tr = simulate_path(model, strategies, 0.0, 0, _path_rng(1, i))
+            tr = simulate_path(model, strategies, 0.0, 0, 1, i)
             assert tr.jumps == []
             exps.add(tr.exponent)
         assert len(exps) == 1

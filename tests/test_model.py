@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,44 @@ def trivial_doc(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+def _grid_doc(drift=0.5, lo=0.0, hi=1.0, modes=None):
+    modes = [{"name": "m", "drift": drift}] if modes is None else modes
+    return trivial_doc(states={"grid_flow": {"modes": modes, "grid": {"min": lo, "max": hi, "cells": 4}}})
+
+
+def _lyapunov_doc(key, value):
+    doc = trivial_doc()
+    doc["lyapunov"] = {"V": [1.0], "V1": [1.0], "rho1": 1.0, "b1": 0.1, "M1": 1.0, "M2": 1.0,
+                       "kappa": 1.0, "rho2": 1.0, "M3": 1.0, "b2": 1.0}
+    if key == "V":
+        doc["lyapunov"]["V"] = [value]
+    else:
+        doc["lyapunov"][key] = value
+    return doc
+
+
+# field kind -> (document with the given value in that field, the field's
+# path, a value that loads)
+FLOAT_FIELDS = {
+    "lambda": (lambda v: trivial_doc(**{"lambda": v}), "$.lambda", 0.5),
+    "horizon": (lambda v: trivial_doc(horizon=v), "$.horizon", 0.5),
+    "rate": (lambda v: trivial_doc(states={"finite": ["a", "b"]},
+                                   rates=[{"from": 0, "a": 0, "b": 0, "to": 1, "rate": v}]),
+             "$.rates(seg 0)[0].rate", 0.5),
+    "cost value": (lambda v: trivial_doc(costs=[{"state": 0, "a": 0, "b": 0, "value": v}]),
+                   "$.costs(seg 0)[0].value", 0.5),
+    "terminal value": (lambda v: trivial_doc(terminal=[{"state": 0, "value": v}]),
+                       "$.terminal[0].value", 0.5),
+    "drift": (lambda v: _grid_doc(drift=v), "$.states.grid_flow.modes[0].drift", 0.5),
+    "grid min": (lambda v: _grid_doc(lo=v), "$.states.grid_flow.grid.min", 0.5),
+    "grid max": (lambda v: _grid_doc(hi=v), "$.states.grid_flow.grid.max", 0.5),
+    "t_start": (lambda v: trivial_doc(segments=[{"t_start": v, "costs": []}]),
+                "$.segments[0].t_start", 0.5),
+    "lyapunov scalar": (lambda v: _lyapunov_doc("b1", v), "$.lyapunov.b1", 0.5),
+    "lyapunov entry": (lambda v: _lyapunov_doc("V", v), "$.lyapunov.V[0]", 1.5),
+}
 
 
 def test_load_trivial_model_has_zero_kernel():
@@ -333,6 +372,27 @@ class TestParsing:
         doc = trivial_doc(terminal=[{"state": value, "value": 1.0}])
         with pytest.raises(ModelFormatError, match=r"terminal\[0\]\.state: expected an integer"):
             model_from_dict(doc)
+
+    @pytest.mark.parametrize("value", [None, "x", float("nan"), float("inf")])
+    @pytest.mark.parametrize("kind", sorted(FLOAT_FIELDS))
+    def test_bad_float_field_names_its_field(self, kind, value):
+        build, path, good = FLOAT_FIELDS[kind]
+        with pytest.raises(ModelFormatError, match=rf"^{re.escape(path)}: expected a (finite )?number"):
+            model_from_dict(build(value))
+        model_from_dict(build(good))
+
+    @pytest.mark.parametrize("build, path", [
+        (lambda: trivial_doc(rates=[5]), r"\$\.rates\(seg 0\)\[0\]: expected an object"),
+        (lambda: trivial_doc(rates=5), r"\$\.rates\(seg 0\): expected a list"),
+        (lambda: trivial_doc(terminal=[None]), r"\$\.terminal\[0\]: expected an object"),
+        (lambda: trivial_doc(segments=[3]), r"\$\.segments\[0\]: expected an object"),
+        (lambda: trivial_doc(segments=3), r"\$\.segments: expected a list"),
+        (lambda: _grid_doc(modes=[None]), r"\$\.states\.grid_flow\.modes\[0\]: expected an object"),
+        (lambda: _grid_doc(modes=1), r"\$\.states\.grid_flow\.modes: expected a list"),
+    ])
+    def test_non_object_entries_name_their_path(self, build, path):
+        with pytest.raises(ModelFormatError, match=path):
+            model_from_dict(build())
 
     def test_bad_action_label_names_its_field(self):
         doc = trivial_doc(actions={"p1": [[0, None]], "p2": [[0]]})
