@@ -28,9 +28,9 @@ certified equalizers in batch, the rest by the simplex, called here as
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -39,6 +39,9 @@ from .matrix_game import MatrixGame, solve as solve_game, solve_stack
 from .model import GameModel, GridFlowStates
 
 FMT = "%.12g"
+# Rows of the solution CSV formatted or parsed at a time: bounds the
+# strings held at once.
+_CSV_BLOCK = 2048
 
 
 class SolverError(RuntimeError):
@@ -566,82 +569,158 @@ def saddle_from_field(model: GameModel, field: ValueField, game_tol: float = 1e-
 # CSV export / import (combined value + strategy table)
 
 
+def _csv_layout(model: GameModel) -> tuple[list[str], np.ndarray]:
+    """Column names of the solution CSV, and for each state which of the
+    mixture columns (mu_0.., nu_0..) hold its admissible actions; the others
+    are padding and stay empty."""
+    wa, wb = model.widths
+    names = ["t", "state", "phi", "risk_value"]
+    names += [f"mu_{i}" for i in range(wa)] + [f"nu_{i}" for i in range(wb)]
+    counts = np.array([(len(a), len(b)) for a, b in zip(model.actions_p1, model.actions_p2)])
+    shown = np.concatenate([np.arange(wa) < counts[:, :1], np.arange(wb) < counts[:, 1:]], axis=1)
+    return names, shown
+
+
+def _fmt_all(values: list) -> list[str]:
+    """FMT of every value of a flat list, in one % call."""
+    return (",".join([FMT] * len(values)) % tuple(values)).split(",")
+
+
 def export_solution_csv(model: GameModel, field: ValueField, strategies: StrategyField) -> str:
     """Combined CSV: t, state, phi, risk_value, mu_0.., nu_0..
 
     12 significant digits; strategies are piecewise constant on
-    [t_k, t_{k+1}) and the final row repeats the last slice.
+    [t_k, t_{k+1}) and the final row repeats the last slice.  Rows are
+    formatted in blocks of whole knots, each block by one % call.
     """
-    wa, wb = model.widths
     grid = field.grid
     n, N = model.n_states, grid.n_steps
     if _bad_entries(field.phi).size:
         raise SolverError("cannot export a field with nonpositive or non-finite phi")
-    cols = ["t", "state", "phi", "risk_value"]
-    cols += [f"mu_{i}" for i in range(wa)] + [f"nu_{i}" for i in range(wb)]
-    counts = [(len(a), len(b)) for a, b in zip(model.actions_p1, model.actions_p2)]
-    mus, nus = strategies.mu.tolist(), strategies.nu.tolist()
-    buf = io.StringIO()
-    buf.write(",".join(cols) + "\n")
-    for k in range(N + 1):
-        ks = min(k, N - 1)
-        t = FMT % grid.knot(k)
-        for x in range(n):
-            # risk value derived from the printed (quantized) phi so that
-            # export -> import -> export is byte-identical
-            phi_q = float(FMT % field.phi[k, x])
-            row = [t, str(x), FMT % phi_q, FMT % (math.log(phi_q) / model.lam)]
-            ma, mb = counts[x]
-            row += [FMT % v for v in mus[ks][x][:ma]] + [""] * (wa - ma)
-            row += [FMT % v for v in nus[ks][x][:mb]] + [""] * (wb - mb)
-            buf.write(",".join(row) + "\n")
-    return buf.getvalue()
+    names, shown = _csv_layout(model)
+    # one knot's rows: t, the state, phi, risk, a %s per admissible action
+    knot_rows = "".join(
+        ",".join(["%s", str(x), "%s", "%s"] + ["%s" if s else "" for s in shown[x]]) + "\n" for x in range(n)
+    )
+    printed = np.concatenate([np.ones((n, 3), bool), shown], axis=1)
+    times = np.arange(N + 1) * grid.horizon / N  # k*T/N, rounded as grid.knot(k)
+    per_block = max(1, _CSV_BLOCK // n)
+    out = [",".join(names) + "\n"]
+    for k0 in range(0, N + 1, per_block):
+        k1 = min(k0 + per_block, N + 1)
+        cells = np.empty((k1 - k0, n, printed.shape[1]), dtype=object)
+        cells[:, :, 0] = np.array(_fmt_all(times[k0:k1].tolist()), dtype=object)[:, None]
+        phi = _fmt_all(field.phi[k0:k1].ravel().tolist())
+        # risk value derived from the printed (quantized) phi so that
+        # export -> import -> export is byte-identical; math.log, since the
+        # vectorised np.log may differ in the last ulp
+        risk = np.fromiter(map(math.log, map(float, phi)), float, len(phi)) / model.lam
+        cells[:, :, 1] = np.array(phi, dtype=object).reshape(k1 - k0, n)
+        cells[:, :, 2] = np.array(_fmt_all(risk.tolist()), dtype=object).reshape(k1 - k0, n)
+        ks = np.minimum(np.arange(k0, k1), N - 1)
+        mix = np.concatenate([strategies.mu[ks], strategies.nu[ks]], axis=2)
+        # each distinct value printed once; unique bit patterns keep -0.0 apart from 0.0
+        bits, inv = np.unique(mix.view(np.int64), return_inverse=True)
+        cells[:, :, 3:] = np.array(_fmt_all(bits.view(float).tolist()), dtype=object)[inv.reshape(mix.shape)]
+        out.append((knot_rows * (k1 - k0)) % tuple(cells[:, printed].ravel().tolist()))
+    return "".join(out)
+
+
+def _parse_rows(block: list[str], r0: int, shown: np.ndarray, t, phi, entries) -> bool:
+    """Read rows r0+1.. of a solution CSV into t, phi and entries with a few
+    C-level passes over the block; False if any row is malformed."""
+    n, width = shown.shape[0], 4 + shown.shape[1]
+    size = len(block)
+    if list(map(str.count, block, repeat(",", size))).count(width - 1) != size:
+        return False
+    cells = np.array(",".join(block).split(","), dtype=object).reshape(size, width)
+    states = (r0 + np.arange(size)) % n
+    read = shown[states]
+    if "".join(cells[:, 4:][~read].tolist()):
+        return False
+    try:
+        if list(map(int, cells[:, 1].tolist())) != states.tolist():
+            return False
+        t[r0 : r0 + size] = list(map(float, cells[:, 0].tolist()))
+        phi[r0 : r0 + size] = list(map(float, cells[:, 2].tolist()))
+        list(map(float, cells[:, 3].tolist()))  # risk_value: read, not kept
+        entries[r0 : r0 + size][read] = list(map(float, cells[:, 4:][read].tolist()))
+    except ValueError:
+        return False
+    return True
+
+
+def _raise_first_bad_row(block: list[str], r0: int, names: list[str], shown: np.ndarray) -> None:
+    """Name the first malformed row of a block that :func:`_parse_rows` refused."""
+    n = shown.shape[0]
+    for i, line in enumerate(block):
+        row, x = r0 + i + 1, (r0 + i) % n
+        parts = line.split(",")
+        if len(parts) != len(names):
+            raise SolutionFormatError(
+                f"solution CSV row {row}: expected {len(names)} fields, got {len(parts)}"
+            )
+        for name, value, read in zip(names, parts, [True] * 4 + shown[x].tolist()):
+            if not read:
+                if value:
+                    raise SolutionFormatError(f"solution CSV row {row}: padded field {name} is not empty")
+                continue
+            try:
+                (int if name == "state" else float)(value)
+            except ValueError as exc:
+                raise SolutionFormatError(f"solution CSV row {row}: {exc}") from None
+        if int(parts[1]) != x:
+            raise SolutionFormatError(f"solution CSV: unexpected state index at row {row}")
+    raise AssertionError("no malformed row in a block that failed to parse")
 
 
 def import_solution_csv(model: GameModel, text: str) -> tuple[ValueField, StrategyField]:
-    """Inverse of :func:`export_solution_csv` (byte-identical round trip)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Inverse of :func:`export_solution_csv` (byte-identical round trip).
+
+    Every field is read, a block of rows at a time.  The header must be the
+    one export writes for the model; t, state, phi, risk_value and each
+    admissible mixture entry must parse, on the final knot's rows too, and
+    padded fields must be empty (else :class:`SolutionFormatError` naming the
+    row).  Each t must lie within 1e-11*max(1, T) of its knot k*T/N of the
+    model's grid, each phi must be finite and positive and each mixture a
+    simplex (else :class:`SolverError` naming the row).
+    """
+    lines = list(filter(str.strip, text.splitlines()))
     if not lines:
         raise SolutionFormatError("empty solution CSV")
-    header = lines[0].split(",")
-    if header[:4] != ["t", "state", "phi", "risk_value"]:
-        raise SolutionFormatError("solution CSV header mismatch")
+    names, shown = _csv_layout(model)
+    if lines[0] != ",".join(names):
+        raise SolutionFormatError(f"solution CSV header mismatch: expected {','.join(names)}")
     n = model.n_states
-    rows = lines[1:]
-    if len(rows) % n != 0:
+    rows = len(lines) - 1
+    if rows % n != 0:
         raise SolutionFormatError("solution CSV row count is not a multiple of the state count")
-    n_knots = len(rows) // n
+    n_knots = rows // n
     if n_knots < 2:
         raise SolutionFormatError("solution CSV must contain at least two knots")
     N = n_knots - 1
     grid = TimeGrid(N, model.horizon)
-    wa, wb = model.widths
-    phi = np.empty((N + 1, n))
-    mu = np.zeros((N, n, wa))
-    nu = np.zeros((N, n, wb))
-    for k in range(N + 1):
-        for x in range(n):
-            row = k * n + x + 1
-            parts = rows[row - 1].split(",")
-            if len(parts) != 4 + wa + wb:
-                raise SolutionFormatError(
-                    f"solution CSV row {row}: expected {4 + wa + wb} fields, got {len(parts)}"
-                )
-            try:
-                state = int(parts[1])
-                phi[k, x] = float(parts[2])
-                if k < N:
-                    ma, mb = len(model.actions_p1[x]), len(model.actions_p2[x])
-                    mu[k, x, :ma] = [float(v) for v in parts[4 : 4 + ma]]
-                    nu[k, x, :mb] = [float(v) for v in parts[4 + wa : 4 + wa + mb]]
-            except ValueError as exc:
-                raise SolutionFormatError(f"solution CSV row {row}: {exc}") from None
-            if state != x:
-                raise SolutionFormatError(f"solution CSV: unexpected state index at row {row}")
+    t, phi, entries = np.empty(rows), np.empty(rows), np.zeros((rows, shown.shape[1]))
+    for r0 in range(0, rows, _CSV_BLOCK):
+        block = lines[1 + r0 : 1 + r0 + _CSV_BLOCK]
+        if not _parse_rows(block, r0, shown, t, phi, entries):
+            _raise_first_bad_row(block, r0, names, shown)
+    knots = np.repeat(np.arange(N + 1) * grid.horizon / N, n)
+    off = np.flatnonzero(~(np.abs(t - knots) <= 1e-11 * max(1.0, grid.horizon)))
+    if off.size:
+        r = int(off[0])
+        raise SolverError(
+            f"solution CSV row {r + 1}: t = {FMT % t[r]} is not knot {r // n} of the model's grid "
+            f"(t = {FMT % knots[r]})"
+        )
+    phi = phi.reshape(N + 1, n)
     bad = _bad_entries(phi)
     if bad.size:
         k, x = bad[0]
         raise SolverError(f"solution CSV: nonpositive or non-finite phi at knot {k}, state {x}")
+    wa = model.widths[0]
+    mu = np.ascontiguousarray(entries[: N * n, :wa]).reshape(N, n, wa)
+    nu = np.ascontiguousarray(entries[: N * n, wa:]).reshape(N, n, -1)
     for name, mix in (("mu", mu), ("nu", nu)):
         # written as negations so that NaN fails too
         neg = np.argwhere(~(mix >= -1e-12))

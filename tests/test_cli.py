@@ -280,6 +280,51 @@ class TestRoundTrip:
         assert rc == 1
         assert "row 1, column mu_1: -0.5 is not a probability" in capsys.readouterr().err
 
+    def test_other_horizon_exits_one(self, model_files, tmp_path, capsys):
+        # a T=1 solution read against the same model with T=3: knot 1 is 0.1, not 0.3
+        sol = tmp_path / "sol"
+        main(["solve", "--model", model_files["two_state"], "--steps", "10", "--out", str(sol)])
+        doc = demos.doc("two_state")
+        doc["horizon"] = 3.0
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(doc))
+        rc = main(["evaluate", "--model", str(other), "--strategies", str(sol / "solution.csv"),
+                   "--out", str(tmp_path / "ev")])
+        assert rc == 1
+        assert "row 3: t = 0.1 is not knot 1 of the model's grid (t = 0.3)" in capsys.readouterr().err
+        assert not (tmp_path / "ev" / "evaluation.csv").exists()
+
+    @pytest.mark.parametrize("defect, row, column, value, message", [
+        ("header", 0, 4, "zzz", "header mismatch"),
+        ("final row", -2, 5, "abc", "row 11: could not convert string to float: 'abc'"),
+        ("padding", 2, 5, "0", "row 2: padded field mu_1 is not empty"),
+    ])
+    def test_unread_field_exits_two(self, tmp_path, capsys, defect, row, column, value, message):
+        # state 0 plays 2x2 and state 1 plays 1x3, so mu_1 of state 1 is padding
+        model = tmp_path / "mixed.json"
+        model.write_text(json.dumps({
+            "lambda": 0.5, "horizon": 1.0, "states": {"finite": ["square", "wide"]},
+            "actions": {"p1": [[0, 1], [0]], "p2": [[0, 1], [0, 1, 2]]},
+            "rates": [{"from": 0, "a": 0, "b": 0, "to": 1, "rate": 0.9},
+                      {"from": 1, "a": 0, "b": 2, "to": 0, "rate": 0.4}],
+            "costs": [{"state": 0, "a": 0, "b": 1, "value": 1.0},
+                      {"state": 1, "a": 0, "b": 1, "value": 0.3}],
+            "terminal": [],
+        }))
+        sol = tmp_path / "sol"
+        assert main(["solve", "--model", str(model), "--steps", "5", "--out", str(sol)]) == 0
+        lines = (sol / "solution.csv").read_text().splitlines()
+        assert lines[0] == "t,state,phi,risk_value,mu_0,mu_1,nu_0,nu_1,nu_2"
+        parts = lines[row].split(",")
+        parts[column] = value
+        lines[row] = ",".join(parts)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        rc = main(["evaluate", "--model", str(model), "--strategies", str(bad),
+                   "--out", str(tmp_path / "ev")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
 
 class TestCellGameCounts:
     def test_matching_pennies_cells_are_equalizers(self, model_files, tmp_path):

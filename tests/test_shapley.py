@@ -376,10 +376,12 @@ class TestSolutionCsv:
 
     def test_import_rejects_nonpositive_phi(self, matching_pennies):
         field, strategies = backward_solve(matching_pennies, SolverConfig(n_steps=4))
-        text = export_solution_csv(matching_pennies, field, strategies)
-        bad = text.replace(text.splitlines()[1].split(",")[2], "-1.0")
-        with pytest.raises(SolverError):
-            import_solution_csv(matching_pennies, bad)
+        lines = export_solution_csv(matching_pennies, field, strategies).splitlines()
+        parts = lines[1].split(",")
+        parts[2] = "-1.0"
+        lines[1] = ",".join(parts)
+        with pytest.raises(SolverError, match="nonpositive or non-finite phi at knot 0, state 0"):
+            import_solution_csv(matching_pennies, "\n".join(lines) + "\n")
 
     def test_refine_is_exact(self, controlled):
         _, strategies = backward_solve(controlled, SolverConfig(n_steps=20))

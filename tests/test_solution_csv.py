@@ -1,0 +1,199 @@
+"""The block-wise solution CSV against the row-by-row reference, and the
+checks import makes on every field."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rowwise_csv
+from pdmg.model import model_from_dict
+from pdmg.shapley import (
+    _CSV_BLOCK,
+    SolutionFormatError,
+    SolverError,
+    StrategyField,
+    TimeGrid,
+    ValueField,
+    export_solution_csv,
+    import_solution_csv,
+)
+
+# values a mixture entry can take besides random simplices: exact 0s and 1s,
+# a negative zero, a subnormal and repeated fractions
+SPECIAL = [0.0, -0.0, 1.0, 0.5, 0.25, 1.0 / 3.0, 5e-324, 1e-13]
+
+
+def finite_model(widths, horizon=1.0, lam=0.5):
+    """States 0..S-1 with (A_x, B_x) actions; no jumps, no costs."""
+    return model_from_dict({
+        "lambda": lam,
+        "horizon": horizon,
+        "states": {"finite": [f"s{x}" for x in range(len(widths))]},
+        "actions": {"p1": [list(range(a)) for a, _ in widths], "p2": [list(range(b)) for _, b in widths]},
+        "rates": [],
+        "costs": [],
+        "terminal": [],
+    })
+
+
+def random_simplices(rng, n_slices, counts, width, palette):
+    """(N, S, width) simplices padded with zeros past each state's count."""
+    out = np.zeros((n_slices, len(counts), width))
+    rows = np.arange(n_slices)
+    for x, m in enumerate(counts):
+        kind = rng.integers(0, 4, n_slices)
+        block = rng.dirichlet(np.ones(m), n_slices)
+        block[kind == 1] = 1.0 / m
+        onehot = np.zeros((n_slices, m))
+        onehot[rows, rng.integers(0, m, n_slices)] = 1.0
+        block[kind == 0] = onehot[kind == 0]
+        if m > 1:
+            p = rng.choice(palette, n_slices)
+            pair = np.zeros((n_slices, m))
+            pair[:, 0], pair[:, 1] = p, 1.0 - p
+            block[kind == 3] = pair[kind == 3]
+        # runs of repeated rows, as a saddle held over many knots gives
+        repeat = rng.random(n_slices) < 0.5
+        repeat[0] = False
+        block[repeat] = block[np.maximum.accumulate(np.where(repeat, 0, rows))][repeat]
+        out[:, x, :m] = block
+    return out
+
+
+def random_solution(model, n_steps, seed, palette, phis):
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(n_steps, model.horizon)
+    phi = np.exp(rng.uniform(math.log(1e-300), math.log(1e300), (n_steps + 1, model.n_states)))
+    phi.ravel()[rng.integers(0, phi.size, len(phis))] = phis
+    counts = [(len(a), len(b)) for a, b in zip(model.actions_p1, model.actions_p2)]
+    mu = random_simplices(rng, n_steps, [a for a, _ in counts], model.widths[0], palette)
+    nu = random_simplices(rng, n_steps, [b for _, b in counts], model.widths[1], palette)
+    return ValueField(grid, phi), StrategyField(grid, mu, nu)
+
+
+@st.composite
+def solutions(draw):
+    n = draw(st.integers(1, 3))
+    widths = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=n, max_size=n))
+    model = finite_model(
+        widths,
+        horizon=draw(st.floats(0.01, 1e3, allow_nan=False)),
+        lam=draw(st.floats(0.01, 1.0, allow_nan=False)),
+    )
+    # a few knots, or enough rows for at least two blocks of both export and import
+    n_steps = draw(st.one_of(st.integers(1, 6), st.integers(2 * _CSV_BLOCK // n, 3 * _CSV_BLOCK // n)))
+    palette = draw(st.lists(st.one_of(st.sampled_from(SPECIAL), st.floats(0.0, 1.0)), min_size=1, max_size=4))
+    phis = draw(st.lists(st.sampled_from([1e-300, 1e300, 1.0, 2.5e-7, 7.0e12]), max_size=4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return model, *random_solution(model, n_steps, seed, palette, phis)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@settings(max_examples=30, deadline=None)
+@given(solutions())
+def test_blocks_match_the_row_by_row_reference(case):
+    model, field, strategies = case
+    text = export_solution_csv(model, field, strategies)
+    assert text == rowwise_csv.export_solution_csv(model, field, strategies)
+    field2, strategies2 = import_solution_csv(model, text)
+    ref_field, ref_strategies = rowwise_csv.import_solution_csv(model, text)
+    assert same_bits(field2.phi, ref_field.phi)
+    assert same_bits(strategies2.mu, ref_strategies.mu)
+    assert same_bits(strategies2.nu, ref_strategies.nu)
+    assert export_solution_csv(model, field2, strategies2) == text
+
+
+MIXED = [(2, 2), (1, 3), (3, 1)]
+
+
+@pytest.fixture(scope="module")
+def mixed_lines():
+    """A 3-state mixed-width solution over four import blocks."""
+    model = finite_model(MIXED)
+    field, strategies = random_solution(model, _CSV_BLOCK, 7, SPECIAL, [])
+    return model, export_solution_csv(model, field, strategies).splitlines()
+
+
+def import_lines(model, lines):
+    return import_solution_csv(model, "\n".join(lines) + "\n")
+
+
+def set_field(lines, row, column, value):
+    parts = lines[row].split(",")
+    parts[column] = value
+    lines = list(lines)
+    lines[row] = ",".join(parts)
+    return lines
+
+
+class TestSecondBlock:
+    def test_first_malformed_row_is_named(self, mixed_lines):
+        model, lines = mixed_lines
+        row = _CSV_BLOCK + 7
+        bad = set_field(set_field(lines, row + 3, 2, "x"), row, 2, "abc")
+        with pytest.raises(SolutionFormatError, match=f"row {row}: could not convert string to float: 'abc'"):
+            import_lines(model, bad)
+
+    def test_state_index_follows_the_row(self, mixed_lines):
+        # row 2050 is knot 683, state 0: the block starts mid-knot
+        model, lines = mixed_lines
+        row = _CSV_BLOCK + 2
+        assert lines[row].split(",")[1] == "0"
+        with pytest.raises(SolutionFormatError, match=f"unexpected state index at row {row}$"):
+            import_lines(model, set_field(lines, row, 1, "1"))
+
+    def test_field_count_is_named(self, mixed_lines):
+        model, lines = mixed_lines
+        row = 2 * _CSV_BLOCK + 1
+        bad = list(lines)
+        bad[row] += ","
+        with pytest.raises(SolutionFormatError, match=f"row {row}: expected 10 fields, got 11"):
+            import_lines(model, bad)
+
+
+class TestEveryField:
+    def test_header_is_compared_whole(self, mixed_lines):
+        model, lines = mixed_lines
+        assert lines[0] == "t,state,phi,risk_value,mu_0,mu_1,mu_2,nu_0,nu_1,nu_2"
+        bad = [lines[0].replace("mu_0", "zzz")] + lines[1:]
+        with pytest.raises(SolutionFormatError, match="header mismatch"):
+            import_lines(model, bad)
+
+    @pytest.mark.parametrize("column", [0, 3, 4, 7])
+    def test_final_knot_fields_parse(self, mixed_lines, column):
+        model, lines = mixed_lines
+        row = len(lines) - 3  # final knot, state 0: a 2x2 state
+        with pytest.raises(SolutionFormatError, match=f"row {row}: could not convert string to float: 'abc'"):
+            import_lines(model, set_field(lines, row, column, "abc"))
+
+    @pytest.mark.parametrize("row, column, name", [(2, 5, "mu_1"), (3, 9, "nu_2"), (6, 8, "nu_1")])
+    def test_padded_fields_stay_empty(self, mixed_lines, row, column, name):
+        # rows 2 and 3 are the 1x3 and 3x1 states of knot 0, row 6 the 3x1 state of knot 1
+        model, lines = mixed_lines
+        assert lines[row].split(",")[column] == ""
+        with pytest.raises(SolutionFormatError, match=f"row {row}: padded field {name} is not empty"):
+            import_lines(model, set_field(lines, row, column, "0"))
+
+    def test_t_within_tolerance_is_accepted(self, mixed_lines):
+        model, lines = mixed_lines
+        field, _ = import_lines(model, set_field(lines, 4, 0, repr(float(lines[4].split(",")[0]) + 5e-12)))
+        assert field.grid.n_steps == _CSV_BLOCK
+
+    @pytest.mark.parametrize("value", ["0.0005", "nan", "-inf"])
+    def test_t_off_the_grid_is_a_check_failure(self, mixed_lines, value):
+        model, lines = mixed_lines
+        with pytest.raises(SolverError, match=r"row 4: t = \S+ is not knot 1 of the model's grid"):
+            import_lines(model, set_field(lines, 4, 0, value))
+
+    def test_other_horizon_is_a_check_failure(self, mixed_lines):
+        model, lines = mixed_lines
+        other = finite_model(MIXED, horizon=3.0)
+        message = r"row 4: t = 0\.00048828125 is not knot 1 .*\(t = 0\.00146484375\)"
+        with pytest.raises(SolverError, match=message):
+            import_lines(other, lines)
