@@ -4,8 +4,11 @@ Subcommands: validate, solve, evaluate, best-response, simulate, verify,
 ladder, game (debug matrix solve), oracle.  Every run writes one manifest
 next to its artifacts; its ``cell_games`` entry counts how the run's cell
 games were settled (pure saddles, equalizers, float simplex and exact
-re-solves), and a simulate run's ``simulation`` entry counts the walker's
-thinning candidates, accepted jumps and rejections.  Exit codes: 0 success,
+re-solves; after a backward solve of games with choices also the games
+accepted on a support carried from the knot above, ``locked``, and those
+valued on one and thrown away below a failed certificate, ``discarded``),
+and a simulate run's ``simulation`` entry counts the walker's thinning
+candidates, accepted jumps and rejections.  Exit codes: 0 success,
 1 validation/check failure, 2 I/O or parse error.  The output directory may
 be overridden with the PDMG_OUT environment variable.
 """
@@ -13,6 +16,7 @@ be overridden with the PDMG_OUT environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -294,7 +298,9 @@ def _parse_probe(text: str) -> tuple[float, int]:
     return float(t), int(x)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process."""
     p = argparse.ArgumentParser(prog="pdmg", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)

@@ -17,27 +17,44 @@ full one); a game is accepted only when both mixtures are nonnegative and
 the duality certificate of ``solve`` holds on it.  Every other game goes
 through ``solve`` one at a time.
 
+A saddle whose support is 1x1 or 2x2 can be carried to a nearby game:
+``carried_supports`` records the supports of a stack of saddles,
+``support_values`` values a stack of games on them (the entry, or the
+closed-form 2x2 equalizer), and ``certify_supports`` builds the mixtures of
+a whole chunk of such stacks and certifies them in one masked call.
+
 ``COUNTS`` tallies the route that settled each game since the last
 ``reset_counts()``: pure saddles and equalizers of ``solve_stack``, float
-simplex runs and exact-rational re-solves of ``solve``.
+simplex runs and exact-rational re-solves of ``solve``.  Once a solver has
+carried supports it also holds ``locked`` (games accepted on a carried
+support) and ``discarded`` (games valued on one and then thrown away below
+a failed certificate).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 _PIVOT_EPS = 1e-11
 _MAX_PIVOTS = 50_000
 
-COUNTS = {"pure_saddle": 0, "equalizer": 0, "simplex": 0, "exact": 0}
+_ROUTES = ("pure_saddle", "equalizer", "simplex", "exact")
+COUNTS = dict.fromkeys(_ROUTES, 0)
 
 
 def reset_counts() -> None:
-    for key in COUNTS:
-        COUNTS[key] = 0
+    COUNTS.clear()
+    COUNTS.update(dict.fromkeys(_ROUTES, 0))
+
+
+def count_locked(accepted: int, discarded: int) -> None:
+    """Tally games accepted on a carried support, and games valued on one and then thrown away."""
+    COUNTS["locked"] = COUNTS.get("locked", 0) + accepted
+    COUNTS["discarded"] = COUNTS.get("discarded", 0) + discarded
 
 
 class MatrixGameError(RuntimeError):
@@ -180,11 +197,18 @@ def _polished_vertex(A_full: np.ndarray, b: np.ndarray, c_full: np.ndarray, basi
     return x, y
 
 
-def _certificate(payoffs: np.ndarray, value, row_mix, col_mix):
-    """Duality gap of a mixture pair at ``value``: of one game, or of each game of a stack."""
-    lo = (row_mix[..., None, :] @ payoffs)[..., 0, :].min(axis=-1)
-    hi = (payoffs @ col_mix[..., None])[..., 0].max(axis=-1)
-    return np.maximum(np.maximum(value - lo, hi - value), 0.0)
+def _certificate(payoffs: np.ndarray, value, row_mix, col_mix, mask=None):
+    """Duality gap of a mixture pair at ``value``: of one game, or of each game of a stack.
+
+    With ``mask`` (broadcastable to the payoffs) only the admissible rows and
+    columns of zero-padded games count.
+    """
+    lo = (row_mix[..., None, :] @ payoffs)[..., 0, :]
+    hi = (payoffs @ col_mix[..., None])[..., 0]
+    if mask is not None:
+        lo = np.where(mask[..., 0, :], lo, np.inf)
+        hi = np.where(mask[..., :, 0], hi, -np.inf)
+    return np.maximum(np.maximum(value - lo.min(axis=-1), hi.max(axis=-1) - value), 0.0)
 
 
 def _exact_simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray):
@@ -378,6 +402,77 @@ def solve_stack(payoffs, mask, tol: float = 1e-9, fallback=solve):
         row_mix[c, : m[c]] = sol.row_mix
         col_mix[c, : n[c]] = sol.col_mix
     return value.reshape(lead), row_mix.reshape(lead + (A,)), col_mix.reshape(lead + (B,))
+
+
+class Supports(NamedTuple):
+    """1x1 and 2x2 supports of a stack of G zero-padded (A, B) games.
+
+    ``take`` (4, G) holds the flat indices into the stack of each game's
+    support corners (i0, j0), (i0, j1), (i1, j0), (i1, j1), with i0 == i1
+    and j0 == j1 on a 1x1 support; ``unpaired`` (G,) is 1.0 on those and
+    0.0 on the 2x2 supports.
+    """
+
+    take: np.ndarray
+    unpaired: np.ndarray
+
+
+def carried_supports(row_mix: np.ndarray, col_mix: np.ndarray) -> Optional[Supports]:
+    """Supports of a stack of saddles (G, A), (G, B); None unless each is 1x1 or 2x2."""
+    rows, cols = row_mix > 0.0, col_mix > 0.0
+    r, c = rows.sum(axis=1), cols.sum(axis=1)
+    paired = (r == 2) & (c == 2)
+    if not np.all(paired | ((r == 1) & (c == 1))):
+        return None
+    (G, A), B = rows.shape, cols.shape[1]
+    i0, i1 = rows.argmax(axis=1), A - 1 - rows[:, ::-1].argmax(axis=1)
+    j0, j1 = cols.argmax(axis=1), B - 1 - cols[:, ::-1].argmax(axis=1)
+    corners = np.stack([i0 * B + j0, i0 * B + j1, i1 * B + j0, i1 * B + j1])
+    return Supports(np.arange(G) * (A * B) + corners, (~paired).astype(float))
+
+
+def support_values(payoffs: np.ndarray, sup: Supports) -> np.ndarray:
+    """Values of a stack of games (G, A, B) on carried supports.
+
+    A 1x1 support takes its entry a; a 2x2 support [[a, b], [c, d]] the
+    equalizer value a - b'c'/(d' - b' - c') on the entries shifted by a
+    (b' = b - a, ...).  Unshifted, a + d - b - c is small against the
+    entries and the subtraction cancels digits.
+    """
+    a, b, c, d = payoffs.reshape(-1)[sup.take]
+    b, c, d = b - a, c - a, d - a
+    return a - b * c / (d - b - c + sup.unpaired)
+
+
+def certify_supports(payoffs: np.ndarray, mask, value: np.ndarray, sup: Supports, tol: float):
+    """Mixtures of a chunk of game stacks (K, G, A, B) on carried supports, certified at once.
+
+    ``value`` (K, G) are the games' values from :func:`support_values`.  The
+    row player puts p = (d' - c')/(d' - b' - c') on row i0 and 1 - p on
+    row i1, the column player q = (d' - b')/(d' - b' - c') on column j0
+    (1 on the corner of a 1x1 support).  Returns (ok, row_mix, col_mix):
+    ``ok`` (K, G) marks the games whose mixtures are nonnegative with a
+    duality gap <= tol over their admissible entries (``mask``), which
+    fails for a non-finite value.
+    """
+    K, G, A, B = payoffs.shape
+    a, b, c, d = np.moveaxis(payoffs.reshape(K, -1)[:, sup.take], 1, 0)
+    b, c, d = b - a, c - a, d - a
+    paired = sup.unpaired == 0.0
+    den = d - b - c + sup.unpaired
+    p = np.where(paired, (d - c) / den, 1.0)
+    q = np.where(paired, (d - b) / den, 1.0)
+    corner = sup.take % (A * B)
+    i0, i1, j0, j1 = corner[0] // B, corner[2] // B, corner[0] % B, corner[1] % B
+    g = np.arange(G)
+    row_mix, col_mix = np.zeros((K, G, A)), np.zeros((K, G, B))
+    row_mix[:, g, i1] = 1.0 - p
+    row_mix[:, g, i0] = p  # after i1: the two are one row on a 1x1 support
+    col_mix[:, g, j1] = 1.0 - q
+    col_mix[:, g, j0] = q
+    ok = (p >= 0.0) & (p <= 1.0) & (q >= 0.0) & (q <= 1.0)
+    ok &= _certificate(payoffs, value, row_mix, col_mix, mask) <= tol
+    return ok, row_mix, col_mix
 
 
 def best_response_value(game: MatrixGame, side: str, opponent_mix) -> tuple[float, int]:

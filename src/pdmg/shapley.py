@@ -19,11 +19,14 @@ matrix-game value (sup-inf = inf-sup).  Two discretisations are provided:
 * ``picard_solve`` iterates the integral fixed-point operator with
   right-endpoint Riemann quadrature on the same grid.
 
-Both reduce each cell to an exact finite matrix game.  The games of a
-whole slice (a whole field, for Picard sweeps and saddle extraction) are
-solved together by :func:`pdmg.matrix_game.solve_stack`: pure saddles and
-certified equalizers in batch, the rest by the simplex, called here as
-``solve_game``.
+Both reduce each cell to an exact finite matrix game.  Picard sweeps and
+saddle extraction solve the games of a whole field together by
+:func:`pdmg.matrix_game.solve_stack`: pure saddles and certified equalizers
+in batch, the rest by the simplex, called here as ``solve_game``.  The
+backward stepper marches each cell on the support of its saddle at the
+knot above (the saddle moves by O(Delta) from knot to knot, so the support
+almost always carries over), certifies whole chunks of knots at once and
+re-solves a knot by ``solve_stack`` only where a certificate fails.
 """
 
 from __future__ import annotations
@@ -35,13 +38,24 @@ from typing import Optional
 
 import numpy as np
 
-from .matrix_game import MatrixGame, solve as solve_game, solve_stack
+from .matrix_game import (
+    MatrixGame,
+    carried_supports,
+    certify_supports,
+    count_locked,
+    solve as solve_game,
+    solve_stack,
+    support_values,
+)
 from .model import GameModel, GridFlowStates
 
 FMT = "%.12g"
 # Rows of the solution CSV formatted or parsed at a time: bounds the
 # strings held at once.
 _CSV_BLOCK = 2048
+# Cell games of the largest chunk of knots the backward stepper marches on
+# carried supports before certifying them: bounds the entries held at once.
+_CHUNK_GAMES = 4096
 
 
 class SolverError(RuntimeError):
@@ -123,10 +137,11 @@ class StrategyField:
         self.mu = np.asarray(self.mu, dtype=float)
         self.nu = np.asarray(self.nu, dtype=float)
 
-    def slice_at_time(self, t: float) -> int:
-        n = self.grid.n_steps
-        k = int(math.floor(t / self.grid.delta * (1.0 + 1e-15)))
-        return min(max(k, 0), n - 1)
+    def slices_at(self, grid: "TimeGrid") -> np.ndarray:
+        """The slice in force at each knot k*T/m, k < m, of ``grid`` (m steps)."""
+        t = np.arange(grid.n_steps) * grid.horizon / grid.n_steps
+        k = np.floor(t / self.grid.delta * (1.0 + 1e-15)).astype(int)
+        return np.clip(k, 0, self.grid.n_steps - 1)
 
     def refine(self, factor: int) -> "StrategyField":
         """Exact resampling onto a factor-times finer grid."""
@@ -137,7 +152,7 @@ class StrategyField:
 
     def resample(self, grid: "TimeGrid") -> "StrategyField":
         """Piecewise-constant lookup onto an arbitrary grid over the same horizon."""
-        ks = [self.slice_at_time(grid.knot(j)) for j in range(grid.n_steps)]
+        ks = self.slices_at(grid)
         return StrategyField(grid, self.mu[ks], self.nu[ks])
 
 
@@ -359,25 +374,41 @@ def _step_coefficients(model: GameModel, grid: TimeGrid, game_tol: float) -> tup
 # solvers: one backward sweep, four cell reducers
 
 
-def _sweep(model: GameModel, grid: TimeGrid, game_tol: float, reduce) -> ValueField:
+def _sweep(model: GameModel, grid: TimeGrid, game_tol: float, reduce, certify=None) -> ValueField:
     """Backward recursion phi[k] = reduce(k, E_k) from the terminal slice.
 
     E_k (S, A, B) holds the cell games of the first-jump update at knot k;
-    the reducer maps it to the S values of slice k.  When no player ever has
-    a choice every reducer is E_k[:, 0, 0].  Raises PositivityError unless
-    phi ends finite and positive.
+    the reducer maps it to the S values of slice k.  With ``certify`` the
+    knots run in chunks: ``certify(k_lo, chunk, phi)`` sees the entries
+    (K, S, A, B) of knots k_lo..k_lo+K-1 once the chunk is done and returns
+    None to accept it, or a knot to resume from: every slice from that knot
+    down is computed again.  After a rejection the next chunk is one knot
+    long, after an accepted chunk twice as long, up to ``_CHUNK_GAMES``
+    games.  When no player ever has a choice every reducer is E_k[:, 0, 0]
+    and nothing is certified.  Raises PositivityError unless phi ends
+    finite and positive.
     """
     lags = _FlowLags(model, grid)
     knot_seg = knot_segments(model, grid)
     diags, jumps = _step_coefficients(model, grid, game_tol)
     if model.widths == (1, 1):
-        reduce = lambda k, E: E[:, 0, 0]  # noqa: E731
-    N = grid.n_steps
-    phi = np.empty((N + 1, model.n_states))
+        reduce, certify = (lambda k, E: E[:, 0, 0]), None
+    N, S = grid.n_steps, model.n_states
+    phi = np.empty((N + 1, S))
     phi[N] = terminal_field(model)
-    for k in range(N - 1, -1, -1):
-        psi = phi[k + 1][lags.step_map(k)]
-        phi[k] = reduce(k, _cell_entries(diags[knot_seg[k]], jumps[knot_seg[k]], psi, psi))
+    cap = max(1, _CHUNK_GAMES // S)
+    k_hi, length = N, (1 if certify else N)
+    while k_hi > 0:
+        k_lo = max(k_hi - length, 0)
+        chunk = np.empty((k_hi - k_lo, S) + model.widths) if certify else None
+        for k in range(k_hi - 1, k_lo - 1, -1):
+            psi = phi[k + 1][lags.step_map(k)]
+            E = _cell_entries(diags[knot_seg[k]], jumps[knot_seg[k]], psi, psi)
+            if certify:
+                chunk[k - k_lo] = E
+            phi[k] = reduce(k, E)
+        resume = certify(k_lo, chunk, phi) if certify else None
+        k_hi, length = (k_lo, min(2 * length, cap)) if resume is None else (resume + 1, 1)
     bad = _bad_entries(phi)
     if bad.size:
         k, x = bad[-1]
@@ -393,21 +424,70 @@ def _pure_mixtures(model: GameModel, n_slices: int) -> tuple[np.ndarray, np.ndar
     return mu, nu
 
 
+class _CarriedSaddles:
+    """Cell reducer of ``backward_solve``: each cell keeps the support of its
+    saddle at the knot above.
+
+    A knot is solved afresh by ``solve_stack`` at the start, after a failed
+    certificate and while some cell's support is neither 1x1 nor 2x2; every
+    other knot takes each cell's value on its carried support, and
+    :meth:`certify` builds and certifies the mixtures of a chunk's carried
+    knots at once.  Knots solved afresh are certified by ``solve_stack``, and
+    they only ever head a chunk, so all carried knots of a chunk share one
+    set of supports.
+    """
+
+    def __init__(self, model: GameModel, n_steps: int, game_tol: float):
+        self.cells, self.tol = model.cells, game_tol
+        self.mu, self.nu = _pure_mixtures(model, n_steps)
+        self.fresh = np.zeros(n_steps, dtype=bool)  # knots settled by solve_stack
+        self.supports = None  # None: solve the next knot afresh
+
+    def value(self, k: int, E: np.ndarray) -> np.ndarray:
+        if self.supports is not None:
+            self.fresh[k] = False
+            return support_values(E, self.supports)
+        self.fresh[k] = True
+        v, self.mu[k], self.nu[k] = solve_stack(E, self.cells, self.tol, solve_game)
+        self.supports = carried_supports(self.mu[k], self.nu[k])
+        return v
+
+    def certify(self, k_lo: int, chunk: np.ndarray, phi: np.ndarray):
+        carried = k_lo + np.flatnonzero(~self.fresh[k_lo : k_lo + len(chunk)])
+        if not carried.size:
+            return None
+        ok, self.mu[carried], self.nu[carried] = certify_supports(
+            chunk[carried - k_lo], self.cells, phi[carried], self.supports, self.tol
+        )
+        games = chunk.shape[1]
+        failed = carried[~ok.all(axis=1)]
+        if not failed.size:
+            count_locked(games * carried.size, 0)
+            return None
+        # the highest failing knot is solved afresh; everything below it
+        # rests on its uncertified value
+        kept = int(np.count_nonzero(carried > failed.max()))
+        count_locked(games * kept, games * (carried.size - kept))
+        self.supports = None
+        return int(failed.max())
+
+
 def backward_solve(model: GameModel, config: SolverConfig) -> tuple[ValueField, StrategyField]:
     """Solve the optimality equation backward in time.
 
     Returns the value field (phi > 0 everywhere, terminal slice bit-exact)
-    and the per-cell saddle mixtures.
+    and the per-cell saddle mixtures.  Every cell game is settled with a
+    certified duality gap <= ``config.game_tol``: on the support carried
+    from the knot above, or by ``solve_stack`` (see :class:`_CarriedSaddles`).
     """
     grid = TimeGrid(config.n_steps, model.horizon)
     check_cfl(model, grid, config.cfl_safety)
-    mu, nu = _pure_mixtures(model, grid.n_steps)
-
-    def value(k, E):
-        v, mu[k], nu[k] = solve_stack(E, model.cells, config.game_tol, solve_game)
-        return v
-
-    return _sweep(model, grid, config.game_tol, value), StrategyField(grid, mu, nu)
+    saddles = _CarriedSaddles(model, grid.n_steps, config.game_tol)
+    # a carried 2x2 support whose entries come to a + d = b + c divides by
+    # zero; its non-finite value fails the certificate
+    with np.errstate(divide="ignore", invalid="ignore"):
+        field = _sweep(model, grid, config.game_tol, saddles.value, saddles.certify)
+    return field, StrategyField(grid, saddles.mu, saddles.nu)
 
 
 def policy_evaluate(model: GameModel, strategies: StrategyField) -> ValueField:
@@ -442,7 +522,7 @@ def best_response_solve(
         raise ValueError("side must be 'maximize' or 'minimize'")
     grid = TimeGrid(config.n_steps, model.horizon)
     check_cfl(model, grid, config.cfl_safety)
-    ks = [fixed.slice_at_time(grid.knot(k)) for k in range(grid.n_steps)]
+    ks = fixed.slices_at(grid)
 
     def row_max(k, E):
         rows = (E @ fixed.nu[ks[k]][:, :, None])[:, :, 0]

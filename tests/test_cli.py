@@ -329,13 +329,14 @@ class TestRoundTrip:
 class TestCellGameCounts:
     def test_matching_pennies_cells_are_equalizers(self, model_files, tmp_path):
         # one instantaneous-cost game plus one cell game per knot, all fully
-        # mixed 2x2 games; the counts restart with every command
+        # mixed 2x2 games: the cost game and knot 9 are equalizers, knots
+        # 8..0 keep knot 9's support; the counts restart with every command
         for run in ("a", "b"):
             out = tmp_path / run
             assert main(["solve", "--model", model_files["matching_pennies"], "--steps", "10",
                          "--out", str(out)]) == 0
             assert read_json(out / "manifest.json")["cell_games"] == {
-                "pure_saddle": 0, "equalizer": 11, "simplex": 0, "exact": 0
+                "pure_saddle": 0, "equalizer": 2, "simplex": 0, "exact": 0, "locked": 9, "discarded": 0
             }
 
     def test_singleton_model_counts_its_cost_games(self, model_files, tmp_path):
@@ -418,6 +419,28 @@ class TestLadderCommand:
         assert rc == 0
         manifest = read_json(out / "manifest.json")
         assert manifest["shift_identity_rel_err"] <= 1e-9
+
+
+class TestParser:
+    def test_one_parser_gives_each_command_its_own_namespace(self, model_files, tmp_path):
+        from pdmg.cli import build_parser
+
+        assert build_parser() is build_parser()
+        probes = {"a": ["0,0", "0.5,1"], "b": ["0.25,2"]}
+        for run, given in probes.items():
+            out = tmp_path / run
+            argv = ["ladder", "--model", model_files["nonneg_ladder"], "--n-list", "16,17",
+                    "--steps", "100", "--out", str(out)]
+            for probe in given:
+                argv += ["--probe", probe]
+            assert main(argv) == 0
+            assert read_json(out / "manifest.json")["config"]["probe"] == given
+            assert [x for _, x in read_json(out / "ladder.json")["probes"]] == [
+                int(probe.split(",")[1]) for probe in given
+            ]
+        first = build_parser().parse_args(["oracle", "--model", "m", "--steps", "1", "--probe", "0,0"])
+        second = build_parser().parse_args(["oracle", "--model", "m", "--steps", "1", "--probe", "1,1"])
+        assert first.probe == ["0,0"] and second.probe == ["1,1"]
 
 
 class TestGameCommand:
