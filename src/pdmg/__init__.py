@@ -17,7 +17,7 @@ from .model import (
     ModelValidationError,
     load_model,
 )
-from .matrix_game import GameSolution, MatrixGame, best_response_value, solve
+from .matrix_game import GameSolution, MatrixGame, solve
 from .shapley import (
     SolverConfig,
     StrategyField,
@@ -25,7 +25,6 @@ from .shapley import (
     ValueField,
     backward_solve,
     best_response_solve,
-    local_game_matrix,
     picard_solve,
     policy_evaluate,
     terminal_field,
@@ -51,10 +50,8 @@ __all__ = [
     "ValueField",
     "backward_solve",
     "best_response_solve",
-    "best_response_value",
     "estimate_J",
     "load_model",
-    "local_game_matrix",
     "picard_solve",
     "policy_evaluate",
     "simulate_path",

@@ -50,30 +50,9 @@ def _f(v: float) -> float:
 
 
 def _rebuild(model: GameModel, rates, costs, terminal) -> GameModel:
-    return GameModel(
-        states=model.states,
-        actions_p1=model.actions_p1,
-        actions_p2=model.actions_p2,
-        time_breaks=model.time_breaks,
-        rates=rates,
-        costs=costs,
-        terminal=terminal,
-        lam=model.lam,
-        horizon=model.horizon,
-        lyapunov=model.lyapunov,
-    )
-
-
-def _copy_tables(model: GameModel):
-    rates = [
-        [model.rate_tensor(s, x).copy() for x in range(model.n_states)]
-        for s in range(model.n_segments)
-    ]
-    costs = [
-        [model.cost_matrix(s, x).copy() for x in range(model.n_states)]
-        for s in range(model.n_segments)
-    ]
-    return rates, costs
+    """``model`` with its dense tables and terminal cost replaced."""
+    return GameModel(model.states, model.actions_p1, model.actions_p2, model.time_breaks, rates, costs, terminal,
+                     model.lam, model.horizon, model.lyapunov)
 
 
 def truncate_nonneg(model: GameModel, n: float) -> GameModel:
@@ -86,33 +65,27 @@ def truncate_nonneg(model: GameModel, n: float) -> GameModel:
     """
     if model.lyapunov is None:
         raise ModelValidationError("nonnegative truncation requires lyapunov data")
-    lyap = model.lyapunov
-    T = model.horizon
-    rates, costs = _copy_tables(model)
-    for s in range(model.n_segments):
-        t = model.time_breaks[s]
-        for x in range(model.n_states):
-            if np.any(costs[s][x] < 0.0):
-                raise ModelValidationError(
-                    f"nonnegative truncation: negative cost at state {x} (segment {s})"
-                )
-            if lyap.V[x] > n:
-                rates[s][x][:] = 0.0
-                costs[s][x][:] = 0.0
-            else:
-                xf = model.flow(x, T - t)
-                cap = math.log(lyap.M2 * lyap.V[xf]) / (2.0 * (T + 1.0))
-                costs[s][x] = np.minimum(costs[s][x], min(float(n), cap))
+    negative = np.argwhere(model.costs < 0.0)
+    if negative.size:
+        s, x = negative[0][:2]
+        raise ModelValidationError(f"nonnegative truncation: negative cost at state {x} (segment {s})")
     if np.any(model.terminal < 0.0):
         raise ModelValidationError("nonnegative truncation: negative terminal cost")
-    terminal = model.terminal.copy()
-    for x in range(model.n_states):
-        if lyap.V[x] > n:
-            terminal[x] = 0.0
-        else:
-            cap = math.log(lyap.M2 * lyap.V[x]) / (2.0 * (T + 1.0))
-            terminal[x] = min(terminal[x], float(n), cap)
-    return _rebuild(model, rates, costs, terminal)
+    lyap, T = model.lyapunov, model.horizon
+
+    def caps(V: np.ndarray) -> np.ndarray:
+        # math.log per state: np.log may differ in the last bit
+        return np.minimum(float(n), [math.log(lyap.M2 * v) / (2.0 * (T + 1.0)) for v in V])
+
+    inside = lyap.V <= n
+    level = np.array([caps(lyap.V[model.states.flow_map(T - t)]) for t in model.time_breaks])
+    costs = np.minimum(model.costs, level[:, :, None, None])
+    return _rebuild(
+        model,
+        np.where(inside[:, None, None, None], model.rates, 0.0),
+        np.where(inside[:, None, None], costs, 0.0),
+        np.where(inside, np.minimum(model.terminal, caps(lyap.V)), 0.0),
+    )
 
 
 def truncate_general(model: GameModel, n: float) -> tuple[GameModel, GameModel]:
@@ -121,16 +94,10 @@ def truncate_general(model: GameModel, n: float) -> tuple[GameModel, GameModel]:
     clipped: costs max(-n, c), terminal max(-n, g).
     shifted: clipped costs + n and terminal + n (both nonnegative).
     """
-    rates, costs = _copy_tables(model)
-    costs_shift = [[c.copy() for c in row] for row in costs]
-    for s in range(model.n_segments):
-        for x in range(model.n_states):
-            costs[s][x] = np.maximum(costs[s][x], -float(n))
-            costs_shift[s][x] = costs[s][x] + float(n)
+    costs = np.maximum(model.costs, -float(n))
     term = np.maximum(model.terminal, -float(n))
-    clipped = _rebuild(model, rates, costs, term)
-    rates2, _ = _copy_tables(model)
-    shifted = _rebuild(model, rates2, costs_shift, term + float(n))
+    clipped = _rebuild(model, model.rates, costs, term)
+    shifted = _rebuild(model, model.rates, costs + float(n), term + float(n))
     return clipped, shifted
 
 
@@ -156,13 +123,7 @@ def shift_identity_check(model: GameModel, n: float, s: float, config: SolverCon
 
 
 def _is_nonneg(model: GameModel) -> bool:
-    if np.any(model.terminal < 0.0):
-        return False
-    return all(
-        not np.any(model.cost_matrix(s, x) < 0.0)
-        for s in range(model.n_segments)
-        for x in range(model.n_states)
-    )
+    return not (np.any(model.terminal < 0.0) or np.any(model.costs < 0.0))
 
 
 def ladder_run(model: GameModel, n_list, probes, config: SolverConfig) -> LadderReport:

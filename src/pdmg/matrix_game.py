@@ -473,34 +473,3 @@ def certify_supports(payoffs: np.ndarray, mask, value: np.ndarray, sup: Supports
     ok = (p >= 0.0) & (p <= 1.0) & (q >= 0.0) & (q <= 1.0)
     ok &= _certificate(payoffs, value, row_mix, col_mix, mask) <= tol
     return ok, row_mix, col_mix
-
-
-def best_response_value(game: MatrixGame, side: str, opponent_mix) -> tuple[float, int]:
-    """Exact pure best response against a fixed opponent mixture.
-
-    side="row": maximise over rows against a column mixture.
-    side="column": minimise over columns against a row mixture.
-    Ties break toward the lowest index.
-    """
-    p = game.payoffs
-    w = np.asarray(opponent_mix, dtype=float)
-    if side == "row":
-        if w.shape != (p.shape[1],):
-            raise ValueError("opponent_mix: wrong simplex size for column player")
-        _check_simplex(w)
-        vals = p @ w
-        idx = int(np.argmax(vals))
-        return float(vals[idx]), idx
-    if side == "column":
-        if w.shape != (p.shape[0],):
-            raise ValueError("opponent_mix: wrong simplex size for row player")
-        _check_simplex(w)
-        vals = w @ p
-        idx = int(np.argmin(vals))
-        return float(vals[idx]), idx
-    raise ValueError("side must be 'row' or 'column'")
-
-
-def _check_simplex(w: np.ndarray) -> None:
-    if np.any(w < -1e-12) or abs(w.sum() - 1.0) > 1e-12:
-        raise ValueError("opponent_mix is not a probability vector")

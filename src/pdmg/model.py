@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -42,22 +43,12 @@ class FiniteStates:
     def n_states(self) -> int:
         return len(self.names)
 
-    def flow(self, x: int, dt: float) -> int:
-        return x
+    def flow_map(self, dt: float) -> np.ndarray:
+        """The state each state flows to in time dt: every state stays put."""
+        return np.arange(self.n_states)
 
     def state_name(self, x: int) -> str:
         return self.names[x]
-
-
-def _round_half_up(z: float) -> int:
-    return int(math.floor(z + 0.5))
-
-
-def _reflect_index(i: int, n: int) -> int:
-    # fold into [0, n-1] with period 2n-2 (n >= 2 enforced at load)
-    p = 2 * n - 2
-    i = i % p
-    return i if i < n else p - i
 
 
 @dataclass(frozen=True)
@@ -65,7 +56,8 @@ class GridFlowStates:
     """Hybrid space: modes with constant drift over a 1-d cell grid.
 
     The flow shifts the cell index by drift*dt/cell_width, rounds to the
-    nearest cell and applies the boundary policy ("clamp" or "reflect").
+    nearest cell (halves up) and applies the boundary policy ("clamp" or
+    "reflect").
     """
 
     modes: tuple[Mode, ...]
@@ -82,19 +74,10 @@ class GridFlowStates:
     def cell_width(self) -> float:
         return (self.grid_max - self.grid_min) / self.cells
 
-    def split(self, x: int) -> tuple[int, int]:
-        return divmod(x, self.cells)
-
-    def join(self, mode: int, cell: int) -> int:
-        return mode * self.cells + cell
-
-    def apply_boundary(self, cell: int) -> int:
-        if self.boundary == "reflect":
-            return _reflect_index(cell, self.cells)
-        return min(max(cell, 0), self.cells - 1)
-
     def fold_cells(self, raw: np.ndarray) -> np.ndarray:
-        """``apply_boundary`` of every entry of an int array of raw cell indices."""
+        """The boundary policy applied to every entry of an int array of raw
+        cell indices: clamped into the grid, or reflected with period
+        2*cells - 2."""
         if self.boundary == "reflect":
             p = 2 * self.cells - 2
             raw = raw % p
@@ -102,16 +85,18 @@ class GridFlowStates:
         return np.clip(raw, 0, self.cells - 1)
 
     def shifted_cells(self, shift: int) -> np.ndarray:
-        """``apply_boundary(cell + shift)`` for every cell, as one int array."""
+        """``fold_cells(cell + shift)`` for every cell, as one int array."""
         return self.fold_cells(np.arange(self.cells) + shift)
 
-    def flow(self, x: int, dt: float) -> int:
-        mode, cell = self.split(x)
-        raw = cell + self.modes[mode].drift * dt / self.cell_width
-        return self.join(mode, self.apply_boundary(_round_half_up(raw)))
+    def flow_map(self, dt: float) -> np.ndarray:
+        """The state each state flows to in time dt, as one (S,) int array:
+        floor(cell + drift*dt/cell_width + 0.5) folded into the grid."""
+        drift = np.array([m.drift for m in self.modes])[:, None]
+        raw = np.floor(np.arange(self.cells) + drift * dt / self.cell_width + 0.5).astype(int)
+        return (np.arange(len(self.modes))[:, None] * self.cells + self.fold_cells(raw)).ravel()
 
     def state_name(self, x: int) -> str:
-        mode, cell = self.split(x)
+        mode, cell = divmod(x, self.cells)
         return f"{self.modes[mode].name}:{cell}"
 
 
@@ -155,9 +140,9 @@ class GameModel:
     action counts to the widths ``(A, B)``: ``costs`` and ``q_totals`` (total
     off-diagonal rate) have shape (segments, S, A, B) and ``rates`` has shape
     (segments, S, A, B, S), its diagonal completed so every row sums to zero;
-    the mask ``cells`` (S, A, B) marks the admissible action pairs.
-    ``rate_tensor(seg, x)`` and ``cost_matrix(seg, x)`` are the unpadded
-    (|A(x)|, |B(x)|, ...) views of one state.
+    the mask ``cells`` (S, A, B) marks the admissible action pairs.  The
+    constructor takes ``rates`` and ``costs`` in these shapes; it ignores
+    their padding and the diagonal of ``rates``.
     """
 
     def __init__(
@@ -166,8 +151,8 @@ class GameModel:
         actions_p1: Sequence[Sequence[int]],
         actions_p2: Sequence[Sequence[int]],
         time_breaks: Sequence[float],
-        rates: Sequence[Sequence[np.ndarray]],
-        costs: Sequence[Sequence[np.ndarray]],
+        rates: np.ndarray,
+        costs: np.ndarray,
         terminal: np.ndarray,
         lam: float,
         horizon: float,
@@ -183,38 +168,30 @@ class GameModel:
         self.lyapunov = lyapunov
 
         n = states.n_states
-        A = max((len(a) for a in self.actions_p1), default=0)
-        B = max((len(b) for b in self.actions_p2), default=0)
-        self.widths = (A, B)
+        if len(self.actions_p1) != n or len(self.actions_p2) != n:
+            raise ModelValidationError("each player needs one admissible action list per state")
+        counts = np.array([(len(a), len(b)) for a, b in zip(self.actions_p1, self.actions_p2)]).reshape(-1, 2)
+        A, B = self.widths = tuple(int(w) for w in counts.max(axis=0, initial=0))
+        self.cells = (np.arange(A)[:, None] < counts[:, :1, None]) & (np.arange(B) < counts[:, None, 1:])
         shape = (len(self.time_breaks), n, A, B)
-        self.costs = np.zeros(shape)
-        self.rates = np.zeros(shape + (n,))
-        self.q_totals = np.zeros(shape)
-        self.cells = np.zeros(shape[1:], dtype=bool)  # admissible action pairs per state
-        for seg in range(len(self.time_breaks)):
-            for x in range(n):
-                m, k = len(self.actions_p1[x]), len(self.actions_p2[x])
-                r = np.array(rates[seg][x], dtype=float)
-                c = np.array(costs[seg][x], dtype=float)
-                if r.shape != (m, k, n):
-                    raise ModelValidationError(
-                        f"rates[seg {seg}][state {x}]: expected shape {(m, k, n)}, got {r.shape}"
-                    )
-                if c.shape != (m, k):
-                    raise ModelValidationError(
-                        f"costs[seg {seg}][state {x}]: expected shape {(m, k)}, got {c.shape}"
-                    )
-                off = np.delete(r, x, axis=2)
-                if np.any(off < 0.0):
-                    raise ModelValidationError(
-                        f"rates[seg {seg}][state {x}]: negative off-diagonal rate"
-                    )
-                qtot = off.sum(axis=2)
-                r[:, :, x] = -qtot  # conservativity fixes the diagonal
-                self.rates[seg, x, :m, :k] = r
-                self.costs[seg, x, :m, :k] = c
-                self.q_totals[seg, x, :m, :k] = qtot
-                self.cells[x, :m, :k] = True
+        self.rates = np.array(rates, dtype=float)
+        self.costs = np.array(costs, dtype=float)
+        if self.rates.shape != shape + (n,) or self.costs.shape != shape:
+            raise ModelValidationError(
+                f"rates and costs: expected shapes {shape + (n,)} and {shape}, "
+                f"got {self.rates.shape} and {self.costs.shape}"
+            )
+        self.rates[:, ~self.cells] = 0.0
+        self.costs[:, ~self.cells] = 0.0
+        off = _off_diagonal(self.rates)
+        negative = np.argwhere(off < 0.0)
+        if negative.size:
+            seg, x = negative[0][:2]
+            raise ModelValidationError(f"rates[seg {seg}][state {x}]: negative off-diagonal rate")
+        self.q_totals = off.sum(axis=-1)
+        # conservativity fixes the diagonal of every admissible row
+        diag = np.arange(n)
+        self.rates[:, diag, :, :, diag] = np.moveaxis(np.where(self.cells, -self.q_totals, 0.0), 1, 0)
         self.validate()
         self.q_stars = self.q_totals.max(axis=(0, 2, 3))
         for table in (self.costs, self.rates, self.q_totals, self.cells, self.q_stars):
@@ -233,58 +210,11 @@ class GameModel:
     def state_name(self, x: int) -> str:
         return self.states.state_name(x)
 
-    def segment_index(self, t: float) -> int:
-        """Index of the rightmost time break <= t (piecewise-constant lookup)."""
-        idx = 0
-        for i, b in enumerate(self.time_breaks):
-            if t >= b:
-                idx = i
-        return idx
-
-    def rate_tensor(self, seg: int, x: int) -> np.ndarray:
-        return self.rates[seg, x, : len(self.actions_p1[x]), : len(self.actions_p2[x])]
-
-    def cost_matrix(self, seg: int, x: int) -> np.ndarray:
-        return self.costs[seg, x, : len(self.actions_p1[x]), : len(self.actions_p2[x])]
-
-    def q_total(self, seg: int, x: int) -> np.ndarray:
-        """Total off-diagonal rate per action pair, shape (|A(x)|, |B(x)|)."""
-        return self.q_totals[seg, x, : len(self.actions_p1[x]), : len(self.actions_p2[x])]
-
-    def q_star(self, x: int) -> float:
-        return float(self.q_stars[x])
-
     def q_star_max(self) -> float:
         return float(self.q_stars.max())
 
     def max_abs_cost(self) -> float:
         return float(np.abs(self.costs).max())
-
-    def flow(self, x: int, dt: float) -> int:
-        return self.states.flow(x, dt)
-
-    # -- mixed-action kernels ------------------------------------------------
-
-    def _check_simplex(self, w: np.ndarray, size: int, who: str) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
-        if w.shape != (size,):
-            raise ValueError(f"{who}: expected simplex of size {size}, got shape {w.shape}")
-        if np.any(w < -SIMPLEX_TOL) or abs(w.sum() - 1.0) > SIMPLEX_TOL:
-            raise ValueError(f"{who}: not a probability vector (tol {SIMPLEX_TOL})")
-        return w
-
-    def mixed_rate(self, t: float, x: int, mu, nu) -> np.ndarray:
-        """Bilinear average of rate rows; signed row summing to zero."""
-        mu = self._check_simplex(mu, len(self.actions_p1[x]), "mu")
-        nu = self._check_simplex(nu, len(self.actions_p2[x]), "nu")
-        seg = self.segment_index(t)
-        return np.einsum("a,b,abs->s", mu, nu, self.rate_tensor(seg, x))
-
-    def mixed_cost(self, t: float, x: int, mu, nu) -> float:
-        mu = self._check_simplex(mu, len(self.actions_p1[x]), "mu")
-        nu = self._check_simplex(nu, len(self.actions_p2[x]), "nu")
-        seg = self.segment_index(t)
-        return float(mu @ self.cost_matrix(seg, x) @ nu)
 
     # -- validation ---------------------------------------------------------
 
@@ -296,31 +226,48 @@ class GameModel:
         if self.n_states < 1:
             raise ModelValidationError("state space must contain at least one state")
         if isinstance(self.states, GridFlowStates):
-            if len(self.states.modes) < 1 or self.states.cells < 2:
+            sp = self.states
+            if len(sp.modes) < 1 or sp.cells < 2:
                 raise ModelValidationError("grid_flow needs >= 1 mode and >= 2 cells")
-            if not self.states.grid_min < self.states.grid_max:
+            if not sp.grid_min < sp.grid_max:
                 raise ModelValidationError("grid_flow: min < max required")
-            if self.states.boundary not in ("clamp", "reflect"):
+            if sp.boundary not in ("clamp", "reflect"):
                 raise ModelValidationError("grid_flow boundary must be 'clamp' or 'reflect'")
-        for x in range(self.n_states):
-            if not self.actions_p1[x] or not self.actions_p2[x]:
-                raise ModelValidationError(f"state {x}: admissible action lists must be nonempty")
+            for i, m in enumerate(sp.modes):
+                # the cells crossed over the horizon must stay exact as an int
+                reach = abs(m.drift) * self.horizon * sp.cells / (sp.grid_max - sp.grid_min)
+                if not reach < 2.0**53:
+                    raise ModelValidationError(
+                        f"grid_flow mode {i} ({m.name}): |drift|*horizon/cell_width = {reach:.4g} "
+                        f"must be finite and below 2**53"
+                    )
+        empty = np.flatnonzero(~self.cells.any(axis=(1, 2)))
+        if empty.size:
+            raise ModelValidationError(f"state {empty[0]}: admissible action lists must be nonempty")
         if self.time_breaks[0] != 0.0:
             raise ModelValidationError("first time segment must start at 0")
         if any(b2 <= b1 for b1, b2 in zip(self.time_breaks, self.time_breaks[1:])):
             raise ModelValidationError("time segment starts must be strictly increasing")
         if self.terminal.shape != (self.n_states,):
             raise ModelValidationError("terminal must have one entry per state")
-        for s in range(self.n_segments):
-            for x in range(self.n_states):
-                rows = self.rate_tensor(s, x).sum(axis=2)
-                scale = max(1.0, float(self.q_total(s, x).max()))
-                if np.abs(rows).max() > SIMPLEX_TOL * scale:
-                    raise ModelValidationError(
-                        f"rates[seg {s}][state {x}]: row does not sum to zero"
-                    )
+        rows = np.abs(self.rates.sum(axis=-1)).max(axis=(2, 3))
+        scale = np.maximum(1.0, self.q_totals.max(axis=(2, 3)))
+        unbalanced = np.argwhere(rows > SIMPLEX_TOL * scale)
+        if unbalanced.size:
+            seg, x = unbalanced[0]
+            raise ModelValidationError(f"rates[seg {seg}][state {x}]: row does not sum to zero")
         if self.lyapunov is not None:
             self.lyapunov.validate(self.n_states)
+
+
+def _off_diagonal(rates: np.ndarray) -> np.ndarray:
+    """The entries y != x of every rate row ``rates[seg, x, a, b, :]``, in
+    order: shape (segments, S, A, B, S-1)."""
+    seg, n, A, B, _ = rates.shape
+    square = np.moveaxis(rates, 1, 3).reshape(seg, A, B, n * n)
+    # dropping the first entry lines the diagonal up as the last column
+    off = square[..., 1:].reshape(seg, A, B, n - 1, n + 1)[..., :-1].reshape(seg, A, B, n, n - 1)
+    return np.moveaxis(off, 3, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +331,17 @@ def _parse_states(doc, path: str) -> StateSpace:
             drift = _number(m, "drift", f"{path}.grid_flow.modes[{i}]")
             modes.append(Mode(str(m.get("name", f"mode{i}")), drift))
         grid = _require(g, "grid", f"{path}.grid_flow")
+        cells = _index(grid, "cells", f"{path}.grid_flow.grid")
+        if cells > sys.maxsize // max(1, len(modes)):
+            raise ModelFormatError(
+                f"{path}.grid_flow.grid.cells: {cells} cells in {len(modes)} modes "
+                f"are more states than an index can count"
+            )
         return GridFlowStates(
             modes=tuple(modes),
             grid_min=_number(grid, "min", f"{path}.grid_flow.grid"),
             grid_max=_number(grid, "max", f"{path}.grid_flow.grid"),
-            cells=_index(grid, "cells", f"{path}.grid_flow.grid"),
+            cells=cells,
             boundary=str(g.get("boundary", "clamp")),
         )
     raise ModelFormatError(f"{path}: unknown state space kind {list(doc)}")
@@ -418,14 +371,7 @@ def _parse_actions(doc, n_states: int, path: str) -> tuple[list, list]:
     return expand(p1, "p1"), expand(p2, "p2")
 
 
-def _blank_tables(model_shape):
-    actions_p1, actions_p2, n = model_shape
-    rates = [np.zeros((len(actions_p1[x]), len(actions_p2[x]), n)) for x in range(n)]
-    costs = [np.zeros((len(actions_p1[x]), len(actions_p2[x]))) for x in range(n)]
-    return rates, costs
-
-
-def _fill_rate_entries(entries, tables, model_shape, path: str):
+def _fill_rate_entries(entries, table, model_shape, path: str):
     actions_p1, actions_p2, n = model_shape
     seen = set()
     for i, e in enumerate(_entries(entries, path)):
@@ -447,10 +393,10 @@ def _fill_rate_entries(entries, tables, model_shape, path: str):
         if key in seen:
             raise ModelFormatError(f"{p}: duplicate rate entry for {key}")
         seen.add(key)
-        tables[x][actions_p1[x].index(a), actions_p2[x].index(b), y] = rate
+        table[x, actions_p1[x].index(a), actions_p2[x].index(b), y] = rate
 
 
-def _fill_cost_entries(entries, tables, model_shape, path: str):
+def _fill_cost_entries(entries, table, model_shape, path: str):
     actions_p1, actions_p2, n = model_shape
     for i, e in enumerate(_entries(entries, path)):
         p = f"{path}[{i}]"
@@ -462,7 +408,7 @@ def _fill_cost_entries(entries, tables, model_shape, path: str):
             raise ModelFormatError(f"{p}.state: index out of range")
         if a not in actions_p1[x] or b not in actions_p2[x]:
             raise ModelFormatError(f"{p}: action pair ({a},{b}) not admissible at state {x}")
-        tables[x][actions_p1[x].index(a), actions_p2[x].index(b)] = value
+        table[x, actions_p1[x].index(a), actions_p2[x].index(b)] = value
 
 
 def _parse_lyapunov(doc, path: str) -> LyapunovData:
@@ -501,17 +447,14 @@ def model_from_dict(doc: dict) -> GameModel:
         later.append({"t_start": t0, "rates": s.get("rates"), "costs": s.get("costs")})
     seg_specs += sorted(later, key=lambda s: s["t_start"])
 
-    time_breaks, rates, costs = [], [], []
+    dense = (len(seg_specs), n, max(map(len, actions_p1), default=0), max(map(len, actions_p2), default=0))
+    rates, costs = np.zeros(dense + (n,)), np.zeros(dense)
     prev_rate_entries, prev_cost_entries = [], []
     for i, s in enumerate(seg_specs):
         rate_entries = s["rates"] if s["rates"] is not None else prev_rate_entries
         cost_entries = s["costs"] if s["costs"] is not None else prev_cost_entries
-        r, c = _blank_tables(shape)
-        _fill_rate_entries(rate_entries, r, shape, f"$.rates(seg {i})")
-        _fill_cost_entries(cost_entries, c, shape, f"$.costs(seg {i})")
-        time_breaks.append(s["t_start"])
-        rates.append(r)
-        costs.append(c)
+        _fill_rate_entries(rate_entries, rates[i], shape, f"$.rates(seg {i})")
+        _fill_cost_entries(cost_entries, costs[i], shape, f"$.costs(seg {i})")
         prev_rate_entries, prev_cost_entries = rate_entries, cost_entries
 
     terminal = np.zeros(n)
@@ -528,7 +471,7 @@ def model_from_dict(doc: dict) -> GameModel:
         states=states,
         actions_p1=actions_p1,
         actions_p2=actions_p2,
-        time_breaks=time_breaks,
+        time_breaks=[s["t_start"] for s in seg_specs],
         rates=rates,
         costs=costs,
         terminal=terminal,

@@ -39,7 +39,6 @@ from typing import Optional
 import numpy as np
 
 from .matrix_game import (
-    MatrixGame,
     carried_supports,
     certify_supports,
     count_locked,
@@ -230,23 +229,6 @@ def _cell_entries(diag: np.ndarray, jump: np.ndarray, v_self, v: np.ndarray) -> 
     return diag * np.asarray(v_self)[..., None, None] + jumps
 
 
-def local_game_matrix(
-    model: GameModel,
-    t: float,
-    x: int,
-    next_slice: np.ndarray,
-    phi_self: float,
-) -> MatrixGame:
-    """Cell game of the optimality equation at (t, x).
-
-    Entry (a, b) = lambda*c(t,x,a,b)*phi_self + sum_y q(y|t,x,a,b)*slice(y).
-    """
-    seg = model.segment_index(t)
-    m, n = len(model.actions_p1[x]), len(model.actions_p2[x])
-    entries = _cell_entries(model.lam * model.costs[seg, x], model.rates[seg, x], phi_self, next_slice)
-    return MatrixGame(entries[:m, :n])
-
-
 def _ediff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(exp(a) - exp(b)) / (a - b), computed stably near a == b."""
     a = np.asarray(a, dtype=float)
@@ -261,6 +243,8 @@ def _ediff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def check_cfl(model: GameModel, grid: TimeGrid, safety: float) -> None:
     """Positivity/accuracy guard Delta*(lambda*max|c| + 2*max q*) <= safety."""
     load = model.lam * model.max_abs_cost() + 2.0 * model.q_star_max()
+    if not math.isfinite(load):
+        raise SolverError(f"CFL load lambda*max|c| + 2*max q* = {load} is not finite; rescale the model")
     if load <= 0.0:
         return
     if grid.delta * load > safety * (1.0 + 1e-12):
@@ -391,6 +375,7 @@ def _sweep(model: GameModel, grid: TimeGrid, game_tol: float, reduce, certify=No
     lags = _FlowLags(model, grid)
     knot_seg = knot_segments(model, grid)
     diags, jumps = _step_coefficients(model, grid, game_tol)
+    # kept because it pays: without it backward_solve of the singleton demos takes 2-4x as long
     if model.widths == (1, 1):
         reduce, certify = (lambda k, E: E[:, 0, 0]), None
     N, S = grid.n_steps, model.n_states
@@ -656,9 +641,7 @@ def _csv_layout(model: GameModel) -> tuple[list[str], np.ndarray]:
     wa, wb = model.widths
     names = ["t", "state", "phi", "risk_value"]
     names += [f"mu_{i}" for i in range(wa)] + [f"nu_{i}" for i in range(wb)]
-    counts = np.array([(len(a), len(b)) for a, b in zip(model.actions_p1, model.actions_p2)])
-    shown = np.concatenate([np.arange(wa) < counts[:, :1], np.arange(wb) < counts[:, 1:]], axis=1)
-    return names, shown
+    return names, np.concatenate([model.cells.any(axis=2), model.cells.any(axis=1)], axis=1)
 
 
 def _fmt_all(values: list) -> list[str]:

@@ -70,6 +70,20 @@ def _flow_durations(model: GameModel, n_samples: int = 64) -> np.ndarray:
     return np.array([0.0])  # identity flow: one duration suffices
 
 
+def _least(name: str, margin: np.ndarray, tol: float, where) -> CheckResult:
+    """The check passing when every margin is >= -tol, located at the first
+    smallest margin in C order; ``where`` formats that entry's index."""
+    i = np.unravel_index(np.argmin(margin), margin.shape)
+    worst = float(margin[i])
+    return CheckResult(name, bool(worst >= -tol), where(*i), worst)
+
+
+def _math(f, values: np.ndarray) -> np.ndarray:
+    """``f`` from the math module applied entrywise (np.exp and np.log may
+    differ from it in the last bit)."""
+    return np.array([f(v) for v in values.ravel().tolist()]).reshape(values.shape)
+
+
 def check_assumptions(model: GameModel) -> VerificationReport:
     """Exhaustive drift/growth checks over states, action pairs and segments.
 
@@ -82,72 +96,38 @@ def check_assumptions(model: GameModel) -> VerificationReport:
     ly = model.lyapunov
     T = model.horizon
     durations = _flow_durations(model)
-    n = model.n_states
-
-    flows = np.empty((len(durations), n), dtype=int)
-    for i, u in enumerate(durations):
-        flows[i] = [model.flow(x, u) for x in range(n)]
-
-    checks = []
+    flows = np.stack([model.states.flow_map(u) for u in durations])  # (durations, S)
+    # the least V along the flow from each state over the remaining horizon
+    v_ahead = ly.V[np.stack([model.states.flow_map(T - u) for u in durations])].min(axis=0)
+    cells = model.cells[None, :, None]
 
     def drift_check(name: str, W: np.ndarray, rho: float, b: float) -> CheckResult:
-        worst, where = math.inf, ""
-        for s in range(model.n_segments):
-            for x in range(n):
-                R = model.rate_tensor(s, x)
-                for i, u in enumerate(durations):
-                    lhs = np.einsum("abs,s->ab", R, W[flows[i]])
-                    rhs = rho * W[flows[i, x]] + b
-                    margin = float((rhs - lhs).min())
-                    if margin < worst:
-                        worst = margin
-                        a, bb = np.unravel_index(np.argmax(lhs), lhs.shape)
-                        where = (
-                            f"seg {s}, state {x}, actions ({int(a)},{int(bb)}), "
-                            f"flow-duration {u:.4g}"
-                        )
-        return CheckResult(name, worst >= -1e-12, where, worst)
+        Wf = W[flows].T  # (S, durations)
+        # lhs[s, x, i, a, b] = sum_y q(y|s,x,a,b) W(flow(y, u_i))
+        lhs = np.moveaxis(model.rates @ Wf, -1, 2)
+        rhs = rho * Wf + b
+        margin = np.where(cells, rhs[None, :, :, None, None] - lhs, np.inf).min(axis=(3, 4))
 
-    checks.append(drift_check("drift_V", ly.V, ly.rho1, ly.b1))
-    checks.append(drift_check("drift_V1_squared", ly.V1**2, ly.rho2, ly.b2))
+        def where(s, x, i):
+            admissible = np.where(model.cells[x], lhs[s, x, i], -np.inf)
+            a, bb = np.unravel_index(np.argmax(admissible), admissible.shape)
+            return f"seg {s}, state {x}, actions ({a},{bb}), flow-duration {durations[i]:.4g}"
 
-    # growth of |c|: e^{2(T+1)|c(t,x,a,b)|} <= M2 * V(flow(x, T-t)) for all t
-    worst, where = math.inf, ""
-    for s in range(model.n_segments):
-        for x in range(n):
-            cmax = float(np.abs(model.cost_matrix(s, x)).max())
-            lhs = math.exp(2.0 * (T + 1.0) * cmax)
-            rhs = ly.M2 * min(float(ly.V[model.flow(x, T - u)]) for u in durations)
-            if rhs - lhs < worst:
-                worst = rhs - lhs
-                where = f"seg {s}, state {x}"
-    checks.append(CheckResult("cost_growth", worst >= -1e-9, where, worst))
+        return _least(name, margin, 1e-12, where)
 
-    worst, where = math.inf, ""
-    for x in range(n):
-        lhs = math.exp(2.0 * (T + 1.0) * abs(float(model.terminal[x])))
-        rhs = ly.M2 * float(ly.V[x])
-        if rhs - lhs < worst:
-            worst = rhs - lhs
-            where = f"state {x}"
-    checks.append(CheckResult("terminal_growth", worst >= -1e-9, where, worst))
-
-    # intensity bound q(s,x,a,b) <= kappa * V(flow(x, T-s))
-    worst, where = math.inf, ""
-    for s in range(model.n_segments):
-        for x in range(n):
-            q = float(model.q_total(s, x).max())
-            rhs = ly.kappa * min(float(ly.V[model.flow(x, T - u)]) for u in durations)
-            if rhs - q < worst:
-                worst = rhs - q
-                where = f"seg {s}, state {x}"
-    checks.append(CheckResult("intensity_bound", worst >= -1e-12, where, worst))
-
-    margin = float((ly.M3 * ly.V1 - ly.V**2).min())
-    x = int(np.argmin(ly.M3 * ly.V1 - ly.V**2))
-    checks.append(CheckResult("V_squared_vs_V1", margin >= -1e-12, f"state {x}", margin))
-
-    return VerificationReport(checks)
+    cost_growth = _math(math.exp, 2.0 * (T + 1.0) * np.abs(model.costs).max(axis=(2, 3)))
+    terminal_growth = _math(math.exp, 2.0 * (T + 1.0) * np.abs(model.terminal))
+    return VerificationReport([
+        drift_check("drift_V", ly.V, ly.rho1, ly.b1),
+        drift_check("drift_V1_squared", ly.V1**2, ly.rho2, ly.b2),
+        # e^{2(T+1)|c(t,x,a,b)|} <= M2 * V(flow(x, T-t)) for all t
+        _least("cost_growth", ly.M2 * v_ahead - cost_growth, 1e-9, "seg {}, state {}".format),
+        _least("terminal_growth", ly.M2 * ly.V - terminal_growth, 1e-9, "state {}".format),
+        # q(s,x,a,b) <= kappa * V(flow(x, T-s))
+        _least("intensity_bound", ly.kappa * v_ahead - model.q_totals.max(axis=(2, 3)), 1e-12,
+               "seg {}, state {}".format),
+        _least("V_squared_vs_V1", ly.M3 * ly.V1 - ly.V**2, 1e-12, "state {}".format),
+    ])
 
 
 def check_bounds(field: ValueField, model: GameModel) -> VerificationReport:
@@ -158,7 +138,6 @@ def check_bounds(field: ValueField, model: GameModel) -> VerificationReport:
     ly = model.lyapunov
     T = model.horizon
     grid = field.grid
-    n = model.n_states
 
     checks = []
     pos = float(field.phi.min())
@@ -167,22 +146,13 @@ def check_bounds(field: ValueField, model: GameModel) -> VerificationReport:
     if pos <= 0.0:
         return VerificationReport(checks)
 
-    worst_up, worst_lo = math.inf, math.inf
-    where_up = where_lo = ""
-    for k in range(grid.n_steps + 1):
-        t = grid.knot(k)
-        L2 = ly.M2 * math.exp(ly.rho1 * (T - t)) * (1.0 + ly.b1 / ly.rho1)
-        vflow = np.array([ly.V[model.flow(x, T - t)] for x in range(n)])
-        up = L2 * vflow - field.phi[k]
-        lo = field.phi[k] - np.exp(-model.lam * L2 * vflow)
-        if float(up.min()) < worst_up:
-            worst_up = float(up.min())
-            where_up = f"knot {k}, state {int(np.argmin(up))}"
-        if float(lo.min()) < worst_lo:
-            worst_lo = float(lo.min())
-            where_lo = f"knot {k}, state {int(np.argmin(lo))}"
-    checks.append(CheckResult("upper_bound", worst_up >= -1e-12, where_up, worst_up))
-    checks.append(CheckResult("lower_bound", worst_lo >= -1e-12, where_lo, worst_lo))
+    knots = [grid.knot(k) for k in range(grid.n_steps + 1)]
+    L2 = np.array([ly.M2 * math.exp(ly.rho1 * (T - t)) * (1.0 + ly.b1 / ly.rho1) for t in knots])[:, None]
+    vflow = ly.V[np.stack([model.states.flow_map(T - t) for t in knots])]  # (N+1, S)
+    up = L2 * vflow - field.phi
+    lo = field.phi - np.exp(-model.lam * L2 * vflow)
+    checks.append(_least("upper_bound", up, 1e-12, "knot {}, state {}".format))
+    checks.append(_least("lower_bound", lo, 1e-12, "knot {}, state {}".format))
     return VerificationReport(checks)
 
 

@@ -176,7 +176,7 @@ def test_07_lyapunov_sandwich():
         ly = model.lyapunov
         L1 = ly.M2 * math.exp(ly.rho1 * model.horizon) * (1.0 + ly.b1 / ly.rho1)
         est = estimate_J(model, strategies, 0.0, 0, SimConfig(n_paths=4000, rng_seed=99))
-        vT = float(ly.V[model.flow(0, model.horizon)])
+        vT = float(ly.V[model.states.flow_map(model.horizon)[0]])
         hi = L1 * vT + 3.0 * est.stderr
         lo = math.exp(-model.lam * L1 * vT) - 3.0 * est.stderr
         ok = ok and lo <= est.mean <= hi

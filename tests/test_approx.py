@@ -20,29 +20,27 @@ class TestTruncateNonneg:
     def test_inactive_truncation_is_identity(self, nonneg_ladder_model):
         m = nonneg_ladder_model
         out = truncate_nonneg(m, 16)
-        for seg in range(m.n_segments):
-            for x in range(m.n_states):
-                assert np.array_equal(out.rate_tensor(seg, x), m.rate_tensor(seg, x))
-                assert np.array_equal(out.cost_matrix(seg, x), m.cost_matrix(seg, x))
+        assert np.array_equal(out.rates, m.rates)
+        assert np.array_equal(out.costs, m.costs)
         assert np.array_equal(out.terminal, m.terminal)
 
     def test_states_above_level_are_stilled(self, nonneg_ladder_model):
         out = truncate_nonneg(nonneg_ladder_model, 1)  # S_1 = {lo} only
-        for x in (1, 2):
-            assert np.all(out.rate_tensor(0, x) == 0.0)
-            assert np.all(out.cost_matrix(0, x) == 0.0)
-        assert np.array_equal(out.rate_tensor(0, 0), nonneg_ladder_model.rate_tensor(0, 0))
+        assert np.all(out.rates[:, 1:] == 0.0)
+        assert np.all(out.costs[:, 1:] == 0.0)
+        assert np.all(out.q_totals[:, 1:] == 0.0)
+        assert np.array_equal(out.rates[:, 0], nonneg_ladder_model.rates[:, 0])
 
     def test_cost_capped_at_level(self, nonneg_ladder_model):
         out = truncate_nonneg(nonneg_ladder_model, 3)  # S_3 = {lo, mid}
         # c(mid) = 2 < 3: unchanged; hi is outside S_3
-        assert out.cost_matrix(0, 1)[0, 0] == 2.0
+        assert out.costs[0, 1, 0, 0] == 2.0
         out9 = truncate_nonneg(nonneg_ladder_model, 9)
         # c(hi) = 5 <= min(9, cap = ln(M2*9)/4 = 5.026): kept exactly
-        assert out9.cost_matrix(0, 2)[0, 0] == 5.0
+        assert out9.costs[0, 2, 0, 0] == 5.0
         out4 = truncate_nonneg(nonneg_ladder_model, 4.5)
         # level clips at n = 4.5 before the Lyapunov cap
-        assert out4.cost_matrix(0, 1)[0, 0] == 2.0
+        assert out4.costs[0, 1, 0, 0] == 2.0
 
     def test_requires_lyapunov(self, const_cost):
         with pytest.raises(ModelValidationError, match="lyapunov"):
@@ -63,8 +61,8 @@ class TestTruncateGeneral:
             "costs": [{"state": 0, "a": 0, "b": 0, "value": -7.0}],
         }
         clipped, shifted = truncate_general(model_from_dict(doc), 3)
-        assert clipped.cost_matrix(0, 0)[0, 0] == -3.0
-        assert shifted.cost_matrix(0, 0)[0, 0] == 0.0
+        assert clipped.costs[0, 0, 0, 0] == -3.0
+        assert shifted.costs[0, 0, 0, 0] == 0.0
 
     def test_mild_cost_only_shifts(self):
         doc = {
@@ -75,8 +73,8 @@ class TestTruncateGeneral:
             "costs": [{"state": 0, "a": 0, "b": 0, "value": 2.0}],
         }
         clipped, shifted = truncate_general(model_from_dict(doc), 3)
-        assert clipped.cost_matrix(0, 0)[0, 0] == 2.0
-        assert shifted.cost_matrix(0, 0)[0, 0] == 5.0
+        assert clipped.costs[0, 0, 0, 0] == 2.0
+        assert shifted.costs[0, 0, 0, 0] == 5.0
 
     def test_terminal_clip(self):
         doc = {

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -462,7 +463,6 @@ class TestEnvironment:
         assert (target / "solution.csv").exists()
 
 
-
 class TestNonFiniteValues:
     def test_overflowing_solve_exits_one_without_csv(self, tmp_path):
         # lambda*c*T = 800: phi overflows past the largest float
@@ -480,3 +480,38 @@ class TestNonFiniteValues:
             rc = main(["solve", "--model", str(model), "--steps", "2000", "--out", str(out)])
         assert rc == 1
         assert not (out / "solution.csv").exists()
+
+    def _write(self, tmp_path, doc):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_huge_rate_exits_one_naming_the_cfl_load(self, tmp_path, capsys):
+        # 2*q* overflows, so the CFL load is inf
+        doc = demos.doc("two_state")
+        doc["rates"][0]["rate"] = 1e308
+        out = tmp_path / "run"
+        rc = main(["solve", "--model", self._write(tmp_path, doc), "--steps", "200", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "CFL load" in err and "= inf is not finite" in err
+        assert not (out / "solution.csv").exists()
+
+    def test_huge_drift_exits_one_naming_the_mode(self, tmp_path, capsys):
+        doc = demos.doc("grid_flow")
+        doc["states"]["grid_flow"]["modes"][0]["drift"] = 1e308
+        path = self._write(tmp_path, doc)
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["solve", "--model", path, "--steps", "200", "--out", str(out)])
+        assert rc == 1
+        assert "grid_flow mode 0 (up): |drift|*horizon/cell_width = inf" in capsys.readouterr().err
+        assert not (out / "solution.csv").exists()
+        assert main(["validate", "--model", path]) == 1
+
+    def test_huge_cell_count_exits_two_naming_the_field(self, tmp_path, capsys):
+        doc = demos.doc("grid_flow")
+        doc["states"]["grid_flow"]["grid"]["cells"] = 10**30
+        assert main(["validate", "--model", self._write(tmp_path, doc)]) == 2
+        assert "$.states.grid_flow.grid.cells: " in capsys.readouterr().err

@@ -185,7 +185,7 @@ class TestTruncationClipExample:
         }
         m = model_from_dict(doc)
         out = truncate_nonneg(m, 3)
-        assert out.cost_matrix(0, 0)[0, 0] == 3.0
+        assert out.costs[0, 0, 0, 0] == 3.0
         assert out.terminal[0] == 0.0
 
 

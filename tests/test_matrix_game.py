@@ -7,9 +7,10 @@ from hypothesis.extra import numpy as hnp
 from pdmg.matrix_game import (
     MatrixGame,
     MatrixGameError,
-    best_response_value,
     solve,
 )
+from pdmg.model import model_from_dict
+from pdmg.shapley import SolverConfig, StrategyField, TimeGrid, best_response_solve
 
 
 def saddle_2x2(a, b, c, d):
@@ -56,33 +57,53 @@ class TestSolveExamples:
         assert np.allclose(sol.row_mix, [0.0, 0.0, 1.0])
 
 
+def best_response_phi(payoffs, side: str, opponent_mix) -> float:
+    """phi(0) of a one-state, jump-free game with running costs ``payoffs``
+    (lambda = T = 1) when one side best-responds to a fixed mixture of the other.
+
+    The first-jump update scales each step by exp(c0*D)*(1 + (v - c0)*D),
+    with c0 the value of the cost game and v the best-response payoff; where
+    the two agree phi(0) is exp(v).
+    """
+    payoffs = np.asarray(payoffs, dtype=float)
+    m, k = payoffs.shape
+    model = model_from_dict({
+        "lambda": 1.0,
+        "horizon": 1.0,
+        "states": {"finite": ["s"]},
+        "actions": {"p1": [list(range(m))], "p2": [list(range(k))]},
+        "costs": [{"state": 0, "a": a, "b": b, "value": float(payoffs[a, b])}
+                  for a in range(m) for b in range(k)],
+    })
+    n = 64
+    mu, nu = np.zeros((n, 1, m)), np.zeros((n, 1, k))
+    mu[..., 0] = nu[..., 0] = 1.0
+    if side == "maximize":
+        nu[:, 0] = opponent_mix
+    else:
+        mu[:, 0] = opponent_mix
+    fixed = StrategyField(TimeGrid(n, 1.0), mu, nu)
+    return float(best_response_solve(model, fixed, side, SolverConfig(n_steps=n)).phi[0, 0])
+
+
 class TestBestResponse:
     def test_indifference_breaks_low(self):
-        g = MatrixGame(np.array([[1.0, -1.0], [-1.0, 1.0]]))
-        v, idx = best_response_value(g, "row", [0.5, 0.5])
-        assert v == pytest.approx(0.0, abs=1e-15)
-        assert idx == 0
+        phi = best_response_phi([[1.0, -1.0], [-1.0, 1.0]], "maximize", [0.5, 0.5])
+        assert phi == pytest.approx(1.0, abs=1e-14)
 
     def test_equalized_payoffs_tie(self):
-        g = MatrixGame(np.array([[3.0, 1.0], [0.0, 2.0]]))
-        v, idx = best_response_value(g, "row", [0.25, 0.75])
-        assert v == pytest.approx(1.5, abs=1e-12)
-        assert idx == 0
+        phi = best_response_phi([[3.0, 1.0], [0.0, 2.0]], "maximize", [0.25, 0.75])
+        assert phi == pytest.approx(np.exp(1.5), rel=1e-12)
 
     def test_pure_column(self):
-        g = MatrixGame(np.array([[2.0, 5.0], [1.0, 3.0]]))
-        v, idx = best_response_value(g, "row", [1.0, 0.0])
-        assert (v, idx) == (2.0, 0)
+        # rows pay 2 and 1 against the first column: the maximiser takes 2
+        phi = best_response_phi([[2.0, 5.0], [1.0, 3.0]], "maximize", [1.0, 0.0])
+        assert phi == pytest.approx(np.exp(2.0), rel=1e-12)
 
     def test_column_side_minimizes(self):
-        g = MatrixGame(np.array([[2.0, 5.0], [1.0, 3.0]]))
-        v, idx = best_response_value(g, "column", [1.0, 0.0])
-        assert (v, idx) == (2.0, 0)
-
-    def test_simplex_violation(self):
-        g = MatrixGame(np.array([[1.0, 2.0]]))
-        with pytest.raises(ValueError):
-            best_response_value(g, "row", [0.7, 0.7])
+        # columns cost 2 and 5 against the first row: the minimiser takes 2
+        phi = best_response_phi([[2.0, 5.0], [1.0, 3.0]], "minimize", [1.0, 0.0])
+        assert phi == pytest.approx(np.exp(2.0), rel=1e-12)
 
 
 def random_matrices(max_dim=8):
@@ -130,7 +151,7 @@ class TestProperties:
     @settings(max_examples=60, deadline=None)
     def test_best_response_bounded_by_value(self, payoffs):
         sol = solve(MatrixGame(payoffs))
-        row_v, _ = best_response_value(MatrixGame(payoffs), "row", sol.col_mix)
-        col_v, _ = best_response_value(MatrixGame(payoffs), "column", sol.row_mix)
+        row_v = np.max(payoffs @ sol.col_mix)
+        col_v = np.min(sol.row_mix @ payoffs)
         assert row_v <= sol.value + sol.gap + 1e-12
         assert col_v >= sol.value - sol.gap - 1e-12

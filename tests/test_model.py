@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from pdmg.model import (
     FiniteStates,
+    GameModel,
     GridFlowStates,
     Mode,
     ModelFormatError,
@@ -15,6 +16,10 @@ from pdmg.model import (
     load_model,
     model_from_dict,
 )
+from pdmg.shapley import StrategyField, TimeGrid, knot_segments
+from pdmg.simulate import _Tables
+
+import perstate
 
 
 def trivial_doc(**overrides):
@@ -93,10 +98,38 @@ def test_conservativity_forces_diagonal():
         rates=[{"from": 0, "a": 0, "b": 0, "to": 1, "rate": 1.0}],
     )
     m = model_from_dict(doc)
-    assert m.rate_tensor(0, 0)[0, 0, 0] == -1.0
-    assert m.rate_tensor(0, 0)[0, 0, 1] == 1.0
-    assert np.all(m.rate_tensor(0, 1) == 0.0)
-    assert m.q_star(0) == 1.0 and m.q_star(1) == 0.0
+    assert m.rates[0, 0, 0, 0, 0] == -1.0
+    assert m.rates[0, 0, 0, 0, 1] == 1.0
+    assert np.all(m.rates[0, 1] == 0.0)
+    assert m.q_stars.tolist() == [1.0, 0.0]
+
+
+def test_constructor_ignores_padding_and_diagonal():
+    doc = trivial_doc(
+        states={"finite": ["a", "b"]},
+        actions={"p1": [[0, 1], [0]], "p2": [[0], [0, 1]]},
+        rates=[{"from": 0, "a": 1, "b": 0, "to": 1, "rate": 2.0}],
+        costs=[{"state": 1, "a": 0, "b": 1, "value": -3.0}],
+    )
+    m = model_from_dict(doc)
+    assert m.widths == (2, 2)
+    assert m.cells.tolist() == [[[True, False], [True, False]], [[True, True], [False, False]]]
+    rates, costs = np.array(m.rates), np.array(m.costs)
+    rates[:, ~m.cells] = 7.0  # padding
+    costs[:, ~m.cells] = 7.0
+    rates[0, 0, :, :, 0] = rates[0, 1, :, :, 1] = 5.0  # diagonal
+    again = GameModel(m.states, m.actions_p1, m.actions_p2, m.time_breaks, rates, costs,
+                      m.terminal, m.lam, m.horizon)
+    for name in ("rates", "costs", "q_totals", "cells", "q_stars"):
+        assert np.array_equal(getattr(again, name), getattr(m, name))
+    assert again.rates[0, 0, 1, 0].tolist() == [-2.0, 2.0]
+
+
+def test_constructor_rejects_misshapen_tables():
+    m = model_from_dict(trivial_doc(states={"finite": ["a", "b"]}))
+    with pytest.raises(ModelValidationError, match="expected shapes"):
+        GameModel(m.states, m.actions_p1, m.actions_p2, m.time_breaks, m.rates[:, :1], m.costs,
+                  m.terminal, m.lam, m.horizon)
 
 
 def test_self_rate_entry_rejected():
@@ -115,13 +148,11 @@ def test_rate_rows_sum_to_zero_across_segments():
         ],
     )
     m = model_from_dict(doc)
-    for seg in range(m.n_segments):
-        for x in range(m.n_states):
-            assert np.abs(m.rate_tensor(seg, x).sum(axis=2)).max() <= 1e-12
-    assert m.segment_index(0.49) == 0
-    assert m.segment_index(0.5) == 1
-    assert m.q_total(0, 0)[0, 0] == 0.3
-    assert m.q_total(1, 0)[0, 0] == 0.9
+    assert np.abs(m.rates.sum(axis=-1)).max() <= 1e-12
+    segs = knot_segments(m, TimeGrid(100, m.horizon))
+    assert segs[49] == 0 and segs[50] == 1
+    assert m.q_totals[0, 0, 0, 0] == 0.3
+    assert m.q_totals[1, 0, 0, 0] == 0.9
 
 
 class TestFlow:
@@ -129,40 +160,39 @@ class TestFlow:
         m = model_from_dict(
             trivial_doc(states={"finite": list("abcd")}, actions={"p1": [[0]], "p2": [[0]]})
         )
-        assert m.flow(3, 0.7) == 3
+        assert m.states.flow_map(0.7).tolist() == [0, 1, 2, 3]
 
     def test_grid_shift_rounds_to_nearest(self):
         sp = GridFlowStates(
             modes=(Mode("m", 1.0),), grid_min=0.0, grid_max=1.0, cells=10, boundary="clamp"
         )
         # drift 1.0, cell width 0.1, dt = 0.2: two cells forward
-        assert sp.flow(5, 0.2) == 7
+        assert sp.flow_map(0.2)[5] == 7
 
     def test_zero_duration_fixes_state(self):
         sp = GridFlowStates(
             modes=(Mode("m", -2.0),), grid_min=0.0, grid_max=1.0, cells=8, boundary="reflect"
         )
-        for x in range(8):
-            assert sp.flow(x, 0.0) == x
+        assert sp.flow_map(0.0).tolist() == list(range(8))
 
     def test_clamp_saturates(self):
         sp = GridFlowStates(
             modes=(Mode("m", 1.0),), grid_min=0.0, grid_max=1.0, cells=5, boundary="clamp"
         )
-        assert sp.flow(3, 10.0) == 4
+        assert sp.flow_map(10.0)[3] == 4
         sp2 = GridFlowStates(
             modes=(Mode("m", -1.0),), grid_min=0.0, grid_max=1.0, cells=5, boundary="clamp"
         )
-        assert sp2.flow(3, 10.0) == 0
+        assert sp2.flow_map(10.0)[3] == 0
 
     def test_reflect_folds_back(self):
         sp = GridFlowStates(
             modes=(Mode("m", 1.0),), grid_min=0.0, grid_max=1.0, cells=5, boundary="reflect"
         )
         # width 0.2; from cell 3, dt 0.4 shifts +2 -> raw 5 -> reflect to 3
-        assert sp.flow(3, 0.4) == 3
+        assert sp.flow_map(0.4)[3] == 3
         # raw 6 reflects to 2
-        assert sp.flow(3, 0.6) == 2
+        assert sp.flow_map(0.6)[3] == 2
 
     @given(
         cell=st.integers(min_value=0, max_value=19),
@@ -177,7 +207,7 @@ class TestFlow:
         w = sp.cell_width
         s, t = k1 * w / 2.0, k2 * w / 2.0
         if cell + k1 + k2 <= 19:
-            assert sp.flow(sp.flow(cell, s), t) == sp.flow(cell, s + t)
+            assert sp.flow_map(t)[sp.flow_map(s)[cell]] == sp.flow_map(s + t)[cell]
 
     @pytest.mark.parametrize("boundary", ["clamp", "reflect"])
     def test_shifted_cells_match_apply_boundary(self, boundary):
@@ -185,7 +215,7 @@ class TestFlow:
             modes=(Mode("m", 1.0),), grid_min=0.0, grid_max=1.0, cells=5, boundary=boundary
         )
         for shift in range(-17, 18):
-            expected = [sp.apply_boundary(cell + shift) for cell in range(5)]
+            expected = [perstate.apply_boundary(sp, cell + shift) for cell in range(5)]
             assert sp.shifted_cells(shift).tolist() == expected
 
     def test_mode_cell_naming(self):
@@ -198,10 +228,46 @@ class TestFlow:
         )
         assert sp.n_states == 8
         assert sp.state_name(5) == "dn:1"
-        assert sp.split(5) == (1, 1)
+
+    @given(
+        drift=st.one_of(
+            st.floats(min_value=-50.0, max_value=50.0),
+            st.integers(min_value=-40, max_value=40).map(lambda j: j / 2.0),
+        ),
+        dt=st.one_of(st.floats(min_value=0.0, max_value=5.0), st.sampled_from([0.25, 0.5, 1.0, 2.0])),
+        cells=st.integers(min_value=2, max_value=12),
+        width=st.one_of(st.just(1.0), st.floats(min_value=0.01, max_value=3.0)),
+        boundary=st.sampled_from(["clamp", "reflect"]),
+    )
+    @settings(max_examples=300)
+    def test_flow_map_matches_scalar_rule(self, drift, dt, cells, width, boundary):
+        # width 1 with a half-integer drift and a dyadic dt puts the shift
+        # exactly on a half cell, where the rule rounds up
+        sp = GridFlowStates(
+            modes=(Mode("m", drift), Mode("n", -0.5 * drift)),
+            grid_min=-1.0,
+            grid_max=-1.0 + cells * width,
+            cells=cells,
+            boundary=boundary,
+        )
+        expected = [perstate.flow(sp, x, dt) for x in range(sp.n_states)]
+        assert sp.flow_map(dt).tolist() == expected
+
+
+def _mixed(model, mu, nu):
+    """The simulator's mixed cost and intensity of state 0 when the players
+    mix as mu, nu there (first actions elsewhere)."""
+    mus = np.zeros((1, model.n_states, model.widths[0]))
+    nus = np.zeros((1, model.n_states, model.widths[1]))
+    mus[..., 0] = nus[..., 0] = 1.0
+    mus[0, 0, : len(mu)], nus[0, 0, : len(nu)] = mu, nu
+    tables = _Tables(model, StrategyField(TimeGrid(1, model.horizon), mus, nus))
+    return tables.cost[0, 0], tables.intensity[0, 0]
 
 
 class TestMixedKernels:
+    """The simulator mixes the dense cost and rate tables bilinearly."""
+
     @pytest.fixture()
     def model(self):
         doc = trivial_doc(
@@ -221,22 +287,20 @@ class TestMixedKernels:
         return model_from_dict(doc)
 
     def test_dirac_mixture_recovers_row(self, model):
-        row = model.mixed_rate(0.0, 0, [1.0, 0.0], [1.0, 0.0])
-        assert np.allclose(row, model.rate_tensor(0, 0)[0, 0], atol=0)
-        assert model.mixed_cost(0.0, 0, [1.0, 0.0], [0.0, 1.0]) == -1.0
+        assert _mixed(model, [1.0, 0.0], [1.0, 0.0])[1] == model.q_totals[0, 0, 0, 0] == 1.0
+        assert _mixed(model, [1.0, 0.0], [0.0, 1.0])[0] == -1.0
 
     def test_half_half_averages_rows(self, model):
-        row = model.mixed_rate(0.0, 0, [0.5, 0.5], [0.5, 0.5])
-        manual = model.rate_tensor(0, 0).reshape(4, 2).mean(axis=0)
-        assert np.allclose(row, manual, atol=1e-15)
-        assert abs(row.sum()) <= 1e-12
+        intensity = _mixed(model, [0.5, 0.5], [0.5, 0.5])[1]
+        assert intensity == pytest.approx(model.q_totals[0, 0].mean(), abs=1e-15)
+        assert intensity == pytest.approx(1.0, abs=1e-15)
 
     def test_matching_pennies_mixture_is_zero(self, model):
-        assert abs(model.mixed_cost(0.0, 0, [0.5, 0.5], [0.5, 0.5])) <= 1e-15
+        assert abs(_mixed(model, [0.5, 0.5], [0.5, 0.5])[0]) <= 1e-15
 
     def test_zero_kernel_gives_zero_row(self):
         m = model_from_dict(trivial_doc())
-        assert np.all(m.mixed_rate(0.3, 0, [1.0], [1.0]) == 0.0)
+        assert _mixed(m, [1.0], [1.0]) == (0.0, 0.0)
 
     def test_constant_cost_any_mixture(self):
         doc = trivial_doc(
@@ -248,13 +312,7 @@ class TestMixedKernels:
             ],
         )
         m = model_from_dict(doc)
-        assert m.mixed_cost(0.0, 0, [0.3, 0.7], [0.9, 0.1]) == pytest.approx(7.25, abs=1e-14)
-
-    def test_simplex_violations_rejected(self, model):
-        with pytest.raises(ValueError, match="probability"):
-            model.mixed_rate(0.0, 0, [0.6, 0.6], [1.0, 0.0])
-        with pytest.raises(ValueError, match="probability"):
-            model.mixed_cost(0.0, 0, [1.0, 0.0], [-0.1, 1.1])
+        assert _mixed(m, [0.3, 0.7], [0.9, 0.1])[0] == pytest.approx(7.25, abs=1e-14)
 
     @given(
         w1=st.floats(min_value=0.0, max_value=1.0),
@@ -268,12 +326,8 @@ class TestMixedKernels:
         mu_b = np.array([w2, 1.0 - w2])
         nu = np.array([0.25, 0.75])
         mix = lam * mu_a + (1.0 - lam) * mu_b
-        mix = mix / mix.sum()
-        lhs = model.mixed_rate(0.0, 0, mix, nu)
-        rhs = (
-            lam * model.mixed_rate(0.0, 0, mu_a / mu_a.sum(), nu)
-            + (1.0 - lam) * model.mixed_rate(0.0, 0, mu_b / mu_b.sum(), nu)
-        )
+        lhs = np.array(_mixed(model, mix, nu))
+        rhs = lam * np.array(_mixed(model, mu_a, nu)) + (1.0 - lam) * np.array(_mixed(model, mu_b, nu))
         assert np.allclose(lhs, rhs, atol=1e-9)
 
 

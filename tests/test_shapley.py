@@ -15,12 +15,12 @@ from pdmg.shapley import (
     StrategyField,
     TimeGrid,
     ValueField,
+    _bracket_entries,
     _ediff,
     backward_solve,
     best_response_solve,
     export_solution_csv,
     import_solution_csv,
-    local_game_matrix,
     picard_solve,
     policy_evaluate,
     saddle_from_field,
@@ -70,11 +70,16 @@ class TestTerminalField:
             terminal_field(model_from_dict(doc))
 
 
+def _cell_game(model, u):
+    """The bracket game lambda*c*u(x) + sum_y q(y|x,a,b)*u(y) of state 0 for one slice u."""
+    return _bracket_entries(model, np.array([u], dtype=float), np.zeros(1, dtype=int))[0, 0]
+
+
 class TestLocalGameMatrix:
     def test_zero_kernel_scales_costs(self, matching_pennies):
-        game = local_game_matrix(matching_pennies, 0.0, 0, np.ones(1), 1.0)
+        game = _cell_game(matching_pennies, [1.0])
         mp = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        assert np.array_equal(game.payoffs, matching_pennies.lam * mp)
+        assert np.array_equal(game, matching_pennies.lam * mp)
 
     def test_conservativity_kills_constants(self):
         doc = {
@@ -85,8 +90,7 @@ class TestLocalGameMatrix:
             "rates": [{"from": 0, "a": 0, "b": 0, "to": 1, "rate": 1.0}],
         }
         m = model_from_dict(doc)
-        game = local_game_matrix(m, 0.0, 0, np.ones(2), 1.0)
-        assert np.allclose(game.payoffs, 0.0, atol=1e-15)
+        assert np.allclose(_cell_game(m, [1.0, 1.0]), 0.0, atol=1e-15)
 
     def test_constant_cost_arithmetic(self):
         doc = {
@@ -97,8 +101,7 @@ class TestLocalGameMatrix:
             "costs": [{"state": 0, "a": 0, "b": 0, "value": 1.0}],
         }
         m = model_from_dict(doc)
-        game = local_game_matrix(m, 0.0, 0, np.ones(1), 3.0)
-        assert game.payoffs[0, 0] == 3.0
+        assert _cell_game(m, [3.0])[0, 0] == 3.0
 
 
 class TestBackwardSolve:

@@ -165,7 +165,7 @@ class TestGridFlowWalk:
             pieces = flow_pieces(grid_flow, start, 0.0, 1.0)
             for a, b, state in pieces:
                 mid = 0.5 * (a + b)
-                assert grid_flow.flow(start, mid) == state
+                assert grid_flow.states.flow_map(mid)[start] == state
             # the walk integrates the cost over exactly these pieces
             exact = sum((b - a) * (1.0 + 0.1 * state) for a, b, state in pieces)
             tr = simulate_path(model, singleton_strategies(model), 0.0, start, 0, 0)
