@@ -188,7 +188,9 @@ class GameModel:
         if negative.size:
             seg, x = negative[0][:2]
             raise ModelValidationError(f"rates[seg {seg}][state {x}]: negative off-diagonal rate")
-        self.q_totals = off.sum(axis=-1)
+        # a total that overflows is rejected by validate
+        with np.errstate(over="ignore"):
+            self.q_totals = off.sum(axis=-1)
         # conservativity fixes the diagonal of every admissible row
         diag = np.arange(n)
         self.rates[:, diag, :, :, diag] = np.moveaxis(np.where(self.cells, -self.q_totals, 0.0), 1, 0)
@@ -250,9 +252,16 @@ class GameModel:
             raise ModelValidationError("time segment starts must be strictly increasing")
         if self.terminal.shape != (self.n_states,):
             raise ModelValidationError("terminal must have one entry per state")
+        infinite = np.argwhere(~np.isfinite(self.q_totals))
+        if infinite.size:
+            seg, x = infinite[0][:2]
+            raise ModelValidationError(
+                f"rates[seg {seg}][state {x}]: total off-diagonal rate is not finite"
+            )
         rows = np.abs(self.rates.sum(axis=-1)).max(axis=(2, 3))
         scale = np.maximum(1.0, self.q_totals.max(axis=(2, 3)))
-        unbalanced = np.argwhere(rows > SIMPLEX_TOL * scale)
+        # written as a negation so that NaN fails too
+        unbalanced = np.argwhere(~(rows <= SIMPLEX_TOL * scale))
         if unbalanced.size:
             seg, x = unbalanced[0]
             raise ModelValidationError(f"rates[seg {seg}][state {x}]: row does not sum to zero")

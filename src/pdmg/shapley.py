@@ -27,6 +27,9 @@ backward stepper marches each cell on the support of its saddle at the
 knot above (the saddle moves by O(Delta) from knot to knot, so the support
 almost always carries over), certifies whole chunks of knots at once and
 re-solves a knot by ``solve_stack`` only where a certificate fails.
+Evaluations and best responses run the same backward sweep with the fixed
+mixtures contracted into the step tables, so that a knot costs a few small
+array operations.
 """
 
 from __future__ import annotations
@@ -52,9 +55,13 @@ FMT = "%.12g"
 # Rows of the solution CSV formatted or parsed at a time: bounds the
 # strings held at once.
 _CSV_BLOCK = 2048
-# Cell games of the largest chunk of knots the backward stepper marches on
-# carried supports before certifying them: bounds the entries held at once.
+# Cell games of the largest chunk of knots a sweep marches at once (the
+# backward stepper on carried supports before certifying them): bounds the
+# entries held at once.
 _CHUNK_GAMES = 4096
+# Coefficients of the largest table a reducer contracts its fixed mixtures
+# into for one chunk of knots: bounds the tables held at once.
+_CHUNK_COEFFS = 1 << 15
 
 
 class SolverError(RuntimeError):
@@ -216,17 +223,17 @@ def knot_segments(model: GameModel, grid: TimeGrid) -> np.ndarray:
     return np.searchsorted(starts, np.arange(grid.n_steps + 1), side="right") - 1
 
 
-def _cell_entries(diag: np.ndarray, jump: np.ndarray, v_self, v: np.ndarray) -> np.ndarray:
-    """Cell-game entries diag*v_self + sum_y jump[..., y]*v[y] on the (A, B) axes.
+def _cell_entries(D: np.ndarray, JT: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Cell-game entries D*v(x) + sum_y J[(x, w), y]*v(y) of every state x and
+    free action w.
 
-    ``diag`` (..., A, B) and ``jump`` (..., A, B, S) are coefficient tables,
-    over all states or of one state; ``v`` is one slice (S,) or a stack of
-    slices (K, S), and ``v_self`` holds the matching values of the states
-    themselves (``v`` again for tables over all states).
+    ``D`` (S, W) and ``J`` (S*W, S) are step tables, W the actions left free
+    (A*B for whole games: ``diag.reshape(S, -1)`` and ``jump.reshape(-1, S)``
+    of (S, A, B) and (S, A, B, S) tables), and ``JT`` is ``J.T``; ``v`` is one
+    slice (S,) or a stack of slices (K, S).  Returns (..., S, W).
     """
-    flat = jump.reshape(-1, jump.shape[-1])
-    jumps = (v @ flat.T).reshape(v.shape[:-1] + diag.shape)
-    return diag * np.asarray(v_self)[..., None, None] + jumps
+    # np.dot: the BLAS call of v @ JT, with less overhead on small arrays
+    return D * v[..., None] + np.dot(v, JT).reshape(v.shape + D.shape[1:])
 
 
 def _ediff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -275,7 +282,8 @@ class _FlowLags:
         self.model = model
         self.grid = grid
         self.identity = np.arange(model.n_states)
-        if isinstance(model.states, GridFlowStates):
+        self.flows = isinstance(model.states, GridFlowStates)
+        if self.flows:
             sp = model.states
             lags = np.arange(grid.n_steps + 1)
             self._disp = np.stack(
@@ -355,43 +363,137 @@ def _step_coefficients(model: GameModel, grid: TimeGrid, game_tol: float) -> tup
 
 
 # ---------------------------------------------------------------------------
-# solvers: one backward sweep, four cell reducers
+# solvers: one backward sweep, pluggable cell reducers
 
 
-def _sweep(model: GameModel, grid: TimeGrid, game_tol: float, reduce, certify=None) -> ValueField:
-    """Backward recursion phi[k] = reduce(k, E_k) from the terminal slice.
+def _contract(table: np.ndarray, mu: Optional[np.ndarray], nu: Optional[np.ndarray]) -> np.ndarray:
+    """Fixed mixtures summed into the action axes of a coefficient table.
 
-    E_k (S, A, B) holds the cell games of the first-jump update at knot k;
-    the reducer maps it to the S values of slice k.  With ``certify`` the
-    knots run in chunks: ``certify(k_lo, chunk, phi)`` sees the entries
-    (K, S, A, B) of knots k_lo..k_lo+K-1 once the chunk is done and returns
-    None to accept it, or a knot to resume from: every slice from that knot
-    down is computed again.  After a rejection the next chunk is one knot
-    long, after an accepted chunk twice as long, up to ``_CHUNK_GAMES``
-    games.  When no player ever has a choice every reducer is E_k[:, 0, 0]
-    and nothing is certified.  Raises PositivityError unless phi ends
+    ``table`` is (S, A, B, C); ``mu`` (K, S, A) and ``nu`` (K, S, B) hold a
+    mixture per knot and state, or are None for an axis left free.  Returns
+    (K, S, W, C), W the product of the free axes: one batched matmul per
+    mixture, with no (K, S, A, B, C) copy of the table.
+    """
+    S, A, B, C = table.shape
+    if mu is not None:
+        table = (mu[:, :, None, :] @ table.reshape(S, A, B * C)).reshape(len(mu), S, 1, B, C)
+    if nu is not None:
+        table = nu[:, :, None, None, :] @ table
+    return table.reshape(table.shape[0], S, -1, C)
+
+
+class _Reducer:
+    """A cell reducer of :func:`_sweep`: the step tables the sweep marches on
+    and the fold of each knot's entries into the S values of its slice.
+
+    ``mu`` (n, S, A) and ``nu`` (n, S, B) are mixtures a player is held to,
+    slice ``slices[k]`` at knot k; None leaves the player free.  The entries
+    of a knot are (S, W), W the product of the free axes.  A fixed mixture
+    over an axis wider than 1 is contracted into the segments' step
+    coefficients a chunk of knots at a time; a one-action axis needs no
+    contraction (its simplex is [1]), so a reducer that fixes no wider axis
+    marches on the segment tables themselves.
+    """
+
+    certify = None
+
+    def __init__(self, model: GameModel, slices=None, mu=None, nu=None):
+        A, B = model.widths
+        self.width = (A if mu is None else 1) * (B if nu is None else 1)
+        self.slices = slices
+        self.held_mu = mu if A > 1 else None
+        self.held_nu = nu if B > 1 else None
+        self.contracts = self.held_mu is not None or self.held_nu is not None
+
+    def tables(self, diags: list, jumps: list, segs: np.ndarray, k_lo: int):
+        """Step tables (D, JT, rows) of the knots k_lo, k_lo+1, .. lying in
+        segments ``segs``: knot k_lo+i marches on D[rows[i]] (S, W) and
+        JT[rows[i]], the transpose of its (S*W, S) jump table."""
+        S, W = diags[0].shape[0], self.width
+        if not self.contracts:
+            return [d.reshape(S, W) for d in diags], [j.reshape(S * W, S).T for j in jumps], segs.tolist()
+        K = len(segs)
+        D, J = np.empty((K, S, W)), np.empty((K, S, W, S))
+        ks = self.slices[k_lo : k_lo + K]
+        for seg in set(segs.tolist()):
+            on = segs == seg
+            mu = None if self.held_mu is None else self.held_mu[ks[on]]
+            nu = None if self.held_nu is None else self.held_nu[ks[on]]
+            D[on] = _contract(diags[seg][..., None], mu, nu)[..., 0]
+            J[on] = _contract(jumps[seg], mu, nu)
+        return D, J.reshape(K, S * W, S).transpose(0, 2, 1), range(K)
+
+
+class _Pair(_Reducer):
+    """Both players held to ``strategies``: W = 1 and the value is the entry."""
+
+    def __init__(self, model: GameModel, strategies: StrategyField, slices: np.ndarray):
+        super().__init__(model, slices, strategies.mu, strategies.nu)
+
+    def fold(self, k: int, entries: np.ndarray) -> np.ndarray:
+        return entries[:, 0]
+
+
+class _BestResponse(_Reducer):
+    """One player held to its half of ``fixed``, the other free: the value is
+    the best admissible pure action, a max for player 1 and a min for
+    player 2, with the padding masked by an additive -inf (+inf) pad."""
+
+    def __init__(self, model: GameModel, fixed: StrategyField, slices: np.ndarray, side: str):
+        if side == "maximize":
+            super().__init__(model, slices, nu=fixed.nu)
+            self.pad = np.where(model.cells[:, :, 0], 0.0, -np.inf)
+            self.reduce = np.maximum.reduce
+        else:
+            super().__init__(model, slices, mu=fixed.mu)
+            self.pad = np.where(model.cells[:, 0, :], 0.0, np.inf)
+            self.reduce = np.minimum.reduce
+
+    def fold(self, k: int, entries: np.ndarray) -> np.ndarray:
+        return self.reduce(entries + self.pad, axis=1)
+
+
+def _sweep(model: GameModel, grid: TimeGrid, game_tol: float, reducer: _Reducer) -> ValueField:
+    """Backward recursion from the terminal slice on the reducer's step tables.
+
+    The knots run in chunks from the top, each on the step tables
+    ``reducer.tables`` gives it.  With psi the next slice composed with the
+    one-step flow (phi[k+1] itself on a finite state space), knot k's entries
+    are ``D*psi[:, None] + (psi @ J.T).reshape(S, W)`` and
+    ``reducer.fold(k, entries)`` is slice k.  A chunk holds at most
+    ``_CHUNK_GAMES`` games, and at most ``_CHUNK_COEFFS`` coefficients where
+    the reducer contracts mixtures.  With ``reducer.certify``,
+    ``certify(k_lo, chunk, phi)`` sees the entries (K, S, W) of knots
+    k_lo..k_lo+K-1 once the chunk is done and returns None to accept it, or
+    a knot to resume from: every slice from that knot down is computed
+    again.  After a rejection the next chunk is one knot long, after an
+    accepted chunk twice as long.  Raises PositivityError unless phi ends
     finite and positive.
     """
     lags = _FlowLags(model, grid)
     knot_seg = knot_segments(model, grid)
     diags, jumps = _step_coefficients(model, grid, game_tol)
-    # kept because it pays: without it backward_solve of the singleton demos takes 2-4x as long
-    if model.widths == (1, 1):
-        reduce, certify = (lambda k, E: E[:, 0, 0]), None
-    N, S = grid.n_steps, model.n_states
+    N, S, W = grid.n_steps, model.n_states, reducer.width
     phi = np.empty((N + 1, S))
     phi[N] = terminal_field(model)
     cap = max(1, _CHUNK_GAMES // S)
-    k_hi, length = N, (1 if certify else N)
+    if reducer.contracts:
+        # no table a contraction makes is larger than (K, S, A, B, S)
+        A, B = model.widths
+        cap = max(1, min(cap, _CHUNK_COEFFS // (S * A * B * S)))
+    certify, fold, flows = reducer.certify, reducer.fold, lags.flows
+    k_hi, length = N, (1 if certify else cap)
     while k_hi > 0:
         k_lo = max(k_hi - length, 0)
-        chunk = np.empty((k_hi - k_lo, S) + model.widths) if certify else None
+        D, JT, rows = reducer.tables(diags, jumps, knot_seg[k_lo:k_hi], k_lo)
+        chunk = np.empty((k_hi - k_lo, S, W)) if certify else None
         for k in range(k_hi - 1, k_lo - 1, -1):
-            psi = phi[k + 1][lags.step_map(k)]
-            E = _cell_entries(diags[knot_seg[k]], jumps[knot_seg[k]], psi, psi)
+            psi = phi[k + 1][lags.step_map(k)] if flows else phi[k + 1]
+            i = rows[k - k_lo]
+            entries = _cell_entries(D[i], JT[i], psi)
             if certify:
-                chunk[k - k_lo] = E
-            phi[k] = reduce(k, E)
+                chunk[k - k_lo] = entries
+            phi[k] = fold(k, entries)
         resume = certify(k_lo, chunk, phi) if certify else None
         k_hi, length = (k_lo, min(2 * length, cap)) if resume is None else (resume + 1, 1)
     bad = _bad_entries(phi)
@@ -409,31 +511,34 @@ def _pure_mixtures(model: GameModel, n_slices: int) -> tuple[np.ndarray, np.ndar
     return mu, nu
 
 
-class _CarriedSaddles:
+class _CarriedSaddles(_Reducer):
     """Cell reducer of ``backward_solve``: each cell keeps the support of its
     saddle at the knot above.
 
-    A knot is solved afresh by ``solve_stack`` at the start, after a failed
-    certificate and while some cell's support is neither 1x1 nor 2x2; every
-    other knot takes each cell's value on its carried support, and
-    :meth:`certify` builds and certifies the mixtures of a chunk's carried
-    knots at once.  Knots solved afresh are certified by ``solve_stack``, and
-    they only ever head a chunk, so all carried knots of a chunk share one
-    set of supports.
+    Both players are free, so the sweep marches on the segment tables with
+    W = A*B.  A knot is solved afresh by ``solve_stack`` at the start, after
+    a failed certificate and while some cell's support is neither 1x1 nor
+    2x2; every other knot takes each cell's value on its carried support,
+    and :meth:`certify` builds and certifies the mixtures of a chunk's
+    carried knots at once.  Knots solved afresh are certified by
+    ``solve_stack``, and they only ever head a chunk, so all carried knots of
+    a chunk share one set of supports.
     """
 
     def __init__(self, model: GameModel, n_steps: int, game_tol: float):
+        super().__init__(model)
         self.cells, self.tol = model.cells, game_tol
         self.mu, self.nu = _pure_mixtures(model, n_steps)
         self.fresh = np.zeros(n_steps, dtype=bool)  # knots settled by solve_stack
         self.supports = None  # None: solve the next knot afresh
 
-    def value(self, k: int, E: np.ndarray) -> np.ndarray:
+    def fold(self, k: int, entries: np.ndarray) -> np.ndarray:
         if self.supports is not None:
             self.fresh[k] = False
-            return support_values(E, self.supports)
+            return support_values(entries, self.supports)
         self.fresh[k] = True
-        v, self.mu[k], self.nu[k] = solve_stack(E, self.cells, self.tol, solve_game)
+        games = entries.reshape(self.cells.shape)
+        v, self.mu[k], self.nu[k] = solve_stack(games, self.cells, self.tol, solve_game)
         self.supports = carried_supports(self.mu[k], self.nu[k])
         return v
 
@@ -441,8 +546,9 @@ class _CarriedSaddles:
         carried = k_lo + np.flatnonzero(~self.fresh[k_lo : k_lo + len(chunk)])
         if not carried.size:
             return None
+        stack = chunk.reshape((len(chunk),) + self.cells.shape)
         ok, self.mu[carried], self.nu[carried] = certify_supports(
-            chunk[carried - k_lo], self.cells, phi[carried], self.supports, self.tol
+            stack[carried - k_lo], self.cells, phi[carried], self.supports, self.tol
         )
         games = chunk.shape[1]
         failed = carried[~ok.all(axis=1)]
@@ -464,14 +570,19 @@ def backward_solve(model: GameModel, config: SolverConfig) -> tuple[ValueField, 
     and the per-cell saddle mixtures.  Every cell game is settled with a
     certified duality gap <= ``config.game_tol``: on the support carried
     from the knot above, or by ``solve_stack`` (see :class:`_CarriedSaddles`).
+    When no player has a choice the solve is the pure pair's evaluation: a
+    1x1 game's value is its entry and needs no certificate.
     """
     grid = TimeGrid(config.n_steps, model.horizon)
     check_cfl(model, grid, config.cfl_safety)
+    if model.widths == (1, 1):
+        pure = StrategyField(grid, *_pure_mixtures(model, grid.n_steps))
+        return _sweep(model, grid, config.game_tol, _Pair(model, pure, None)), pure
     saddles = _CarriedSaddles(model, grid.n_steps, config.game_tol)
     # a carried 2x2 support whose entries come to a + d = b + c divides by
     # zero; its non-finite value fails the certificate
     with np.errstate(divide="ignore", invalid="ignore"):
-        field = _sweep(model, grid, config.game_tol, saddles.value, saddles.certify)
+        field = _sweep(model, grid, config.game_tol, saddles)
     return field, StrategyField(grid, saddles.mu, saddles.nu)
 
 
@@ -479,15 +590,12 @@ def policy_evaluate(model: GameModel, strategies: StrategyField) -> ValueField:
     """Value of a fixed Markov strategy pair (linear backward equation).
 
     Uses the same cell update as ``backward_solve`` with the inner game
-    replaced by the bilinear mixture of the entry matrix, so evaluating the
-    computed saddle reproduces the saddle field exactly.
+    replaced by the bilinear mixture of the entry matrix, contracted into
+    the step tables, so evaluating the computed saddle reproduces the saddle
+    field to rounding.
     """
-    mu, nu = strategies.mu, strategies.nu
-
-    def pair(k, E):
-        return (mu[k][:, None, :] @ E @ nu[k][:, :, None])[:, 0, 0]
-
-    return _sweep(model, strategies.grid, 1e-9, pair)
+    grid = strategies.grid
+    return _sweep(model, grid, 1e-9, _Pair(model, strategies, np.arange(grid.n_steps)))
 
 
 def best_response_solve(
@@ -507,25 +615,21 @@ def best_response_solve(
         raise ValueError("side must be 'maximize' or 'minimize'")
     grid = TimeGrid(config.n_steps, model.horizon)
     check_cfl(model, grid, config.cfl_safety)
-    ks = fixed.slices_at(grid)
-
-    def row_max(k, E):
-        rows = (E @ fixed.nu[ks[k]][:, :, None])[:, :, 0]
-        return np.where(model.cells[:, :, 0], rows, -np.inf).max(axis=1)
-
-    def col_min(k, E):
-        cols = (fixed.mu[ks[k]][:, None, :] @ E)[:, 0, :]
-        return np.where(model.cells[:, 0, :], cols, np.inf).min(axis=1)
-
-    return _sweep(model, grid, config.game_tol, row_max if side == "maximize" else col_min)
+    slices = fixed.slices_at(grid)
+    if model.widths[0 if side == "maximize" else 1] == 1:
+        # a free player with one action everywhere: the pair's value
+        return _sweep(model, grid, config.game_tol, _Pair(model, fixed, slices))
+    return _sweep(model, grid, config.game_tol, _BestResponse(model, fixed, slices, side))
 
 
 def _bracket_entries(model: GameModel, u: np.ndarray, knot_seg: np.ndarray) -> np.ndarray:
     """Cell games lambda*c*u(x) + sum_y q(y|x,a,b)*u(y) at every row of u: (K, S, A, B)."""
+    S = model.n_states
     E = np.empty(u.shape + model.widths)
     for seg in range(model.n_segments):
         rows = knot_seg == seg
-        E[rows] = _cell_entries(model.lam * model.costs[seg], model.rates[seg], u[rows], u[rows])
+        D, J = model.lam * model.costs[seg].reshape(S, -1), model.rates[seg].reshape(-1, S)
+        E[rows] = _cell_entries(D, J.T, u[rows]).reshape((-1, S) + model.widths)
     return E
 
 

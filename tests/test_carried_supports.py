@@ -15,7 +15,6 @@ from pdmg.shapley import (
     SolverConfig,
     StrategyField,
     TimeGrid,
-    _cell_entries,
     _FlowLags,
     _step_coefficients,
     backward_solve,
@@ -152,7 +151,7 @@ def check_against_reference(model, field, strategies, counts, reference):
     bound = 0.0
     for k in range(N - 1, -1, -1):
         psi = phi[k + 1][lags.step_map(k)]
-        E = _cell_entries(diags[knot_seg[k]], jumps[knot_seg[k]], psi, psi)
+        E = perknot.cell_entries(diags[knot_seg[k]], jumps[knot_seg[k]], psi, psi)
         mu, nu = strategies.mu[k], strategies.nu[k]
         assert np.all(mu >= 0.0) and np.all(nu >= 0.0)
         assert np.allclose(mu.sum(axis=1), 1.0, rtol=0, atol=1e-12)

@@ -497,6 +497,19 @@ class TestNonFiniteValues:
         assert "CFL load" in err and "= inf is not finite" in err
         assert not (out / "solution.csv").exists()
 
+    def test_overflowing_rate_total_exits_one_naming_the_row(self, tmp_path, capsys):
+        # two rates of 1e308 out of state 0 sum past the largest float
+        doc = demos.doc("nonneg_ladder")
+        doc["rates"][0]["rate"] = 1e308
+        doc["rates"].append({"from": 0, "a": 0, "b": 0, "to": 2, "rate": 1e308})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["validate", "--model", self._write(tmp_path, doc)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "rates[seg 0][state 0]: total off-diagonal rate is not finite" in captured.err
+        assert "model ok" not in captured.out
+
     def test_huge_drift_exits_one_naming_the_mode(self, tmp_path, capsys):
         doc = demos.doc("grid_flow")
         doc["states"]["grid_flow"]["modes"][0]["drift"] = 1e308
