@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .approx import ladder_run, shift_identity_check
-from .matrix_game import COUNTS, MatrixGame, MatrixGameError, reset_counts, solve as solve_game
+from .matrix_game import COUNTS, GAME_TOL, MatrixGame, MatrixGameError, reset_counts, solve as solve_game
 from .model import GameModel, ModelFormatError, ModelValidationError, load_model
 from .shapley import (
     FMT,
@@ -113,10 +113,10 @@ def cmd_solve(args) -> int:
     t_start = time.time()
     model = _read_model(args.model)
     out = _out_dir(args)
-    config = SolverConfig(n_steps=args.steps, scheme=args.scheme, tol=args.tol)
+    config = SolverConfig(n_steps=args.steps, tol=args.tol)
     if args.scheme == "picard":
         field = picard_solve(model, config)
-        strategies = saddle_from_field(model, field, config.game_tol)
+        strategies = saddle_from_field(model, field)
     else:
         field, strategies = backward_solve(model, config)
     csv_path = _write(
@@ -151,7 +151,7 @@ def cmd_best_response(args) -> int:
     with open(args.strategies) as fh:
         _, strategies = import_solution_csv(model, fh.read())
     steps = args.steps or strategies.grid.n_steps
-    config = SolverConfig(n_steps=steps, tol=args.tol)
+    config = SolverConfig(n_steps=steps)
     field = best_response_solve(model, strategies, args.side, config)
     strat_echo = strategies.resample(field.grid)
     csv_path = _write(
@@ -247,7 +247,7 @@ def cmd_ladder(args) -> int:
     n_list = [float(v) for v in args.n_list.split(",")]
     n_list = [int(v) if v.is_integer() else v for v in n_list]
     probes = [_parse_probe(p) for p in args.probe] if args.probe else [(0.0, 0)]
-    config = SolverConfig(n_steps=args.steps, tol=args.tol)
+    config = SolverConfig(n_steps=args.steps)
     report = ladder_run(model, n_list, probes, config)
     path = _write(os.path.join(out, "ladder.json"), report.to_json() + "\n")
     extra = {}
@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", required=True)
     sp.add_argument("--steps", type=int, required=True)
     sp.add_argument("--scheme", choices=["semi_lagrangian", "picard"], default="semi_lagrangian")
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=float, default=SolverConfig.tol, help="Picard stopping tolerance")
     sp.add_argument("--out")
 
     sp = add("evaluate", cmd_evaluate, help="evaluate a fixed strategy pair")
@@ -330,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--strategies", required=True)
     sp.add_argument("--side", choices=["maximize", "minimize"], required=True)
     sp.add_argument("--steps", type=int)
-    sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--out")
 
     sp = add("simulate", cmd_simulate, help="Monte Carlo estimate of the exponential functional")
@@ -356,20 +355,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-list", required=True, help="comma-separated increasing levels")
     sp.add_argument("--probe", action="append", help="t,x (repeatable)")
     sp.add_argument("--steps", type=int, required=True)
-    sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--shift-check-n", type=float)
     sp.add_argument("--out")
 
     sp = add("game", cmd_game, help="solve a zero-sum matrix game from a CSV")
     sp.add_argument("--matrix", required=True)
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=float, default=GAME_TOL, help="largest certified duality gap")
 
     sp = add("oracle", cmd_oracle, help="fine-grid cross-solver deviation report")
     sp.add_argument("--model", required=True)
     sp.add_argument("--steps", type=int, required=True)
     sp.add_argument("--refine", type=int, default=8)
     sp.add_argument("--probe", action="append")
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=float, default=SolverConfig.tol, help="Picard stopping tolerance")
     sp.add_argument("--out")
 
     return p

@@ -39,6 +39,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+# Largest duality gap a settled game may carry: the certificate of every
+# cell game the solvers settle.
+GAME_TOL = 1e-9
 _PIVOT_EPS = 1e-11
 _MAX_PIVOTS = 50_000
 
@@ -262,7 +265,7 @@ def _exact_simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     return x[:n], duals, obj
 
 
-def solve(game: MatrixGame, tol: float = 1e-9) -> GameSolution:
+def solve(game: MatrixGame, tol: float = GAME_TOL) -> GameSolution:
     """Value and mixed saddle strategies with a certified duality gap <= tol."""
     p = game.payoffs
     m, n = p.shape
@@ -349,7 +352,7 @@ def _equalizers(Q: np.ndarray, tol: float):
     return ok, value, row_mix, col_mix
 
 
-def solve_stack(payoffs, mask, tol: float = 1e-9, fallback=solve):
+def solve_stack(payoffs, mask, tol: float = GAME_TOL, fallback=solve):
     """Values and saddle mixtures of a stack of zero-padded games.
 
     ``payoffs`` (..., A, B) holds one game per leading index; ``mask``
@@ -358,7 +361,8 @@ def solve_stack(payoffs, mask, tol: float = 1e-9, fallback=solve):
     mixtures (..., A) and (..., B), zero past each game's m and n.  Pure
     saddles (exact) and certified full-support equalizers of square games
     are settled in batch; every other game goes through ``fallback``
-    (``solve`` by default), so every answer has a certified gap <= tol.
+    (``solve`` by default), so every answer has a certified gap <= tol.  A
+    stack of 1x1 games is all pure saddles: each value is its entry.
     """
     P = np.asarray(payoffs, dtype=float)
     lead, (A, B) = P.shape[:-2], P.shape[-2:]
@@ -366,6 +370,9 @@ def solve_stack(payoffs, mask, tol: float = 1e-9, fallback=solve):
     P = np.where(mask, P.reshape(-1, A, B), 0.0)
     if not np.isfinite(P).all():
         raise MatrixGameError("payoff matrix contains non-finite entries")
+    if A == B == 1:
+        COUNTS["pure_saddle"] += len(P)
+        return P.reshape(lead), np.ones(lead + (1,)), np.ones(lead + (1,))
     rows, cols = mask[:, :, 0], mask[:, 0, :]
     m, n = rows.sum(axis=1), cols.sum(axis=1)
 
@@ -444,7 +451,7 @@ def support_values(payoffs: np.ndarray, sup: Supports) -> np.ndarray:
     return a - b * c / (d - b - c + sup.unpaired)
 
 
-def certify_supports(payoffs: np.ndarray, mask, value: np.ndarray, sup: Supports, tol: float):
+def certify_supports(payoffs: np.ndarray, mask, value: np.ndarray, sup: Supports, tol: float = GAME_TOL):
     """Mixtures of a chunk of game stacks (K, G, A, B) on carried supports, certified at once.
 
     ``value`` (K, G) are the games' values from :func:`support_values`.  The

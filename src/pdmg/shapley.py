@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from typing import Optional
 
@@ -62,6 +63,10 @@ _CHUNK_GAMES = 4096
 # Coefficients of the largest table a reducer contracts its fixed mixtures
 # into for one chunk of knots: bounds the tables held at once.
 _CHUNK_COEFFS = 1 << 15
+# Largest CFL load Delta*(lambda*max|c| + 2*max q*) a backward solve accepts.
+CFL_SAFETY = 0.5
+# Picard sweeps run before giving up on the tolerance.
+MAX_PICARD_SWEEPS = 200
 
 
 class SolverError(RuntimeError):
@@ -109,7 +114,8 @@ class TimeGrid:
         return k * self.horizon / self.n_steps
 
     def knots(self) -> np.ndarray:
-        return np.arange(self.n_steps + 1) * (self.horizon / self.n_steps)
+        """Every knot, each rounded as :meth:`knot` rounds it."""
+        return np.arange(self.n_steps + 1) * self.horizon / self.n_steps
 
     def knot_at(self, t: float) -> Optional[int]:
         """Index of the knot within 1e-12*max(1, T) of t, else None."""
@@ -145,16 +151,9 @@ class StrategyField:
 
     def slices_at(self, grid: "TimeGrid") -> np.ndarray:
         """The slice in force at each knot k*T/m, k < m, of ``grid`` (m steps)."""
-        t = np.arange(grid.n_steps) * grid.horizon / grid.n_steps
+        t = grid.knots()[:-1]
         k = np.floor(t / self.grid.delta * (1.0 + 1e-15)).astype(int)
         return np.clip(k, 0, self.grid.n_steps - 1)
-
-    def refine(self, factor: int) -> "StrategyField":
-        """Exact resampling onto a factor-times finer grid."""
-        if factor < 1:
-            raise ValueError("factor must be >= 1")
-        fine = TimeGrid(self.grid.n_steps * factor, self.grid.horizon)
-        return StrategyField(fine, np.repeat(self.mu, factor, axis=0), np.repeat(self.nu, factor, axis=0))
 
     def resample(self, grid: "TimeGrid") -> "StrategyField":
         """Piecewise-constant lookup onto an arbitrary grid over the same horizon."""
@@ -164,22 +163,16 @@ class StrategyField:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """The time grid's step count and the Picard stopping tolerance."""
+
     n_steps: int
-    scheme: str = "semi_lagrangian"
     tol: float = 1e-9
-    max_picard_iters: int = 200
-    cfl_safety: float = 0.5
-    game_tol: float = 1e-9
 
     def __post_init__(self):
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
-        if not 0.0 < self.cfl_safety <= 1.0:
-            raise ValueError("cfl_safety must lie in (0, 1]")
-        if self.scheme not in ("semi_lagrangian", "picard"):
-            raise ValueError("scheme must be 'semi_lagrangian' or 'picard'")
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +208,7 @@ def knot_segments(model: GameModel, grid: TimeGrid) -> np.ndarray:
     knot (the simulator's tables rely on the same rule); any other break
     starts it at the first knot past the break.
     """
-    knots = np.arange(grid.n_steps + 1) * grid.horizon / grid.n_steps
+    knots = grid.knots()
     starts = []
     for b in model.time_breaks:
         j = grid.knot_at(b)
@@ -247,18 +240,18 @@ def _ediff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.exp(mid) * ratio
 
 
-def check_cfl(model: GameModel, grid: TimeGrid, safety: float) -> None:
-    """Positivity/accuracy guard Delta*(lambda*max|c| + 2*max q*) <= safety."""
+def check_cfl(model: GameModel, grid: TimeGrid) -> None:
+    """Positivity/accuracy guard Delta*(lambda*max|c| + 2*max q*) <= CFL_SAFETY."""
     load = model.lam * model.max_abs_cost() + 2.0 * model.q_star_max()
     if not math.isfinite(load):
         raise SolverError(f"CFL load lambda*max|c| + 2*max q* = {load} is not finite; rescale the model")
     if load <= 0.0:
         return
-    if grid.delta * load > safety * (1.0 + 1e-12):
-        required = int(math.ceil(model.horizon * load / safety))
+    if grid.delta * load > CFL_SAFETY * (1.0 + 1e-12):
+        required = int(math.ceil(model.horizon * load / CFL_SAFETY))
         raise CFLError(
             f"time step too large: Delta*(lambda*max|c| + 2*max q*) = "
-            f"{grid.delta * load:.4g} > {safety}; use N >= {required}",
+            f"{grid.delta * load:.4g} > {CFL_SAFETY}; use N >= {required}",
             required,
         )
 
@@ -306,11 +299,14 @@ class _FlowLags:
             )
         return self._maps[key]
 
-    def lag_map(self, lag: int) -> np.ndarray:
-        """State lookup for a displacement of `lag` steps along the flow."""
+    @cached_property
+    def lag_table(self) -> np.ndarray:
+        """Row k: the state lookup for a displacement of N-k steps along the
+        flow, from knot k to the terminal time, (N+1, S)."""
+        n = self.grid.n_steps
         if self._disp is None:
-            return self.identity
-        return self._shifted(self._disp[:, lag])
+            return np.tile(self.identity, (n + 1, 1))
+        return np.stack([self._shifted(self._disp[:, n - k]) for k in range(n + 1)])
 
     def step_map(self, k: int) -> np.ndarray:
         """Lookup from knot k into slice k+1 (increment of the anchored path)."""
@@ -324,7 +320,7 @@ class _FlowLags:
 # the exponential first-jump cell update
 
 
-def _step_coefficients(model: GameModel, grid: TimeGrid, game_tol: float) -> tuple[list, list]:
+def _step_coefficients(model: GameModel, grid: TimeGrid) -> tuple[list, list]:
     """Per segment, the dense coefficients of the exponential first-jump update.
 
     With c0(x) the value of the instantaneous cost game at x, chat = c - c0
@@ -342,7 +338,7 @@ def _step_coefficients(model: GameModel, grid: TimeGrid, game_tol: float) -> tup
     d, lam, n = grid.delta, model.lam, model.n_states
     diags, jumps = [], []
     for seg in range(model.n_segments):
-        c0 = solve_stack(model.costs[seg], model.cells, game_tol, solve_game)[0]
+        c0 = solve_stack(model.costs[seg], model.cells, fallback=solve_game)[0]
         # math.exp per state: np.exp may differ in the last bit
         outer = np.array([math.exp(lam * c * d) for c in c0])[:, None, None]
         chat = model.costs[seg] - c0[:, None, None]
@@ -453,7 +449,7 @@ class _BestResponse(_Reducer):
         return self.reduce(entries + self.pad, axis=1)
 
 
-def _sweep(model: GameModel, grid: TimeGrid, game_tol: float, reducer: _Reducer) -> ValueField:
+def _sweep(model: GameModel, grid: TimeGrid, reducer: _Reducer) -> ValueField:
     """Backward recursion from the terminal slice on the reducer's step tables.
 
     The knots run in chunks from the top, each on the step tables
@@ -472,7 +468,7 @@ def _sweep(model: GameModel, grid: TimeGrid, game_tol: float, reducer: _Reducer)
     """
     lags = _FlowLags(model, grid)
     knot_seg = knot_segments(model, grid)
-    diags, jumps = _step_coefficients(model, grid, game_tol)
+    diags, jumps = _step_coefficients(model, grid)
     N, S, W = grid.n_steps, model.n_states, reducer.width
     phi = np.empty((N + 1, S))
     phi[N] = terminal_field(model)
@@ -525,9 +521,9 @@ class _CarriedSaddles(_Reducer):
     a chunk share one set of supports.
     """
 
-    def __init__(self, model: GameModel, n_steps: int, game_tol: float):
+    def __init__(self, model: GameModel, n_steps: int):
         super().__init__(model)
-        self.cells, self.tol = model.cells, game_tol
+        self.cells = model.cells
         self.mu, self.nu = _pure_mixtures(model, n_steps)
         self.fresh = np.zeros(n_steps, dtype=bool)  # knots settled by solve_stack
         self.supports = None  # None: solve the next knot afresh
@@ -538,7 +534,7 @@ class _CarriedSaddles(_Reducer):
             return support_values(entries, self.supports)
         self.fresh[k] = True
         games = entries.reshape(self.cells.shape)
-        v, self.mu[k], self.nu[k] = solve_stack(games, self.cells, self.tol, solve_game)
+        v, self.mu[k], self.nu[k] = solve_stack(games, self.cells, fallback=solve_game)
         self.supports = carried_supports(self.mu[k], self.nu[k])
         return v
 
@@ -548,7 +544,7 @@ class _CarriedSaddles(_Reducer):
             return None
         stack = chunk.reshape((len(chunk),) + self.cells.shape)
         ok, self.mu[carried], self.nu[carried] = certify_supports(
-            stack[carried - k_lo], self.cells, phi[carried], self.supports, self.tol
+            stack[carried - k_lo], self.cells, phi[carried], self.supports
         )
         games = chunk.shape[1]
         failed = carried[~ok.all(axis=1)]
@@ -568,21 +564,21 @@ def backward_solve(model: GameModel, config: SolverConfig) -> tuple[ValueField, 
 
     Returns the value field (phi > 0 everywhere, terminal slice bit-exact)
     and the per-cell saddle mixtures.  Every cell game is settled with a
-    certified duality gap <= ``config.game_tol``: on the support carried
+    certified duality gap <= ``GAME_TOL``: on the support carried
     from the knot above, or by ``solve_stack`` (see :class:`_CarriedSaddles`).
     When no player has a choice the solve is the pure pair's evaluation: a
     1x1 game's value is its entry and needs no certificate.
     """
     grid = TimeGrid(config.n_steps, model.horizon)
-    check_cfl(model, grid, config.cfl_safety)
+    check_cfl(model, grid)
     if model.widths == (1, 1):
         pure = StrategyField(grid, *_pure_mixtures(model, grid.n_steps))
-        return _sweep(model, grid, config.game_tol, _Pair(model, pure, None)), pure
-    saddles = _CarriedSaddles(model, grid.n_steps, config.game_tol)
+        return _sweep(model, grid, _Pair(model, pure, None)), pure
+    saddles = _CarriedSaddles(model, grid.n_steps)
     # a carried 2x2 support whose entries come to a + d = b + c divides by
     # zero; its non-finite value fails the certificate
     with np.errstate(divide="ignore", invalid="ignore"):
-        field = _sweep(model, grid, config.game_tol, saddles)
+        field = _sweep(model, grid, saddles)
     return field, StrategyField(grid, saddles.mu, saddles.nu)
 
 
@@ -595,7 +591,7 @@ def policy_evaluate(model: GameModel, strategies: StrategyField) -> ValueField:
     field to rounding.
     """
     grid = strategies.grid
-    return _sweep(model, grid, 1e-9, _Pair(model, strategies, np.arange(grid.n_steps)))
+    return _sweep(model, grid, _Pair(model, strategies, np.arange(grid.n_steps)))
 
 
 def best_response_solve(
@@ -614,12 +610,12 @@ def best_response_solve(
     if side not in ("maximize", "minimize"):
         raise ValueError("side must be 'maximize' or 'minimize'")
     grid = TimeGrid(config.n_steps, model.horizon)
-    check_cfl(model, grid, config.cfl_safety)
+    check_cfl(model, grid)
     slices = fixed.slices_at(grid)
     if model.widths[0 if side == "maximize" else 1] == 1:
         # a free player with one action everywhere: the pair's value
-        return _sweep(model, grid, config.game_tol, _Pair(model, fixed, slices))
-    return _sweep(model, grid, config.game_tol, _BestResponse(model, fixed, slices, side))
+        return _sweep(model, grid, _Pair(model, fixed, slices))
+    return _sweep(model, grid, _BestResponse(model, fixed, slices, side))
 
 
 def _bracket_entries(model: GameModel, u: np.ndarray, knot_seg: np.ndarray) -> np.ndarray:
@@ -637,7 +633,6 @@ def gamma_apply(
     model: GameModel,
     u: np.ndarray,
     grid: TimeGrid,
-    game_tol: float = 1e-9,
     lags: Optional[_FlowLags] = None,
 ) -> np.ndarray:
     """One application of the discretised fixed-point operator.
@@ -652,24 +647,17 @@ def gamma_apply(
     if lags is None:
         lags = _FlowLags(model, grid)
     E = _bracket_entries(model, u, knot_segments(model, grid))
-    if model.widths == (1, 1):
-        w = E[:, :, 0, 0]
-    else:
-        w = solve_stack(E, model.cells, game_tol, solve_game)[0]
-
-    g = model.terminal
-    out = np.empty((N + 1, n))
+    w = solve_stack(E, model.cells, fallback=solve_game)[0]
+    out = terminal_field(model)[lags.lag_table]
     # suffix accumulation along the terminal-anchored characteristic paths
     # (the same rounded paths the backward stepper composes), so the two
     # solvers sample identical flow positions and differ only in quadrature:
     # G(k, x) = Delta * sum_{j>k} w(j, path position), via
     # G(k) = (Delta*w[k+1] + G(k+1)) looked up through the one-step map.
     suffix = np.zeros(n)
-    out[N] = np.exp(model.lam * g)
     for k in range(N - 1, -1, -1):
-        idx = lags.step_map(k)
-        suffix = (d * w[k + 1] + suffix)[idx]
-        out[k] = np.exp(model.lam * g[lags.lag_map(N - k)]) + suffix
+        suffix = (d * w[k + 1] + suffix)[lags.step_map(k)]
+        out[k] += suffix
     return out
 
 
@@ -681,25 +669,22 @@ def picard_solve(
     """Fixed point of the integral operator by Picard iteration.
 
     Sweeps until the sup-norm change is <= config.tol; raises after
-    ``max_picard_iters`` sweeps, reporting the last residual.  With
-    ``collect_info=True`` also returns residuals and the cumulative
-    contraction ratios residual_l / residual_0 together with the factorial
-    bound ((2*||q|| + ||c||)*T)^l / l!.
+    ``MAX_PICARD_SWEEPS`` sweeps, reporting the last residual, and at the
+    first residual that is not finite.  With ``collect_info=True`` also
+    returns residuals and the cumulative contraction ratios
+    residual_l / residual_0 together with the factorial bound
+    ((2*||q|| + ||c||)*T)^l / l!.
     """
     grid = TimeGrid(config.n_steps, model.horizon)
     lags = _FlowLags(model, grid)
-    n, N = model.n_states, grid.n_steps
-
-    u = np.empty((N + 1, n))
-    g = model.terminal
-    for k in range(N + 1):
-        u[k] = np.exp(model.lam * g[lags.lag_map(N - k)])
-
+    u = terminal_field(model)[lags.lag_table]
     rate = 2.0 * model.q_star_max() + model.max_abs_cost()
     residuals = []
-    for sweep in range(config.max_picard_iters):
-        nxt = gamma_apply(model, u, grid, config.game_tol, lags)
+    for sweep in range(MAX_PICARD_SWEEPS):
+        nxt = gamma_apply(model, u, grid, lags)
         res = float(np.max(np.abs(nxt - u)))
+        if not math.isfinite(res):
+            raise SolverError(f"Picard sweep {sweep + 1} has residual {res}; rescale the model")
         residuals.append(res)
         u = nxt
         if res <= config.tol:
@@ -707,7 +692,7 @@ def picard_solve(
     else:
         raise PicardConvergenceError(
             f"Picard iteration did not reach tol {config.tol:g} in "
-            f"{config.max_picard_iters} sweeps (last residual {residuals[-1]:.3e})",
+            f"{MAX_PICARD_SWEEPS} sweeps (last residual {residuals[-1]:.3e})",
             residuals[-1],
         )
 
@@ -724,14 +709,12 @@ def picard_solve(
     return field, {"residuals": residuals, "contraction_ratios": ratios, "contraction_bounds": bounds}
 
 
-def saddle_from_field(model: GameModel, field: ValueField, game_tol: float = 1e-9) -> StrategyField:
+def saddle_from_field(model: GameModel, field: ValueField) -> StrategyField:
     """Extract per-cell saddle mixtures from a solved value field."""
     grid = field.grid
     N = grid.n_steps
-    if model.widths == (1, 1):
-        return StrategyField(grid, *_pure_mixtures(model, N))
     E = _bracket_entries(model, field.phi[:N], knot_segments(model, grid)[:N])
-    return StrategyField(grid, *solve_stack(E, model.cells, game_tol, solve_game)[1:])
+    return StrategyField(grid, *solve_stack(E, model.cells, fallback=solve_game)[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -770,7 +753,7 @@ def export_solution_csv(model: GameModel, field: ValueField, strategies: Strateg
         ",".join(["%s", str(x), "%s", "%s"] + ["%s" if s else "" for s in shown[x]]) + "\n" for x in range(n)
     )
     printed = np.concatenate([np.ones((n, 3), bool), shown], axis=1)
-    times = np.arange(N + 1) * grid.horizon / N  # k*T/N, rounded as grid.knot(k)
+    times = grid.knots()
     per_block = max(1, _CSV_BLOCK // n)
     out = [",".join(names) + "\n"]
     for k0 in range(0, N + 1, per_block):
@@ -872,7 +855,7 @@ def import_solution_csv(model: GameModel, text: str) -> tuple[ValueField, Strate
         block = lines[1 + r0 : 1 + r0 + _CSV_BLOCK]
         if not _parse_rows(block, r0, shown, t, phi, entries):
             _raise_first_bad_row(block, r0, names, shown)
-    knots = np.repeat(np.arange(N + 1) * grid.horizon / N, n)
+    knots = np.repeat(grid.knots(), n)
     off = np.flatnonzero(~(np.abs(t - knots) <= 1e-11 * max(1.0, grid.horizon)))
     if off.size:
         r = int(off[0])

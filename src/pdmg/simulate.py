@@ -152,7 +152,7 @@ class _Tables:
     def __init__(self, model: GameModel, strategies: StrategyField):
         grid = strategies.grid
         N = grid.n_steps
-        knots = np.arange(N) * grid.horizon / N
+        knots = grid.knots()[:N]
         off = [(b, s) for s, b in enumerate(model.time_breaks) if grid.knot_at(b) is None]
         off_t = np.array([b for b, _ in off])
         starts = np.concatenate([knots, off_t])

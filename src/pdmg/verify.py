@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -146,7 +146,7 @@ def check_bounds(field: ValueField, model: GameModel) -> VerificationReport:
     if pos <= 0.0:
         return VerificationReport(checks)
 
-    knots = [grid.knot(k) for k in range(grid.n_steps + 1)]
+    knots = grid.knots().tolist()
     L2 = np.array([ly.M2 * math.exp(ly.rho1 * (T - t)) * (1.0 + ly.b1 / ly.rho1) for t in knots])[:, None]
     vflow = ly.V[np.stack([model.states.flow_map(T - t) for t in knots])]  # (N+1, S)
     up = L2 * vflow - field.phi
@@ -167,18 +167,14 @@ def exploitability(
     Both best responses and the pair evaluation run on a grid refined by
     ``refine`` relative to the strategies, so the gap measures genuine
     strategy suboptimality rather than per-cell solver residue: the gap of
-    the computed saddle shrinks first-order in the coarse step.
+    the computed saddle shrinks first-order in the coarse step.  ``config``
+    is not read: the grid comes from the strategies and ``refine``.
     """
-    fine = strategies.refine(refine)
-    fine_cfg = SolverConfig(
-        n_steps=fine.grid.n_steps,
-        tol=config.tol,
-        cfl_safety=config.cfl_safety,
-        game_tol=config.game_tol,
-    )
-    pair = policy_evaluate(model, fine)
-    sup_side = best_response_solve(model, fine, "maximize", fine_cfg)
-    inf_side = best_response_solve(model, fine, "minimize", fine_cfg)
+    fine = TimeGrid(strategies.grid.n_steps * refine, strategies.grid.horizon)
+    fine_cfg = SolverConfig(n_steps=fine.n_steps)
+    pair = policy_evaluate(model, strategies.resample(fine))
+    sup_side = best_response_solve(model, strategies, "maximize", fine_cfg)
+    inf_side = best_response_solve(model, strategies, "minimize", fine_cfg)
     risk_pair = to_risk_value(pair, model.lam)[0]
     risk_sup = to_risk_value(sup_side, model.lam)[0]
     risk_inf = to_risk_value(inf_side, model.lam)[0]
@@ -230,13 +226,7 @@ def oracle_fine_grid(
     if refine_factor < 2:
         raise ValueError("refine_factor must be >= 2")
     coarse, _ = backward_solve(model, config)
-    fine_cfg = SolverConfig(
-        n_steps=config.n_steps * refine_factor,
-        tol=config.tol,
-        max_picard_iters=config.max_picard_iters,
-        cfl_safety=config.cfl_safety,
-        game_tol=config.game_tol,
-    )
+    fine_cfg = replace(config, n_steps=config.n_steps * refine_factor)
     fine_b, _ = backward_solve(model, fine_cfg)
     fine_p = picard_solve(model, fine_cfg)
 
@@ -280,8 +270,8 @@ def contraction_check(
     g2 = rng.uniform(0.5, 2.0, size=shape)
     denom = float(np.abs(g1 - g2).max())
     for _ in range(m):
-        g1 = gamma_apply(model, g1, grid, config.game_tol, lags)
-        g2 = gamma_apply(model, g2, grid, config.game_tol, lags)
+        g1 = gamma_apply(model, g1, grid, lags)
+        g2 = gamma_apply(model, g2, grid, lags)
     num = float(np.abs(g1 - g2).max())
     ratio = num / denom if denom > 0.0 else 0.0
     rate = 2.0 * model.q_star_max() + model.max_abs_cost()

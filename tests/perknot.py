@@ -52,12 +52,12 @@ def cell_entries(diag: np.ndarray, jump: np.ndarray, v_self, v: np.ndarray) -> n
     return diag * np.asarray(v_self)[..., None, None] + jumps
 
 
-def sweep(model: GameModel, grid: TimeGrid, game_tol: float, reduce) -> ValueField:
+def sweep(model: GameModel, grid: TimeGrid, reduce) -> ValueField:
     """Backward recursion phi[k] = reduce(k, E_k) from the terminal slice,
     E_k (S, A, B) the cell games of the first-jump update at knot k."""
     lags = _FlowLags(model, grid)
     knot_seg = knot_segments(model, grid)
-    diags, jumps = _step_coefficients(model, grid, game_tol)
+    diags, jumps = _step_coefficients(model, grid)
     N, S = grid.n_steps, model.n_states
     phi = np.empty((N + 1, S))
     phi[N] = terminal_field(model)
@@ -79,14 +79,14 @@ def backward_solve(model: GameModel, config: SolverConfig) -> tuple[ValueField, 
     and the per-cell saddle mixtures.
     """
     grid = TimeGrid(config.n_steps, model.horizon)
-    check_cfl(model, grid, config.cfl_safety)
+    check_cfl(model, grid)
     mu, nu = _pure_mixtures(model, grid.n_steps)
 
     def value(k, E):
-        v, mu[k], nu[k] = solve_stack(E, model.cells, config.game_tol, solve_game)
+        v, mu[k], nu[k] = solve_stack(E, model.cells, fallback=solve_game)
         return v
 
-    return sweep(model, grid, config.game_tol, value), StrategyField(grid, mu, nu)
+    return sweep(model, grid, value), StrategyField(grid, mu, nu)
 
 
 def policy_evaluate(model: GameModel, strategies: StrategyField) -> ValueField:
@@ -96,13 +96,13 @@ def policy_evaluate(model: GameModel, strategies: StrategyField) -> ValueField:
     def pair(k, E):
         return (mu[k][:, None, :] @ E @ nu[k][:, :, None])[:, 0, 0]
 
-    return sweep(model, strategies.grid, 1e-9, pair)
+    return sweep(model, strategies.grid, pair)
 
 
 def best_response_solve(model: GameModel, fixed: StrategyField, side: str, config: SolverConfig) -> ValueField:
     """One-sided backward solve against a frozen opponent half."""
     grid = TimeGrid(config.n_steps, model.horizon)
-    check_cfl(model, grid, config.cfl_safety)
+    check_cfl(model, grid)
     ks = [slice_at_time(fixed, grid.knot(k)) for k in range(grid.n_steps)]
 
     def row_max(k, E):
@@ -113,7 +113,7 @@ def best_response_solve(model: GameModel, fixed: StrategyField, side: str, confi
         cols = (fixed.mu[ks[k]][:, None, :] @ E)[:, 0, :]
         return np.where(model.cells[:, 0, :], cols, np.inf).min(axis=1)
 
-    return sweep(model, grid, config.game_tol, row_max if side == "maximize" else col_min)
+    return sweep(model, grid, row_max if side == "maximize" else col_min)
 
 
 def slice_at_time(strategies: StrategyField, t: float) -> int:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import perknot
-from pdmg.matrix_game import COUNTS, _certificate, reset_counts
+from pdmg.matrix_game import COUNTS, GAME_TOL, _certificate, reset_counts
 from pdmg.model import model_from_dict
 from pdmg.shapley import (
     CFLError,
@@ -21,8 +21,6 @@ from pdmg.shapley import (
     check_cfl,
     knot_segments,
 )
-
-TOL = SolverConfig(n_steps=1).game_tol
 
 
 def random_finite_doc(seed, widths, n_segments):
@@ -122,7 +120,7 @@ def switching_doc():
 def steps_for(model, n):
     """n, or twice the least CFL-admissible step count if that is larger."""
     try:
-        check_cfl(model, TimeGrid(n, model.horizon), 0.5)
+        check_cfl(model, TimeGrid(n, model.horizon))
         return n
     except CFLError as exc:
         return max(n, 2 * exc.required_n)
@@ -144,7 +142,7 @@ def check_against_reference(model, field, strategies, counts, reference):
     N, S = grid.n_steps, model.n_states
     phi, ref = field.phi, reference[0].phi
     lags, knot_seg = _FlowLags(model, grid), knot_segments(model, grid)
-    diags, jumps = _step_coefficients(model, grid, TOL)
+    diags, jumps = _step_coefficients(model, grid)
     # a cell game is 1-Lipschitz in sup norm, and its entries move by at most
     # L * |psi - psi'| with L the largest row sum of the update coefficients
     lips = [float((d + j.sum(axis=-1)).max()) for d, j in zip(diags, jumps)]
@@ -157,9 +155,9 @@ def check_against_reference(model, field, strategies, counts, reference):
         assert np.allclose(mu.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         assert np.allclose(nu.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         assert np.all(mu[~model.cells[:, :, 0]] == 0.0) and np.all(nu[~model.cells[:, 0, :]] == 0.0)
-        assert np.all(_certificate(E, phi[k], mu, nu, model.cells) <= TOL)
+        assert np.all(_certificate(E, phi[k], mu, nu, model.cells) <= GAME_TOL)
         # both solvers settle each game within game_tol of its value
-        bound = lips[knot_seg[k]] * bound + 2.0 * TOL + 1e-14 * np.abs(ref[k]).max()
+        bound = lips[knot_seg[k]] * bound + 2.0 * GAME_TOL + 1e-14 * np.abs(ref[k]).max()
         assert np.abs(phi[k] - ref[k]).max() <= bound
     games = counts["pure_saddle"] + counts["equalizer"] + counts["simplex"] + counts.get("locked", 0)
     cells = 0 if model.widths == (1, 1) else N * S

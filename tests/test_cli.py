@@ -444,6 +444,56 @@ class TestParser:
         assert first.probe == ["0,0"] and second.probe == ["1,1"]
 
 
+class TestTolerance:
+    @pytest.mark.parametrize("command", ["best-response", "ladder"])
+    def test_commands_without_a_tolerance_refuse_tol(self, model_files, tmp_path, command):
+        argv = {
+            "best-response": ["--strategies", str(tmp_path / "s.csv"), "--side", "maximize"],
+            "ladder": ["--n-list", "1,2", "--steps", "10"],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--model", model_files["two_state"], *argv, "--tol", "1e-9",
+                  "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
+    def test_picard_oracle_and_game_read_tol(self, model_files, tmp_path, monkeypatch):
+        import pdmg.cli as cli
+
+        seen = []
+
+        def spy(name):
+            real = getattr(cli, name)
+
+            def wrapped(*args):
+                seen.append((name, args))
+                return real(*args)
+
+            monkeypatch.setattr(cli, name, wrapped)
+
+        for name in ("picard_solve", "oracle_fine_grid", "solve_game"):
+            spy(name)
+        model = model_files["two_state"]
+        matrix = tmp_path / "m.csv"
+        matrix.write_text("3,1\n0,2\n")
+        assert main(["solve", "--model", model, "--steps", "20", "--scheme", "picard",
+                     "--tol", "1e-4", "--out", str(tmp_path / "a")]) == 0
+        assert main(["oracle", "--model", model, "--steps", "20", "--refine", "2",
+                     "--tol", "1e-5", "--out", str(tmp_path / "b")]) == 0
+        assert main(["game", "--matrix", str(matrix), "--tol", "1e-6"]) == 0
+        (_, (_, picard)), (_, (_, _, oracle, _)), (_, (_, game)) = seen
+        assert (picard.tol, oracle.tol, game) == (1e-4, 1e-5, 1e-6)
+
+    def test_picard_sweep_cap_exits_one(self, model_files, tmp_path, monkeypatch, capsys):
+        import pdmg.shapley as shapley
+
+        monkeypatch.setattr(shapley, "MAX_PICARD_SWEEPS", 2)
+        rc = main(["solve", "--model", model_files["controlled_two_state"], "--steps", "200",
+                   "--scheme", "picard", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "did not reach tol 1e-09 in 2 sweeps" in capsys.readouterr().err
+        assert not (tmp_path / "solution.csv").exists()
+
+
 class TestGameCommand:
     def test_csv_matrix_solve(self, tmp_path, capsys):
         f = tmp_path / "m.csv"
@@ -522,6 +572,22 @@ class TestNonFiniteValues:
         assert "grid_flow mode 0 (up): |drift|*horizon/cell_width = inf" in capsys.readouterr().err
         assert not (out / "solution.csv").exists()
         assert main(["validate", "--model", path]) == 1
+
+    def test_picard_overflowing_terminal_exits_one_like_backward(self, tmp_path, capsys):
+        # lambda*g = 750: both schemes stop at the terminal slice's guard
+        doc = demos.doc("two_state")
+        doc["lambda"] = 0.5
+        doc["terminal"] = [{"state": 0, "value": 1500.0}]
+        path = self._write(tmp_path, doc)
+        for scheme in ("semi_lagrangian", "picard"):
+            out = tmp_path / scheme
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc = main(["solve", "--model", path, "--steps", "200", "--scheme", scheme,
+                           "--out", str(out)])
+            assert rc == 1
+            assert "lambda*g exceeds 700" in capsys.readouterr().err
+            assert not (out / "solution.csv").exists()
 
     def test_huge_cell_count_exits_two_naming_the_field(self, tmp_path, capsys):
         doc = demos.doc("grid_flow")

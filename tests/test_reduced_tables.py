@@ -102,7 +102,7 @@ def random_strategies(model, n, seed, one_hot):
 def admissible_steps(model, n):
     """n, or twice the least CFL-admissible step count if that is larger."""
     try:
-        check_cfl(model, TimeGrid(n, model.horizon), 0.5)
+        check_cfl(model, TimeGrid(n, model.horizon))
         return n
     except CFLError as exc:
         return max(n, 2 * exc.required_n)

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdmg import demos
+from pdmg import demos, shapley
 from pdmg.model import model_from_dict
 from pdmg.shapley import (
     CFLError,
+    PicardConvergenceError,
     SolutionFormatError,
     SolverConfig,
     SolverError,
@@ -20,6 +21,7 @@ from pdmg.shapley import (
     backward_solve,
     best_response_solve,
     export_solution_csv,
+    gamma_apply,
     import_solution_csv,
     picard_solve,
     policy_evaluate,
@@ -68,6 +70,22 @@ class TestTerminalField:
         }
         with pytest.raises(SolverError, match="700"):
             terminal_field(model_from_dict(doc))
+
+
+class TestTimeGrid:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3000), st.sampled_from([1.0, 0.7, 2.5, 3.0, 0.3, 10.0 / 3.0]))
+    def test_knots_round_as_knot(self, n, horizon):
+        grid = TimeGrid(n, horizon)
+        assert grid.knots().tolist() == [grid.knot(k) for k in range(n + 1)]
+
+    def test_slices_on_a_refined_grid_repeat_each_slice(self):
+        for n in range(1, 1200, 7):
+            for horizon in (1.0, 0.7, 2.5, 3.0):
+                coarse = StrategyField(TimeGrid(n, horizon), np.ones((n, 1, 1)), np.ones((n, 1, 1)))
+                for r in (2, 3, 8):
+                    fine = TimeGrid(n * r, horizon)
+                    assert np.array_equal(coarse.slices_at(fine), np.repeat(np.arange(n), r))
 
 
 def _cell_game(model, u):
@@ -194,6 +212,28 @@ class TestPicard:
         field = picard_solve(matching_pennies, SolverConfig(n_steps=100))
         strategies = saddle_from_field(matching_pennies, field)
         assert np.allclose(strategies.mu[0][0], [0.5, 0.5], atol=1e-9)
+
+    def test_non_finite_residual_raises_at_once(self):
+        # finite entries of 1e306 sum past the largest float over ten steps of 100
+        doc = {
+            "lambda": 1.0,
+            "horizon": 1000.0,
+            "states": {"finite": ["a"]},
+            "actions": {"p1": [[0]], "p2": [[0]]},
+            "costs": [{"state": 0, "a": 0, "b": 0, "value": 1e306}],
+        }
+        with np.errstate(over="ignore"), pytest.raises(SolverError, match="Picard sweep 1 has residual inf"):
+            picard_solve(model_from_dict(doc), SolverConfig(n_steps=10))
+
+    def test_sweep_cap_reports_the_last_residual(self, controlled, monkeypatch):
+        monkeypatch.setattr(shapley, "MAX_PICARD_SWEEPS", 2)
+        grid = TimeGrid(200, controlled.horizon)
+        u = terminal_field(controlled)[shapley._FlowLags(controlled, grid).lag_table]
+        once = gamma_apply(controlled, u, grid)
+        last = float(np.max(np.abs(gamma_apply(controlled, once, grid) - once)))
+        with pytest.raises(PicardConvergenceError, match="in 2 sweeps") as exc:
+            picard_solve(controlled, SolverConfig(n_steps=200))
+        assert exc.value.last_residual == last > 1e-9
 
 
 class TestPolicyEvaluate:
@@ -388,7 +428,7 @@ class TestSolutionCsv:
 
     def test_refine_is_exact(self, controlled):
         _, strategies = backward_solve(controlled, SolverConfig(n_steps=20))
-        fine = strategies.refine(4)
+        fine = strategies.resample(TimeGrid(80, controlled.horizon))
         assert fine.grid.n_steps == 80
         for j in range(80):
             assert np.array_equal(fine.mu[j], strategies.mu[j // 4])
