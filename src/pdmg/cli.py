@@ -263,14 +263,32 @@ def cmd_ladder(args) -> int:
     return EXIT_OK if report.monotone_ok else EXIT_CHECK_FAILED
 
 
-def cmd_game(args) -> int:
+class MatrixFormatError(ValueError):
+    """A payoff matrix CSV does not parse; the message names the row."""
+
+
+def _read_matrix(path: str) -> np.ndarray:
+    """The payoff matrix of a CSV file: one game row per non-blank line."""
+    with open(path) as fh:
+        lines = list(filter(None, map(str.strip, fh)))
+    if not lines:
+        raise MatrixFormatError("empty payoff matrix")
     rows = []
-    with open(args.matrix) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(v) for v in line.split(",")])
-    sol = solve_game(MatrixGame(np.array(rows)), args.tol)
+    for r, line in enumerate(lines, 1):
+        row = []
+        for c, value in enumerate(line.split(","), 1):
+            try:
+                row.append(float(value))
+            except ValueError as exc:
+                raise MatrixFormatError(f"payoff matrix row {r}, column {c}: {exc}") from None
+        if rows and len(row) != len(rows[0]):
+            raise MatrixFormatError(f"payoff matrix row {r}: expected {len(rows[0])} columns, got {len(row)}")
+        rows.append(row)
+    return np.array(rows)
+
+
+def cmd_game(args) -> int:
+    sol = solve_game(MatrixGame(_read_matrix(args.matrix)), args.tol)
     print(f"value {FMT % sol.value}  gap {FMT % sol.gap}")
     print("row mix:", ",".join(FMT % v for v in sol.row_mix))
     print("col mix:", ",".join(FMT % v for v in sol.col_mix))
@@ -378,7 +396,7 @@ def main(argv=None) -> int:
     reset_counts()
     try:
         return args.func(args)
-    except (ModelFormatError, SolutionFormatError, OSError, json.JSONDecodeError) as exc:
+    except (ModelFormatError, SolutionFormatError, MatrixFormatError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ModelValidationError, SolverError, MatrixGameError, ValueError) as exc:

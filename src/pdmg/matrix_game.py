@@ -366,13 +366,16 @@ def solve_stack(payoffs, mask, tol: float = GAME_TOL, fallback=solve):
     """
     P = np.asarray(payoffs, dtype=float)
     lead, (A, B) = P.shape[:-2], P.shape[-2:]
+    if A == B == 1:  # a game's one entry is admissible and its value
+        value = P.reshape(lead).copy()
+        if not np.isfinite(value).all():
+            raise MatrixGameError("payoff matrix contains non-finite entries")
+        COUNTS["pure_saddle"] += value.size
+        return value, np.ones(lead + (1,)), np.ones(lead + (1,))
     mask = np.broadcast_to(mask, P.shape).reshape(-1, A, B)
     P = np.where(mask, P.reshape(-1, A, B), 0.0)
     if not np.isfinite(P).all():
         raise MatrixGameError("payoff matrix contains non-finite entries")
-    if A == B == 1:
-        COUNTS["pure_saddle"] += len(P)
-        return P.reshape(lead), np.ones(lead + (1,)), np.ones(lead + (1,))
     rows, cols = mask[:, :, 0], mask[:, 0, :]
     m, n = rows.sum(axis=1), cols.sum(axis=1)
 

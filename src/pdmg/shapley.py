@@ -35,14 +35,15 @@ array operations.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from typing import Optional
 
 import numpy as np
 
 from .matrix_game import (
+    COUNTS,
     carried_supports,
     certify_supports,
     count_locked,
@@ -53,8 +54,8 @@ from .matrix_game import (
 from .model import GameModel, GridFlowStates
 
 FMT = "%.12g"
-# Rows of the solution CSV formatted or parsed at a time: bounds the
-# strings held at once.
+# Rows of the solution CSV formatted at a time: bounds the strings held at
+# once.
 _CSV_BLOCK = 2048
 # Cell games of the largest chunk of knots a sweep marches at once (the
 # backward stepper on carried supports before certifying them): bounds the
@@ -713,6 +714,10 @@ def saddle_from_field(model: GameModel, field: ValueField) -> StrategyField:
     """Extract per-cell saddle mixtures from a solved value field."""
     grid = field.grid
     N = grid.n_steps
+    if model.widths == (1, 1):
+        # N*S 1x1 cell games, each a pure saddle whatever its entry
+        COUNTS["pure_saddle"] += N * model.n_states
+        return StrategyField(grid, *_pure_mixtures(model, N))
     E = _bracket_entries(model, field.phi[:N], knot_segments(model, grid)[:N])
     return StrategyField(grid, *solve_stack(E, model.cells, fallback=solve_game)[1:])
 
@@ -776,35 +781,53 @@ def export_solution_csv(model: GameModel, field: ValueField, strategies: Strateg
     return "".join(out)
 
 
-def _parse_rows(block: list[str], r0: int, shown: np.ndarray, t, phi, entries) -> bool:
-    """Read rows r0+1.. of a solution CSV into t, phi and entries with a few
-    C-level passes over the block; False if any row is malformed."""
-    n, width = shown.shape[0], 4 + shown.shape[1]
-    size = len(block)
-    if list(map(str.count, block, repeat(",", size))).count(width - 1) != size:
-        return False
-    cells = np.array(",".join(block).split(","), dtype=object).reshape(size, width)
-    states = (r0 + np.arange(size)) % n
-    read = shown[states]
-    if "".join(cells[:, 4:][~read].tolist()):
-        return False
-    try:
-        if list(map(int, cells[:, 1].tolist())) != states.tolist():
+def _empty_field(text: str) -> float:
+    """Converter of a padded mixture column: only the empty field, read as 0."""
+    if text:
+        raise ValueError("padded field is not empty")
+    return 0.0
+
+
+def _parse_rows(rows: list[str], shown: np.ndarray, t, phi, entries) -> bool:
+    """Read the rows of a solution CSV into t, phi and entries with numpy's
+    tokenizer, one ``np.loadtxt`` call per padding pattern of the states'
+    mixture columns; False if any row is malformed."""
+    n, width = shown.shape
+    patterns: dict[bytes, list[int]] = {}
+    for x in range(n):
+        patterns.setdefault(shown[x].tobytes(), []).append(x)
+    dtype = np.dtype(
+        [("t", float), ("state", np.int64), ("phi", float), ("risk_value", float), ("mix", float, width)]
+    )
+    for states in patterns.values():
+        if len(states) == n:
+            idx, lines = slice(None), rows
+        else:
+            idx = (np.arange(0, len(rows), n)[:, None] + states).ravel()
+            lines = list(map(rows.__getitem__, idx.tolist()))
+        padded = np.flatnonzero(~shown[states[0]]) + 4
+        try:
+            with warnings.catch_warnings():
+                # older numpy reads an integer field written as a float
+                # ("1.0") with only a DeprecationWarning; int() refuses it
+                warnings.simplefilter("error", DeprecationWarning)
+                rec = np.loadtxt(
+                    lines, dtype, delimiter=",", comments=None, ndmin=1,
+                    converters=dict.fromkeys(padded.tolist(), _empty_field) or None,
+                )
+        except ValueError:
             return False
-        t[r0 : r0 + size] = list(map(float, cells[:, 0].tolist()))
-        phi[r0 : r0 + size] = list(map(float, cells[:, 2].tolist()))
-        list(map(float, cells[:, 3].tolist()))  # risk_value: read, not kept
-        entries[r0 : r0 + size][read] = list(map(float, cells[:, 4:][read].tolist()))
-    except ValueError:
-        return False
+        if not (rec["state"].reshape(-1, len(states)) == states).all():
+            return False
+        t[idx], phi[idx], entries[idx] = rec["t"], rec["phi"], rec["mix"]
     return True
 
 
-def _raise_first_bad_row(block: list[str], r0: int, names: list[str], shown: np.ndarray) -> None:
-    """Name the first malformed row of a block that :func:`_parse_rows` refused."""
+def _raise_first_bad_row(rows: list[str], names: list[str], shown: np.ndarray) -> None:
+    """Name the first malformed row of the rows :func:`_parse_rows` refused."""
     n = shown.shape[0]
-    for i, line in enumerate(block):
-        row, x = r0 + i + 1, (r0 + i) % n
+    for i, line in enumerate(rows):
+        row, x = i + 1, i % n
         parts = line.split(",")
         if len(parts) != len(names):
             raise SolutionFormatError(
@@ -819,21 +842,28 @@ def _raise_first_bad_row(block: list[str], r0: int, names: list[str], shown: np.
                 (int if name == "state" else float)(value)
             except ValueError as exc:
                 raise SolutionFormatError(f"solution CSV row {row}: {exc}") from None
+            # int() and float() read these, numpy's tokenizer does not
+            if "_" in value or not value.strip().isascii():
+                raise SolutionFormatError(
+                    f"solution CSV row {row}: {name} {value!r} has an underscore or a non-ASCII digit"
+                )
         if int(parts[1]) != x:
             raise SolutionFormatError(f"solution CSV: unexpected state index at row {row}")
-    raise AssertionError("no malformed row in a block that failed to parse")
+    raise AssertionError("no malformed row in rows that failed to parse")
 
 
 def import_solution_csv(model: GameModel, text: str) -> tuple[ValueField, StrategyField]:
     """Inverse of :func:`export_solution_csv` (byte-identical round trip).
 
-    Every field is read, a block of rows at a time.  The header must be the
-    one export writes for the model; t, state, phi, risk_value and each
-    admissible mixture entry must parse, on the final knot's rows too, and
-    padded fields must be empty (else :class:`SolutionFormatError` naming the
-    row).  Each t must lie within 1e-11*max(1, T) of its knot k*T/N of the
-    model's grid, each phi must be finite and positive and each mixture a
-    simplex (else :class:`SolverError` naming the row).
+    Every field is read by numpy's tokenizer (``np.loadtxt``, no comment
+    character).  The header must be the one export writes for the model; t,
+    state, phi, risk_value and each admissible mixture entry must parse, on
+    the final knot's rows too (numbers as ``float``/``int`` read them, less
+    digit-group underscores and non-ASCII digits), and padded fields must be
+    empty (else :class:`SolutionFormatError` naming the row).  Each t must
+    lie within 1e-11*max(1, T) of its knot k*T/N of the model's grid, each
+    phi must be finite and positive and each mixture a simplex (else
+    :class:`SolverError` naming the row).
     """
     lines = list(filter(str.strip, text.splitlines()))
     if not lines:
@@ -850,11 +880,9 @@ def import_solution_csv(model: GameModel, text: str) -> tuple[ValueField, Strate
         raise SolutionFormatError("solution CSV must contain at least two knots")
     N = n_knots - 1
     grid = TimeGrid(N, model.horizon)
-    t, phi, entries = np.empty(rows), np.empty(rows), np.zeros((rows, shown.shape[1]))
-    for r0 in range(0, rows, _CSV_BLOCK):
-        block = lines[1 + r0 : 1 + r0 + _CSV_BLOCK]
-        if not _parse_rows(block, r0, shown, t, phi, entries):
-            _raise_first_bad_row(block, r0, names, shown)
+    t, phi, entries = np.empty(rows), np.empty(rows), np.empty((rows, shown.shape[1]))
+    if not _parse_rows(lines[1:], shown, t, phi, entries):
+        _raise_first_bad_row(lines[1:], names, shown)
     knots = np.repeat(grid.knots(), n)
     off = np.flatnonzero(~(np.abs(t - knots) <= 1e-11 * max(1.0, grid.horizon)))
     if off.size:

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from pdmg import demos
 from pdmg.shapley import SolverConfig, backward_solve
+
+# `pytest --hypothesis-profile=ci` runs the property tests on a larger budget
+settings.register_profile("ci", max_examples=2000, deadline=None)
 
 
 @pytest.fixture(scope="session")

@@ -503,6 +503,29 @@ class TestGameCommand:
         assert "value 1.5" in out
         assert "0.25,0.75" in out
 
+    def test_unparsable_entry_names_row_and_column(self, tmp_path, capsys):
+        f = tmp_path / "m.csv"
+        f.write_text("3,1\n\n0,abc\n")
+        assert main(["game", "--matrix", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert "payoff matrix row 2, column 2: could not convert string to float: 'abc'" in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("1,2\n3\n", "payoff matrix row 2: expected 2 columns, got 1"),
+        ("\n \n", "empty payoff matrix"),
+    ])
+    def test_ragged_or_empty_matrix_is_a_parse_error(self, tmp_path, capsys, text, message):
+        f = tmp_path / "m.csv"
+        f.write_text(text)
+        assert main(["game", "--matrix", str(f)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_non_finite_entry_is_a_check_failure(self, tmp_path, capsys):
+        f = tmp_path / "m.csv"
+        f.write_text("1,nan\n3,4\n")
+        assert main(["game", "--matrix", str(f)]) == 1
+        assert "payoff matrix contains non-finite entries" in capsys.readouterr().err
+
 
 class TestEnvironment:
     def test_out_dir_override(self, model_files, tmp_path, monkeypatch):

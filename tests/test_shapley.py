@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdmg import demos, shapley
+from pdmg.matrix_game import COUNTS, reset_counts
 from pdmg.model import model_from_dict
 from pdmg.shapley import (
     CFLError,
@@ -212,6 +213,16 @@ class TestPicard:
         field = picard_solve(matching_pennies, SolverConfig(n_steps=100))
         strategies = saddle_from_field(matching_pennies, field)
         assert np.allclose(strategies.mu[0][0], [0.5, 0.5], atol=1e-9)
+
+    def test_saddle_of_singleton_model_counts_its_games(self, grid_flow):
+        # no bracket entries are built, but each of the N*S 1x1 games counts
+        # as the pure saddle solve_stack would settle it as
+        field = picard_solve(grid_flow, SolverConfig(n_steps=20))
+        reset_counts()
+        strategies = saddle_from_field(grid_flow, field)
+        assert COUNTS["pure_saddle"] == 20 * grid_flow.n_states
+        assert strategies.mu.shape == strategies.nu.shape == (20, grid_flow.n_states, 1)
+        assert (strategies.mu == 1.0).all() and (strategies.nu == 1.0).all()
 
     def test_non_finite_residual_raises_at_once(self):
         # finite entries of 1e306 sum past the largest float over ten steps of 100

@@ -1,5 +1,5 @@
-"""The block-wise solution CSV against the row-by-row reference, and the
-checks import makes on every field."""
+"""The solution CSV against the row-by-row reference, and the checks import
+makes on every field."""
 
 import math
 
@@ -179,6 +179,22 @@ class TestEveryField:
         assert lines[row].split(",")[column] == ""
         with pytest.raises(SolutionFormatError, match=f"row {row}: padded field {name} is not empty"):
             import_lines(model, set_field(lines, row, column, "0"))
+
+    def test_hash_is_not_a_comment(self, mixed_lines):
+        # row 2 is the 1x3 state of knot 0: its last field nu_2 is read
+        model, lines = mixed_lines
+        with pytest.raises(SolutionFormatError, match=r"row 2: could not convert string to float: '0\.5#x'"):
+            import_lines(model, set_field(lines, 2, 9, "0.5#x"))
+
+    @pytest.mark.parametrize("column, value", [(1, "0_0"), (2, "1_0.5"), (3, "1_0"), (3, "\u0661"), (1, "\u0660")])
+    def test_underscores_and_non_ascii_digits_are_refused(self, mixed_lines, column, value):
+        # int() and float() read these, export never writes them, and numpy's
+        # tokenizer does not read them; row 4 is knot 1, state 0
+        model, lines = mixed_lines
+        (int if column == 1 else float)(value)
+        message = f"row 4: {lines[0].split(',')[column]} '{value}' has an underscore or a non-ASCII digit"
+        with pytest.raises(SolutionFormatError, match=message):
+            import_lines(model, set_field(lines, 4, column, value))
 
     def test_t_within_tolerance_is_accepted(self, mixed_lines):
         model, lines = mixed_lines

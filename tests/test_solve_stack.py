@@ -71,6 +71,16 @@ class TestAgainstSimplex:
         with pytest.raises(MatrixGameError, match="non-finite"):
             one([[1.0, np.nan], [0.0, 1.0]])
 
+    def test_stack_of_1x1_games_is_pure_saddles(self):
+        payoffs = np.random.default_rng(4).normal(size=(3, 2, 1, 1))
+        reset_counts()
+        value, rows, cols = solve_stack(payoffs, np.ones((2, 1, 1), dtype=bool))
+        assert np.array_equal(value, payoffs[..., 0, 0]) and COUNTS["pure_saddle"] == 6
+        assert rows.shape == cols.shape == (3, 2, 1) and (rows == 1.0).all() and (cols == 1.0).all()
+        payoffs[1, 0] = np.inf
+        with pytest.raises(MatrixGameError, match="non-finite"):
+            solve_stack(payoffs, np.ones((2, 1, 1), dtype=bool))
+
     def test_padding_is_ignored(self):
         payoffs = np.array([[[1.0, -1.0, np.inf], [-1.0, 1.0, 7.0], [5.0, 5.0, 5.0]]])
         mask = np.zeros((1, 3, 3), dtype=bool)
