@@ -8,6 +8,11 @@ clips costs and terminal below at -n; the clipped values decrease
 monotonically, and shifting the clipped model up by n produces a
 nonnegative model whose value equals the clipped one times the exact factor
 exp(lambda*(T-s+1)*n).
+
+A ladder's levels share states, action sets, time breaks and horizon, so
+``ladder_run`` marches all of them, and the clipped and shifted pair of the
+shift identity with them, in one batched backward sweep
+(:func:`pdmg.shapley.backward_solve_batch`).
 """
 
 from __future__ import annotations
@@ -15,11 +20,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .model import GameModel, ModelValidationError
-from .shapley import FMT, SolverConfig, backward_solve
+from .shapley import FMT, SolverConfig, ValueField, backward_solve_batch
+# backward_solve is not called here, but it is part of this module's
+# namespace: pdmgbench/tracing.py wraps it under this name
+from .shapley import backward_solve  # noqa: F401
 
 
 @dataclass
@@ -31,6 +40,9 @@ class LadderReport:
     monotone_ok: bool
     converged_gap: float  # max |phi_n - phi_{n_max}| over probes at the two largest levels
     violations: list
+    # worst relative error of the shift identity at t = 0 when the ladder
+    # ran with a shift level (not part of ladder.json)
+    shift_rel_err: Optional[float] = None
 
     def to_json(self) -> str:
         doc = {
@@ -88,17 +100,19 @@ def truncate_nonneg(model: GameModel, n: float) -> GameModel:
     )
 
 
+def truncate_clipped(model: GameModel, n: float) -> GameModel:
+    """Level-n clip for signed costs: costs max(-n, c), terminal max(-n, g)."""
+    return _rebuild(model, model.rates, np.maximum(model.costs, -float(n)), np.maximum(model.terminal, -float(n)))
+
+
 def truncate_general(model: GameModel, n: float) -> tuple[GameModel, GameModel]:
     """Level-n clip for signed costs: (clipped, shifted).
 
-    clipped: costs max(-n, c), terminal max(-n, g).
+    clipped: :func:`truncate_clipped`.
     shifted: clipped costs + n and terminal + n (both nonnegative).
     """
-    costs = np.maximum(model.costs, -float(n))
-    term = np.maximum(model.terminal, -float(n))
-    clipped = _rebuild(model, model.rates, costs, term)
-    shifted = _rebuild(model, model.rates, costs + float(n), term + float(n))
-    return clipped, shifted
+    clipped = truncate_clipped(model, n)
+    return clipped, _rebuild(model, model.rates, clipped.costs + float(n), clipped.terminal + float(n))
 
 
 def shift_factor(lam: float, horizon: float, s: float, n: float) -> float:
@@ -106,49 +120,73 @@ def shift_factor(lam: float, horizon: float, s: float, n: float) -> float:
     return math.exp(lam * (horizon - s + 1.0) * n)
 
 
+def _shift_error(model: GameModel, n: float, s: float, clipped: ValueField, shifted: ValueField) -> float:
+    """Worst relative error of phi(shifted) = phi(clipped)*factor over the
+    states, at the grid knot nearest to s."""
+    grid = clipped.grid
+    k = min(round(s / grid.delta), grid.n_steps)
+    fac = shift_factor(model.lam, model.horizon, grid.knot(k), n)
+    rel = np.abs(shifted.phi[k] / (clipped.phi[k] * fac) - 1.0)
+    return float(rel.max())
+
+
 def shift_identity_check(model: GameModel, n: float, s: float, config: SolverConfig) -> float:
     """Worst relative error of J(shifted) = J(clipped)*factor on a shared grid.
 
-    Checked per state at the grid knot nearest to s; both sides are solved
-    independently with the same configuration.
+    Checked per state at the grid knot nearest to s; the clipped and the
+    shifted model are solved as one batch of two with the same
+    configuration.
     """
-    clipped, shifted = truncate_general(model, n)
-    fc, _ = backward_solve(clipped, config)
-    fs, _ = backward_solve(shifted, config)
-    k = min(round(s / fc.grid.delta), config.n_steps)
-    t_k = fc.grid.knot(k)
-    fac = shift_factor(model.lam, model.horizon, t_k, n)
-    rel = np.abs(fs.phi[k] / (fc.phi[k] * fac) - 1.0)
-    return float(rel.max())
+    (clipped, _), (shifted, _) = backward_solve_batch(truncate_general(model, n), config)
+    return _shift_error(model, n, s, clipped, shifted)
 
 
 def _is_nonneg(model: GameModel) -> bool:
     return not (np.any(model.terminal < 0.0) or np.any(model.costs < 0.0))
 
 
-def ladder_run(model: GameModel, n_list, probes, config: SolverConfig) -> LadderReport:
+def ladder_run(model: GameModel, n_list, probes, config: SolverConfig, shift_n=None) -> LadderReport:
     """Solve the truncation ladder at each level and check monotonicity.
 
     Nonnegative-cost models (with Lyapunov data) use the bounded ladder and
     expect phi nondecreasing in n; otherwise the signed-cost clip ladder is
     used and phi is expected nonincreasing.  Monotonicity is checked at
-    every grid point (slack 1e-10); levels are solved independently.
+    every grid point (slack 1e-10).  All levels are solved as one batch
+    (:func:`pdmg.shapley.backward_solve_batch`), each bit for bit as alone.
+    With ``shift_n`` the same batch also solves the clipped and shifted
+    pair of :func:`truncate_general` at that level, and the report's
+    ``shift_rel_err`` is the shift identity's worst relative error at t = 0.
+
+    Raises ValueError, naming the argument, for an empty ``n_list``, a
+    level that is not finite, levels that do not increase strictly, an
+    empty ``probes``, a probe off the grid or the state space, and a
+    ``shift_n`` that is not finite.
     """
     n_list = list(n_list)
+    if not n_list:
+        raise ValueError("n_list must hold at least one level")
+    for n in n_list:
+        if not math.isfinite(n):
+            raise ValueError(f"n_list: level {n} is not finite")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly increasing")
+    probes = list(probes)
+    if not probes:
+        raise ValueError("probes must hold at least one (t, x) probe")
     for t, x in probes:
         if not (0.0 <= t <= model.horizon) or not (0 <= x < model.n_states):
             raise ValueError(f"invalid probe ({t}, {x})")
+    if shift_n is not None and not math.isfinite(shift_n):
+        raise ValueError(f"shift_n {shift_n} is not finite")
 
     nonneg = _is_nonneg(model) and model.lyapunov is not None
     direction = "nondecreasing" if nonneg else "nonincreasing"
 
-    fields = []
-    for n in n_list:
-        level = truncate_nonneg(model, n) if nonneg else truncate_general(model, n)[0]
-        field, _ = backward_solve(level, config)
-        fields.append(field)
+    levels = [truncate_nonneg(model, n) if nonneg else truncate_clipped(model, n) for n in n_list]
+    pair = [] if shift_n is None else list(truncate_general(model, shift_n))
+    fields = [field for field, _ in backward_solve_batch(levels + pair, config)]
+    shift_rel_err = None if shift_n is None else _shift_error(model, shift_n, 0.0, *fields[len(levels):])
+    fields = fields[: len(levels)]
 
     grid = fields[0].grid
     phi_at_probe = []
@@ -184,10 +222,11 @@ def ladder_run(model: GameModel, n_list, probes, config: SolverConfig) -> Ladder
     ) > 1 else 0.0
     return LadderReport(
         n_values=n_list,
-        probes=list(probes),
+        probes=probes,
         phi_at_probe=phi_at_probe,
         direction=direction,
         monotone_ok=not violations,
         converged_gap=gap,
         violations=violations,
+        shift_rel_err=shift_rel_err,
     )

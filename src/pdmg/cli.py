@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -25,7 +26,11 @@ import time
 import numpy as np
 
 from . import __version__
-from .approx import ladder_run, shift_identity_check
+from .approx import ladder_run
+# shift_identity_check is not called here (ladder_run solves the shift pair),
+# but it is part of this module's namespace: pdmgbench/tracing.py wraps it
+# under this name
+from .approx import shift_identity_check  # noqa: F401
 from .matrix_game import COUNTS, GAME_TOL, MatrixGame, MatrixGameError, reset_counts, solve as solve_game
 from .model import GameModel, ModelFormatError, ModelValidationError, load_model
 from .shapley import (
@@ -244,17 +249,14 @@ def cmd_ladder(args) -> int:
     t_start = time.time()
     model = _read_model(args.model)
     out = _out_dir(args)
-    n_list = [float(v) for v in args.n_list.split(",")]
-    n_list = [int(v) if v.is_integer() else v for v in n_list]
-    probes = [_parse_probe(p) for p in args.probe] if args.probe else [(0.0, 0)]
+    probes = [_probe(p) for p in args.probe] if args.probe else [(0.0, 0)]
     config = SolverConfig(n_steps=args.steps)
-    report = ladder_run(model, n_list, probes, config)
+    # the levels and the shift pair march as one batch
+    report = ladder_run(model, _levels(args.n_list), probes, config, args.shift_check_n)
     path = _write(os.path.join(out, "ladder.json"), report.to_json() + "\n")
     extra = {}
-    if args.shift_check_n is not None:
-        extra["shift_identity_rel_err"] = _fnum(
-            shift_identity_check(model, args.shift_check_n, 0.0, config)
-        )
+    if report.shift_rel_err is not None:
+        extra["shift_identity_rel_err"] = _fnum(report.shift_rel_err)
     _manifest(out, "ladder", args, [path], time.time() - t_start, extra)
     print(
         f"ladder {report.direction}: monotone_ok={report.monotone_ok} "
@@ -299,7 +301,7 @@ def cmd_oracle(args) -> int:
     t_start = time.time()
     model = _read_model(args.model)
     out = _out_dir(args)
-    probes = [_parse_probe(p) for p in args.probe] if args.probe else None
+    probes = [_probe(p) for p in args.probe] if args.probe else None
     config = SolverConfig(n_steps=args.steps, tol=args.tol)
     report = oracle_fine_grid(model, args.refine, config, probes)
     path = _write(os.path.join(out, "oracle.json"), report.to_json() + "\n")
@@ -311,9 +313,44 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _parse_probe(text: str) -> tuple[float, int]:
-    t, x = text.split(",")
-    return float(t), int(x)
+def _finite(text: str) -> float:
+    """A number flag that must be finite (argparse type)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _levels(text: str) -> list:
+    """The levels of ``--n-list``: comma-separated finite numbers, integral ones as int."""
+    levels = [_finite(v) for v in text.split(",")]
+    return [int(v) if v.is_integer() else v for v in levels]
+
+
+def _probe(text: str) -> tuple[float, int]:
+    """A ``--probe`` ``t,x``: a finite time and a state index."""
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(f"expected t,x, got {text!r}")
+    try:
+        x = int(parts[1])
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer state index, got {parts[1]!r}") from None
+    return _finite(parts[0]), x
+
+
+def _as_given(parse):
+    """argparse type refusing what ``parse`` refuses and keeping the text,
+    so that the manifest records the flag as it was given."""
+
+    def check(text: str) -> str:
+        parse(text)
+        return text
+
+    return check
 
 
 @functools.cache
@@ -370,10 +407,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("ladder", cmd_ladder, help="truncation ladder monotonicity run")
     sp.add_argument("--model", required=True)
-    sp.add_argument("--n-list", required=True, help="comma-separated increasing levels")
-    sp.add_argument("--probe", action="append", help="t,x (repeatable)")
+    sp.add_argument("--n-list", type=_as_given(_levels), required=True, help="comma-separated increasing levels")
+    sp.add_argument("--probe", type=_as_given(_probe), action="append", help="t,x (repeatable)")
     sp.add_argument("--steps", type=int, required=True)
-    sp.add_argument("--shift-check-n", type=float)
+    sp.add_argument("--shift-check-n", type=_finite)
     sp.add_argument("--out")
 
     sp = add("game", cmd_game, help="solve a zero-sum matrix game from a CSV")
@@ -384,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", required=True)
     sp.add_argument("--steps", type=int, required=True)
     sp.add_argument("--refine", type=int, default=8)
-    sp.add_argument("--probe", action="append")
+    sp.add_argument("--probe", type=_as_given(_probe), action="append", help="t,x (repeatable)")
     sp.add_argument("--tol", type=float, default=SolverConfig.tol, help="Picard stopping tolerance")
     sp.add_argument("--out")
 

@@ -29,12 +29,15 @@ almost always carries over), certifies whole chunks of knots at once and
 re-solves a knot by ``solve_stack`` only where a certificate fails.
 Evaluations and best responses run the same backward sweep with the fixed
 mixtures contracted into the step tables, so that a knot costs a few small
-array operations.
+array operations.  ``backward_solve_batch`` marches several models on one
+grid (the levels of a truncation ladder, say) in that one sweep, a member
+axis leading every slice, so their knots cost one loop.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -44,6 +47,8 @@ import numpy as np
 
 from .matrix_game import (
     COUNTS,
+    MatrixGameError,
+    Supports,
     carried_supports,
     certify_supports,
     count_locked,
@@ -230,6 +235,13 @@ def _cell_entries(D: np.ndarray, JT: np.ndarray, v: np.ndarray) -> np.ndarray:
     return D * v[..., None] + np.dot(v, JT).reshape(v.shape + D.shape[1:])
 
 
+def _member_entries(D: np.ndarray, JT: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """:func:`_cell_entries` of R members at once: ``D`` (R, S, W), ``JT``
+    (R, S, S*W) and ``v`` (R, S) give (R, S, W).  One np.matmul over the
+    members, bit for bit the np.dot of each member alone."""
+    return D * v[..., None] + np.matmul(v[:, None], JT).reshape(D.shape)
+
+
 def _ediff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(exp(a) - exp(b)) / (a - b), computed stably near a == b."""
     a = np.asarray(a, dtype=float)
@@ -359,6 +371,16 @@ def _step_coefficients(model: GameModel, grid: TimeGrid) -> tuple[list, list]:
     return diags, jumps
 
 
+def _member_coefficients(models: list, grid: TimeGrid) -> tuple[list, list]:
+    """:func:`_step_coefficients` of every member, stacked per segment on a
+    leading member axis; a single member's tables as they are."""
+    per = [_step_coefficients(m, grid) for m in models]
+    if len(per) == 1:
+        return per[0]
+    diags, jumps = zip(*per)
+    return [np.stack(d) for d in zip(*diags)], [np.stack(j) for j in zip(*jumps)]
+
+
 # ---------------------------------------------------------------------------
 # solvers: one backward sweep, pluggable cell reducers
 
@@ -405,10 +427,15 @@ class _Reducer:
     def tables(self, diags: list, jumps: list, segs: np.ndarray, k_lo: int):
         """Step tables (D, JT, rows) of the knots k_lo, k_lo+1, .. lying in
         segments ``segs``: knot k_lo+i marches on D[rows[i]] (S, W) and
-        JT[rows[i]], the transpose of its (S*W, S) jump table."""
-        S, W = diags[0].shape[0], self.width
+        JT[rows[i]], the transpose of its (S*W, S) jump table, each with a
+        leading member axis in a batch (which contracts no mixtures)."""
+        S, W = diags[0].shape[-3], self.width
         if not self.contracts:
-            return [d.reshape(S, W) for d in diags], [j.reshape(S * W, S).T for j in jumps], segs.tolist()
+            return (
+                [d.reshape(d.shape[:-3] + (S, W)) for d in diags],
+                [j.reshape(j.shape[:-4] + (S * W, S)).swapaxes(-1, -2) for j in jumps],
+                segs.tolist(),
+            )
         K = len(segs)
         D, J = np.empty((K, S, W)), np.empty((K, S, W, S))
         ks = self.slices[k_lo : k_lo + K]
@@ -428,7 +455,7 @@ class _Pair(_Reducer):
         super().__init__(model, slices, strategies.mu, strategies.nu)
 
     def fold(self, k: int, entries: np.ndarray) -> np.ndarray:
-        return entries[:, 0]
+        return entries[..., 0]
 
 
 class _BestResponse(_Reducer):
@@ -450,54 +477,70 @@ class _BestResponse(_Reducer):
         return self.reduce(entries + self.pad, axis=1)
 
 
-def _sweep(model: GameModel, grid: TimeGrid, reducer: _Reducer) -> ValueField:
-    """Backward recursion from the terminal slice on the reducer's step tables.
+def _sweep(models: list, grid: TimeGrid, reducer: _Reducer) -> list[ValueField]:
+    """Backward recursion from the terminal slices on the reducer's step tables.
 
-    The knots run in chunks from the top, each on the step tables
-    ``reducer.tables`` gives it.  With psi the next slice composed with the
-    one-step flow (phi[k+1] itself on a finite state space), knot k's entries
-    are ``D*psi[:, None] + (psi @ J.T).reshape(S, W)`` and
-    ``reducer.fold(k, entries)`` is slice k.  A chunk holds at most
+    ``models`` are the R members of a batch, which share states, action sets
+    and time breaks; with R = 1 no array has a member axis.  The knots run
+    in chunks from the top, each on the step tables ``reducer.tables`` gives
+    it.  With psi the next slice composed with the one-step flow (phi[k+1]
+    itself on a finite state space), knot k's entries are
+    ``D*psi[:, None] + (psi @ J.T).reshape(S, W)`` and
+    ``reducer.fold(k, entries)`` is slice k.  In a batch, slice k is (R, S),
+    the tables (R, S, W) and (R, S, S*W), and the entries (R, S, W) of all
+    members come from one np.matmul (:func:`_member_entries`), bit for bit
+    the np.dot each member's own sweep makes.  A chunk holds at most
     ``_CHUNK_GAMES`` games, and at most ``_CHUNK_COEFFS`` coefficients where
-    the reducer contracts mixtures.  With ``reducer.certify``,
-    ``certify(k_lo, chunk, phi)`` sees the entries (K, S, W) of knots
-    k_lo..k_lo+K-1 once the chunk is done and returns None to accept it, or
-    a knot to resume from: every slice from that knot down is computed
-    again.  After a rejection the next chunk is one knot long, after an
-    accepted chunk twice as long.  Raises PositivityError unless phi ends
-    finite and positive.
+    the reducer contracts mixtures (one member only).  With
+    ``reducer.certify``, ``certify(k_lo, chunk, phi)`` sees the entries
+    (K, [R,] S, W) of knots k_lo..k_lo+K-1 once the chunk is done and
+    returns None to accept it, or a knot to resume from: every slice from
+    that knot down is computed again.  After a rejection the next chunk is
+    one knot long, after an accepted chunk twice as long.  Returns each
+    member's field; raises PositivityError, for the first member in order
+    whose phi is not finite and positive.
     """
+    model = models[0]
     lags = _FlowLags(model, grid)
     knot_seg = knot_segments(model, grid)
-    diags, jumps = _step_coefficients(model, grid)
+    diags, jumps = _member_coefficients(models, grid)
+    lead = (len(models),) if len(models) > 1 else ()
     N, S, W = grid.n_steps, model.n_states, reducer.width
-    phi = np.empty((N + 1, S))
-    phi[N] = terminal_field(model)
-    cap = max(1, _CHUNK_GAMES // S)
+    phi = np.empty((N + 1,) + lead + (S,))
+    phi[N] = np.reshape([terminal_field(m) for m in models], lead + (S,))
+    cap = max(1, _CHUNK_GAMES // (len(models) * S))
     if reducer.contracts:
         # no table a contraction makes is larger than (K, S, A, B, S)
         A, B = model.widths
         cap = max(1, min(cap, _CHUNK_COEFFS // (S * A * B * S)))
-    certify, fold, flows = reducer.certify, reducer.fold, lags.flows
+    certify, fold, flows, step = reducer.certify, reducer.fold, lags.flows, lags.step_map
+    entries_of = _member_entries if lead else _cell_entries
     k_hi, length = N, (1 if certify else cap)
     while k_hi > 0:
         k_lo = max(k_hi - length, 0)
         D, JT, rows = reducer.tables(diags, jumps, knot_seg[k_lo:k_hi], k_lo)
-        chunk = np.empty((k_hi - k_lo, S, W)) if certify else None
+        chunk = np.empty((k_hi - k_lo,) + lead + (S, W)) if certify else None
         for k in range(k_hi - 1, k_lo - 1, -1):
-            psi = phi[k + 1][lags.step_map(k)] if flows else phi[k + 1]
+            if not flows:
+                psi = phi[k + 1]
+            elif lead:  # along the state axis of (R, S)
+                psi = phi[k + 1].take(step(k), axis=-1)
+            else:  # plain indexing: cheaper than take on (S,)
+                psi = phi[k + 1][step(k)]
             i = rows[k - k_lo]
-            entries = _cell_entries(D[i], JT[i], psi)
+            entries = entries_of(D[i], JT[i], psi)
             if certify:
                 chunk[k - k_lo] = entries
             phi[k] = fold(k, entries)
         resume = certify(k_lo, chunk, phi) if certify else None
         k_hi, length = (k_lo, min(2 * length, cap)) if resume is None else (resume + 1, 1)
-    bad = _bad_entries(phi)
-    if bad.size:
-        k, x = bad[-1]
-        raise PositivityError(f"phi is not finite and positive at knot {k}, state {x}")
-    return ValueField(grid, phi)
+    fields = [ValueField(grid, np.ascontiguousarray(p)) for p in (np.moveaxis(phi, 1, 0) if lead else [phi])]
+    for field in fields:
+        bad = _bad_entries(field.phi)
+        if bad.size:
+            k, x = bad[-1]
+            raise PositivityError(f"phi is not finite and positive at knot {k}, state {x}")
+    return fields
 
 
 def _pure_mixtures(model: GameModel, n_slices: int) -> tuple[np.ndarray, np.ndarray]:
@@ -509,55 +552,162 @@ def _pure_mixtures(model: GameModel, n_slices: int) -> tuple[np.ndarray, np.ndar
 
 
 class _CarriedSaddles(_Reducer):
-    """Cell reducer of ``backward_solve``: each cell keeps the support of its
-    saddle at the knot above.
+    """Cell reducer of ``backward_solve_batch``: each cell keeps the support
+    of its saddle at the knot above.
 
     Both players are free, so the sweep marches on the segment tables with
-    W = A*B.  A knot is solved afresh by ``solve_stack`` at the start, after
-    a failed certificate and while some cell's support is neither 1x1 nor
-    2x2; every other knot takes each cell's value on its carried support,
-    and :meth:`certify` builds and certifies the mixtures of a chunk's
-    carried knots at once.  Knots solved afresh are certified by
-    ``solve_stack``, and they only ever head a chunk, so all carried knots of
-    a chunk share one set of supports.
+    W = A*B.  The cells of a batch of R members are the (R, S) pairs; each
+    member holds its own supports and its own record of the knots settled
+    afresh.  A member's knot is solved afresh by ``solve_stack`` at the
+    start, after its failed certificate and while some cell's support is
+    neither 1x1 nor 2x2; every other knot takes each cell's value on its
+    carried support, and :meth:`certify` builds and certifies the mixtures
+    of a chunk's carried knots at once.  Knots solved afresh are certified
+    by ``solve_stack``, and within a chunk a member carries one set of
+    supports from its last knot solved afresh down.
     """
 
-    def __init__(self, model: GameModel, n_steps: int):
+    def __init__(self, model: GameModel, n_steps: int, members: int = 1):
         super().__init__(model)
         self.cells = model.cells
-        self.mu, self.nu = _pure_mixtures(model, n_steps)
-        self.fresh = np.zeros(n_steps, dtype=bool)  # knots settled by solve_stack
-        self.supports = None  # None: solve the next knot afresh
+        S, A, B = model.cells.shape
+        R = members
+        self.games = (R, S, A, B)
+        mu, nu = _pure_mixtures(model, n_steps * R)
+        self.mu, self.nu = mu.reshape(n_steps, R, S, A), nu.reshape(n_steps, R, S, B)
+        lead = (R,) if R > 1 else ()
+        # (knot[, member]) settled by solve_stack, and the same flags by
+        # (knot, member); a knot's flags are one scalar when R = 1
+        self.fresh = np.zeros((n_steps,) + lead, dtype=bool)
+        self.flags = self.fresh.reshape(n_steps, R)
+        self.mask = np.concatenate([model.cells] * R)  # (R*S, A, B)
+        # the supports of every cell, flat indices into a knot's (R, S, A, B)
+        # entries; a member solved afresh holds the (0, 0) corner, a 1x1
+        # support that values and certifies every game without dividing
+        self.idle = np.arange(R * S).reshape(R, S) * (A * B)
+        self.take = np.repeat(self.idle[None], 4, axis=0)
+        self.unpaired = np.ones((R, S))
+        self.supports = Supports(self.take.reshape((4,) + lead + (S,)), self.unpaired.reshape(lead + (S,)))
+        self.flat = Supports(self.take.reshape(4, R * S), self.unpaired.reshape(R * S))
+        self.held = np.zeros(R, dtype=bool)  # members marching on carried supports
+        self.all_held = False
+        self.phi = None  # the sweep's slices, once a certificate has failed
+
+    def _hold(self, r: int, sup: Optional[Supports]) -> None:
+        """Carry member r on ``sup`` from the next knot down, or solve it afresh (None)."""
+        if sup is None:
+            self.take[:, r], self.unpaired[r] = self.idle[r], 1.0
+        else:
+            self.take[:, r], self.unpaired[r] = sup.take + self.idle[r, 0], sup.unpaired
+        self.held[r] = sup is not None
+        self.all_held = bool(self.held.all())
 
     def fold(self, k: int, entries: np.ndarray) -> np.ndarray:
-        if self.supports is not None:
+        v = support_values(entries, self.supports)
+        if self.all_held:
             self.fresh[k] = False
-            return support_values(entries, self.supports)
-        self.fresh[k] = True
-        games = entries.reshape(self.cells.shape)
-        v, self.mu[k], self.nu[k] = solve_stack(games, self.cells, fallback=solve_game)
-        self.supports = carried_supports(self.mu[k], self.nu[k])
+            return v
+        idle = ~self.held
+        values = v.reshape(self.held.size, -1)
+        # a member settled afresh at k in a pass that a failed certificate
+        # threw away settles the same way again, and its slice k of that
+        # pass is still in phi (see certify)
+        again = idle & self.flags[k]
+        if again.any():
+            values[again] = self.phi[k].reshape(values.shape)[again]
+        new = idle & ~self.flags[k]
+        if new.any():
+            games = entries.reshape(self.games)[new]
+            values[new], self.mu[k, new], self.nu[k, new] = solve_stack(games, self.cells, fallback=solve_game)
+        self.flags[k] = idle
+        for r in np.flatnonzero(idle).tolist():
+            self._hold(r, carried_supports(self.mu[k, r], self.nu[k, r]))
         return v
 
     def certify(self, k_lo: int, chunk: np.ndarray, phi: np.ndarray):
-        carried = k_lo + np.flatnonzero(~self.fresh[k_lo : k_lo + len(chunk)])
-        if not carried.size:
+        K = len(chunk)
+        carried = ~self.flags[k_lo : k_lo + K]  # (K, R)
+        R, S, A, B = self.games
+        games = S * int(np.count_nonzero(carried))
+        if not games:
             return None
-        stack = chunk.reshape((len(chunk),) + self.cells.shape)
-        ok, self.mu[carried], self.nu[carried] = certify_supports(
-            stack[carried - k_lo], self.cells, phi[carried], self.supports
+        ok, mu, nu = certify_supports(
+            chunk.reshape(K, R * S, A, B), self.mask, phi[k_lo : k_lo + K].reshape(K, R * S), self.flat
         )
-        games = chunk.shape[1]
-        failed = carried[~ok.all(axis=1)]
-        if not failed.size:
-            count_locked(games * carried.size, 0)
+        self.mu[k_lo : k_lo + K][carried] = mu.reshape(K, R, S, A)[carried]
+        self.nu[k_lo : k_lo + K][carried] = nu.reshape(K, R, S, B)[carried]
+        failed = carried & ~ok.reshape(K, R, S).all(axis=2)
+        if not np.count_nonzero(failed):
+            count_locked(games, 0)
             return None
-        # the highest failing knot is solved afresh; everything below it
-        # rests on its uncertified value
-        kept = int(np.count_nonzero(carried > failed.max()))
-        count_locked(games * kept, games * (carried.size - kept))
-        self.supports = None
-        return int(failed.max())
+        # the highest failing knot over all members is marched again, and
+        # everything below it rests on its uncertified values
+        top = int(np.flatnonzero(failed.any(axis=1))[-1])
+        kept = S * int(np.count_nonzero(carried[top + 1 :]))
+        count_locked(kept, games - kept)
+        # the members failing there are solved afresh, and those settled
+        # afresh there settle again; every other member carries its supports
+        # on and gets the same bits as before
+        for r in np.flatnonzero(failed[top] | ~carried[top]).tolist():
+            self._hold(r, None)
+        self.phi = phi
+        return k_lo + top
+
+    def strategies(self, grid: TimeGrid) -> list[StrategyField]:
+        """Every member's saddle mixtures."""
+        return [
+            StrategyField(grid, np.ascontiguousarray(self.mu[:, r]), np.ascontiguousarray(self.nu[:, r]))
+            for r in range(self.games[0])
+        ]
+
+
+def backward_solve_batch(models, config: SolverConfig) -> list[tuple[ValueField, StrategyField]]:
+    """:func:`backward_solve` of each model, all marched in one backward sweep.
+
+    The models must share states, action sets, time breaks and horizon
+    (else ValueError); their costs, rates, terminal costs and lambda may
+    differ.  Each member's value field and mixtures are bit for bit those
+    of its own solve.  Each check runs per member: the CFL load, the
+    terminal overflow, the positivity of the step coefficients, every cell
+    game and the final positivity of phi.  If any fails, the members are
+    solved one at a time in order, so that the batch raises the error, type
+    and message, that the first failing member raises alone.
+
+    The ``COUNTS`` of a batch are the sums over its members' own solves,
+    except ``discarded``: the members share one chunk schedule, so a member
+    whose certificate fails makes the others march the knots below it
+    again.
+    """
+    models = list(models)
+    if not models:
+        raise ValueError("a batch needs at least one model")
+    model = models[0]
+    shape = operator.attrgetter("states", "actions_p1", "actions_p2", "time_breaks", "horizon")
+    for r, m in enumerate(models[1:], 1):
+        if shape(m) != shape(model):
+            raise ValueError(
+                f"batch member {r} does not share the states, action sets, time breaks and horizon of member 0"
+            )
+    grid = TimeGrid(config.n_steps, model.horizon)
+    try:
+        for m in models:
+            check_cfl(m, grid)
+        if model.widths == (1, 1):
+            pure = StrategyField(grid, *_pure_mixtures(model, grid.n_steps))
+            return [(field, pure) for field in _sweep(models, grid, _Pair(model, pure, None))]
+        saddles = _CarriedSaddles(model, grid.n_steps, len(models))
+        # a carried 2x2 support whose entries come to a + d = b + c divides by
+        # zero; its non-finite value fails the certificate
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fields = _sweep(models, grid, saddles)
+        return list(zip(fields, saddles.strategies(grid)))
+    except (SolverError, MatrixGameError):
+        if len(models) == 1:
+            raise
+        # the members alone, in order: the first to fail raises its own error
+        for m in models:
+            backward_solve(m, config)
+        raise
 
 
 def backward_solve(model: GameModel, config: SolverConfig) -> tuple[ValueField, StrategyField]:
@@ -568,19 +718,10 @@ def backward_solve(model: GameModel, config: SolverConfig) -> tuple[ValueField, 
     certified duality gap <= ``GAME_TOL``: on the support carried
     from the knot above, or by ``solve_stack`` (see :class:`_CarriedSaddles`).
     When no player has a choice the solve is the pure pair's evaluation: a
-    1x1 game's value is its entry and needs no certificate.
+    1x1 game's value is its entry and needs no certificate.  This is the
+    one-member case of :func:`backward_solve_batch`.
     """
-    grid = TimeGrid(config.n_steps, model.horizon)
-    check_cfl(model, grid)
-    if model.widths == (1, 1):
-        pure = StrategyField(grid, *_pure_mixtures(model, grid.n_steps))
-        return _sweep(model, grid, _Pair(model, pure, None)), pure
-    saddles = _CarriedSaddles(model, grid.n_steps)
-    # a carried 2x2 support whose entries come to a + d = b + c divides by
-    # zero; its non-finite value fails the certificate
-    with np.errstate(divide="ignore", invalid="ignore"):
-        field = _sweep(model, grid, saddles)
-    return field, StrategyField(grid, saddles.mu, saddles.nu)
+    return backward_solve_batch([model], config)[0]
 
 
 def policy_evaluate(model: GameModel, strategies: StrategyField) -> ValueField:
@@ -592,7 +733,7 @@ def policy_evaluate(model: GameModel, strategies: StrategyField) -> ValueField:
     field to rounding.
     """
     grid = strategies.grid
-    return _sweep(model, grid, _Pair(model, strategies, np.arange(grid.n_steps)))
+    return _sweep([model], grid, _Pair(model, strategies, np.arange(grid.n_steps)))[0]
 
 
 def best_response_solve(
@@ -615,8 +756,8 @@ def best_response_solve(
     slices = fixed.slices_at(grid)
     if model.widths[0 if side == "maximize" else 1] == 1:
         # a free player with one action everywhere: the pair's value
-        return _sweep(model, grid, _Pair(model, fixed, slices))
-    return _sweep(model, grid, _BestResponse(model, fixed, slices, side))
+        return _sweep([model], grid, _Pair(model, fixed, slices))[0]
+    return _sweep([model], grid, _BestResponse(model, fixed, slices, side))[0]
 
 
 def _bracket_entries(model: GameModel, u: np.ndarray, knot_seg: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ from pdmg.approx import (
     ladder_run,
     shift_factor,
     shift_identity_check,
+    truncate_clipped,
     truncate_general,
     truncate_nonneg,
 )
@@ -75,6 +76,13 @@ class TestTruncateGeneral:
         clipped, shifted = truncate_general(model_from_dict(doc), 3)
         assert clipped.costs[0, 0, 0, 0] == 2.0
         assert shifted.costs[0, 0, 0, 0] == 5.0
+
+    def test_clipped_is_the_first_of_the_pair(self, signed_cost):
+        for n in (0, 1, 2.5):
+            clipped = truncate_clipped(signed_cost, n)
+            first, _ = truncate_general(signed_cost, n)
+            assert np.array_equal(clipped.costs, first.costs)
+            assert np.array_equal(clipped.terminal, first.terminal)
 
     def test_terminal_clip(self):
         doc = {
@@ -155,6 +163,40 @@ class TestLadderRun:
             ladder_run(nonneg_ladder_model, [2, 2], [(0.0, 0)], cfg)
         with pytest.raises(ValueError, match="probe"):
             ladder_run(nonneg_ladder_model, [1, 2], [(0.0, 99)], cfg)
+
+    @pytest.mark.parametrize("n_list, probes, shift_n, message", [
+        ([], [(0.0, 0)], None, "n_list must hold at least one level"),
+        ([1, math.nan], [(0.0, 0)], None, "n_list: level nan is not finite"),
+        ([-math.inf, 1], [(0.0, 0)], None, "n_list: level -inf is not finite"),
+        ([1, 2], [], None, "probes must hold at least one"),
+        ([1, 2], [(0.0, 0)], math.inf, "shift_n inf is not finite"),
+    ])
+    def test_rejects_inputs_naming_the_argument(self, signed_cost, n_list, probes, shift_n, message):
+        with pytest.raises(ValueError, match=message):
+            ladder_run(signed_cost, n_list, probes, SolverConfig(n_steps=50), shift_n)
+
+    def test_levels_and_shift_pair_are_their_own_solves(self, signed_cost):
+        cfg = SolverConfig(n_steps=100)
+        report = ladder_run(signed_cost, [1, 2, 4], [(0.0, 0), (0.5, 1)], cfg, shift_n=2)
+        for n, row in zip([1, 2, 4], report.phi_at_probe):
+            field, _ = backward_solve(truncate_clipped(signed_cost, n), cfg)
+            assert row == [field.phi[0, 0], field.phi[50, 1]]
+        clipped, shifted = (backward_solve(m, cfg)[0] for m in truncate_general(signed_cost, 2))
+        fac = shift_factor(signed_cost.lam, signed_cost.horizon, 0.0, 2)
+        assert report.shift_rel_err == float(np.abs(shifted.phi[0] / (clipped.phi[0] * fac) - 1.0).max())
+        assert report.shift_rel_err == shift_identity_check(signed_cost, 2, 0.0, cfg)
+        # ladder.json holds no shift error
+        assert "shift" not in report.to_json()
+        assert ladder_run(signed_cost, [1, 2, 4], [(0.0, 0)], cfg).shift_rel_err is None
+
+    def test_signed_levels_build_no_shifted_model(self, signed_cost, monkeypatch):
+        import pdmg.approx as approx
+
+        def refuse(model, n):
+            raise AssertionError("a shifted model was built")
+
+        monkeypatch.setattr(approx, "truncate_general", refuse)
+        assert ladder_run(signed_cost, [1, 2], [(0.0, 0)], SolverConfig(n_steps=50)).monotone_ok
 
     def test_report_json_round_trips(self, nonneg_ladder_model):
         cfg = SolverConfig(n_steps=50)

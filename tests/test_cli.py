@@ -422,6 +422,47 @@ class TestLadderCommand:
         assert manifest["shift_identity_rel_err"] <= 1e-9
 
 
+class TestLadderArguments:
+    @pytest.mark.parametrize("model, flags, flag", [
+        ("two_state", ["--n-list", "1,abc"], "--n-list"),
+        ("two_state", ["--n-list", "1,2", "--probe", "0.5,x"], "--probe"),
+        ("two_state", ["--n-list", "1,2", "--probe", "nan,0"], "--probe"),
+        ("two_state", ["--n-list", "nan,inf"], "--n-list"),
+        ("signed_cost", ["--n-list", "nan,inf"], "--n-list"),
+        ("two_state", ["--n-list", "1,2", "--shift-check-n", "nan"], "--shift-check-n"),
+    ])
+    def test_bad_value_exits_two_naming_the_flag(self, model_files, tmp_path, capsys, model, flags, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["ladder", "--model", model_files[model], *flags, "--steps", "50", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"argument {flag}: expected" in capsys.readouterr().err
+        assert not (tmp_path / "ladder.json").exists()
+
+    def test_oracle_probe_exits_two(self, model_files, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--model", model_files["two_state"], "--steps", "20", "--probe", "0.5,x",
+                  "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "argument --probe: expected an integer state index, got 'x'" in capsys.readouterr().err
+
+    def test_manifest_keeps_the_flags_as_given(self, model_files, tmp_path):
+        assert main(["ladder", "--model", model_files["two_state"], "--n-list", "1,2.5,4", "--probe", "0,1",
+                     "--steps", "50", "--shift-check-n", "1", "--out", str(tmp_path)]) == 0
+        config = read_json(tmp_path / "manifest.json")["config"]
+        assert (config["n_list"], config["probe"], config["shift_check_n"]) == ("1,2.5,4", ["0,1"], 1.0)
+        assert read_json(tmp_path / "ladder.json")["n_values"] == [1, 2.5, 4]
+
+    def test_traced_names_stay_importable(self):
+        # the benchmark's tracer wraps these by module attribute
+        import pdmg.approx
+        import pdmg.cli
+        import pdmg.shapley
+
+        assert pdmg.approx.backward_solve is pdmg.shapley.backward_solve
+        assert pdmg.cli.ladder_run is pdmg.approx.ladder_run
+        assert pdmg.cli.shift_identity_check is pdmg.approx.shift_identity_check
+
+
 class TestParser:
     def test_one_parser_gives_each_command_its_own_namespace(self, model_files, tmp_path):
         from pdmg.cli import build_parser
