@@ -3,10 +3,14 @@
 The row player maximises, the column player minimises.  ``solve`` reduces
 one game to a pair of primal/dual linear programs (shift entries positive,
 maximise the column player's scaled mixture) and solves it by a dense
-tableau simplex with Bland's rule.  The fast path runs in floats with
-periodic basis reinversion; if its duality certificate misses the requested
-tolerance (near-duplicate rows can make the optimal basis arbitrarily
-ill-conditioned), the game is re-solved in exact rational arithmetic.
+tableau simplex with Bland's rule, one pivot loop over a tableau of floats
+or of Fractions.  The fast path runs in floats with periodic basis
+reinversion.  The game is re-solved on Fractions, in exact arithmetic, when
+the float duality certificate misses the requested tolerance
+(near-duplicate rows can make the optimal basis arbitrarily
+ill-conditioned) or the float solve gives up: its basis repeats while it
+reinverts after every pivot, it meets a singular basis or it passes its
+pivot cap.
 
 ``solve_stack`` solves a whole stack of small padded games at once.  A
 masked maximin == minimax test settles the games with a pure saddle; the
@@ -85,14 +89,15 @@ class GameSolution:
     gap: float  # certified duality gap >= 0
 
 
-def _pivot_loop(tab: np.ndarray, basis: list, m: int, n_total: int, cap: int) -> int:
-    """Bland-rule pivots in place, at most ``cap``; returns the count."""
+def _pivot_loop(tab: np.ndarray, basis: list, m: int, n_total: int, cap: int, eps) -> int:
+    """Bland-rule pivots in place, at most ``cap``; returns the count.  Only
+    entries above ``eps`` pivot: ``_PIVOT_EPS`` on floats, 0 on Fractions."""
     pivots = 0
     for _ in range(cap):
         cost = tab[m, :-1]
         enter = -1
         for j in range(n_total):  # Bland: lowest improving index
-            if cost[j] > _PIVOT_EPS:
+            if cost[j] > eps:
                 enter = j
                 break
         if enter < 0:
@@ -100,7 +105,7 @@ def _pivot_loop(tab: np.ndarray, basis: list, m: int, n_total: int, cap: int) ->
         col = tab[:m, enter]
         best, leave = None, -1
         for i in range(m):
-            if col[i] > _PIVOT_EPS:
+            if col[i] > eps:
                 ratio = tab[i, -1] / col[i]
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     best, leave = ratio, i
@@ -109,11 +114,22 @@ def _pivot_loop(tab: np.ndarray, basis: list, m: int, n_total: int, cap: int) ->
         piv = tab[leave, enter]
         tab[leave] /= piv
         for i in range(m + 1):
-            if i != leave and tab[i, enter] != 0.0:
+            if i != leave and tab[i, enter] != 0:
                 tab[i] -= tab[i, enter] * tab[leave]
         basis[leave] = enter
         pivots += 1
     return pivots
+
+
+def _initial_tableau(A: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """The tableau [A I b; c 0 0] of max c.x s.t. A x <= b, x >= 0, and its slack basis."""
+    m, n = A.shape
+    tab = np.zeros((m + 1, n + m + 1))
+    tab[:m, :n] = A
+    tab[:m, n:-1] = np.eye(m)
+    tab[:m, -1] = b
+    tab[m, :n] = c
+    return tab, list(range(n, n + m))
 
 
 def _refreshed_tableau(A_full: np.ndarray, b: np.ndarray, c_full: np.ndarray, basis: list):
@@ -140,19 +156,13 @@ def _refreshed_tableau(A_full: np.ndarray, b: np.ndarray, c_full: np.ndarray, ba
 def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     """Maximise c.x subject to A x <= b, x >= 0 with b >= 0.
 
-    Returns (x, duals, objective).  Bland's rule guarantees termination
-    without cycling; the final basis is reinverted against the original
-    data (repeating if that uncovers further improving columns) so the
-    returned vertex is clean to rounding.
+    Returns (x, duals, objective).  The final basis is reinverted against
+    the original data (repeating if that uncovers further improving
+    columns) so the returned vertex is clean to rounding.
     """
     m, n = A.shape
-    A_full = np.hstack([A, np.eye(m)])
-    c_full = np.concatenate([c, np.zeros(m)])
-    tab = np.zeros((m + 1, n + m + 1))
-    tab[:m, :-1] = A_full
-    tab[:m, -1] = b
-    tab[m, :n] = c
-    basis = list(range(n, n + m))
+    tab, basis = _initial_tableau(A, b, c)
+    A_full, c_full = tab[:m, :-1].copy(), tab[m, :-1].copy()
 
     # Refresh the tableau from the original data every few dozen pivots:
     # pivot decisions then always see near-exact entries, so degenerate
@@ -160,23 +170,25 @@ def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     # basis repeats across refresh cycles, a drifted comparison inside the
     # window flipped a choice (near-duplicate rows with tiny splits do
     # this); fall back to refreshing after every single pivot, where the
-    # Bland argument applies verbatim and termination is guaranteed.
+    # Bland argument applies verbatim.  There each basis, in its order,
+    # fixes the next one, so a basis that repeats there cycles for good:
+    # the float solve gives up at once and ``solve`` re-solves exactly.
     window = max(50, 2 * (m + n))
     total = 0
     seen = set()
     while True:
-        total += _pivot_loop(tab, basis, m, n + m, window)
+        total += _pivot_loop(tab, basis, m, n + m, window, _PIVOT_EPS)
         if total > _MAX_PIVOTS:
             raise MatrixGameError("simplex iteration cap exceeded (rescale the game)")
         tab = _refreshed_tableau(A_full, b, c_full, basis)
         if not np.any(tab[m, :-1] > _PIVOT_EPS):
             break
-        if window > 1:
-            key = tuple(sorted(basis))
-            if key in seen:
-                window = 1
-            else:
-                seen.add(key)
+        key = tuple(sorted(basis)) if window > 1 else tuple(basis)
+        if key in seen:
+            if window == 1:
+                raise MatrixGameError("simplex cycles under per-pivot refresh")
+            window, seen = 1, set()
+        seen.add(key)
 
     x_b, duals = _polished_vertex(A_full, b, c_full, basis)
     x = np.zeros(n + m)
@@ -215,54 +227,19 @@ def _certificate(payoffs: np.ndarray, value, row_mix, col_mix, mask=None):
 
 
 def _exact_simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray):
-    """The same LP in exact rational arithmetic (floats are dyadic
-    rationals), Bland's rule throughout: guaranteed to terminate at the
-    exact optimum.  Fallback path for conditioning-pathological games."""
+    """The same LP in exact rational arithmetic: the float tableau's entries
+    as Fractions (every float is a dyadic rational) through the same Bland
+    pivot loop, which cannot cycle there and ends at the exact optimum.
+    Fallback path for conditioning-pathological games."""
     m, n = A.shape
-    width = n + m + 1
-    tab = [[Fraction(0)] * width for _ in range(m + 1)]
-    for i in range(m):
-        for j in range(n):
-            tab[i][j] = Fraction(float(A[i, j]))
-        tab[i][n + i] = Fraction(1)
-        tab[i][-1] = Fraction(float(b[i]))
-    for j in range(n):
-        tab[m][j] = Fraction(float(c[j]))
-    basis = list(range(n, n + m))
-
-    for _ in range(1_000_000):
-        enter = -1
-        for j in range(n + m):
-            if tab[m][j] > 0:
-                enter = j
-                break
-        if enter < 0:
-            break
-        best, leave = None, -1
-        for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][-1] / tab[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
-        if leave < 0:
-            raise MatrixGameError("LP unbounded (shifted game should be bounded)")
-        piv = tab[leave][enter]
-        tab[leave] = [v / piv for v in tab[leave]]
-        row_l = tab[leave]
-        for i in range(m + 1):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [v - f * w for v, w in zip(tab[i], row_l)]
-        basis[leave] = enter
-    else:
+    tab, basis = _initial_tableau(A, b, c)
+    tab = np.array([[Fraction(v) for v in row] for row in tab.tolist()], dtype=object)
+    if _pivot_loop(tab, basis, m, n + m, 1_000_000, 0) == 1_000_000:
         raise MatrixGameError("exact simplex failed to terminate")
-
     x = [Fraction(0)] * (n + m)
     for i, bi in enumerate(basis):
-        x[bi] = tab[i][-1]
-    duals = [-tab[m][n + i] for i in range(m)]
-    obj = -tab[m][-1]
-    return x[:n], duals, obj
+        x[bi] = tab[i, -1]
+    return x[:n], list(-tab[m, n:-1]), -tab[m, -1]
 
 
 def solve(game: MatrixGame, tol: float = GAME_TOL) -> GameSolution:

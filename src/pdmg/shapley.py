@@ -477,6 +477,10 @@ class _BestResponse(_Reducer):
         return self.reduce(entries + self.pad, axis=1)
 
 
+# overflowing entries, and a carried 2x2 support whose entries come to
+# a + d = b + c, give non-finite values: a failed certificate or the final
+# check of phi names them, so numpy's warnings would only repeat it
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _sweep(models: list, grid: TimeGrid, reducer: _Reducer) -> list[ValueField]:
     """Backward recursion from the terminal slices on the reducer's step tables.
 
@@ -576,10 +580,7 @@ class _CarriedSaddles(_Reducer):
         mu, nu = _pure_mixtures(model, n_steps * R)
         self.mu, self.nu = mu.reshape(n_steps, R, S, A), nu.reshape(n_steps, R, S, B)
         lead = (R,) if R > 1 else ()
-        # (knot[, member]) settled by solve_stack, and the same flags by
-        # (knot, member); a knot's flags are one scalar when R = 1
-        self.fresh = np.zeros((n_steps,) + lead, dtype=bool)
-        self.flags = self.fresh.reshape(n_steps, R)
+        self.flags = np.zeros((n_steps, R), dtype=bool)  # (knot, member) settled by solve_stack
         self.mask = np.concatenate([model.cells] * R)  # (R*S, A, B)
         # the supports of every cell, flat indices into a knot's (R, S, A, B)
         # entries; a member solved afresh holds the (0, 0) corner, a 1x1
@@ -605,7 +606,7 @@ class _CarriedSaddles(_Reducer):
     def fold(self, k: int, entries: np.ndarray) -> np.ndarray:
         v = support_values(entries, self.supports)
         if self.all_held:
-            self.fresh[k] = False
+            self.flags[k] = False
             return v
         idle = ~self.held
         values = v.reshape(self.held.size, -1)
@@ -696,10 +697,7 @@ def backward_solve_batch(models, config: SolverConfig) -> list[tuple[ValueField,
             pure = StrategyField(grid, *_pure_mixtures(model, grid.n_steps))
             return [(field, pure) for field in _sweep(models, grid, _Pair(model, pure, None))]
         saddles = _CarriedSaddles(model, grid.n_steps, len(models))
-        # a carried 2x2 support whose entries come to a + d = b + c divides by
-        # zero; its non-finite value fails the certificate
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fields = _sweep(models, grid, saddles)
+        fields = _sweep(models, grid, saddles)
         return list(zip(fields, saddles.strategies(grid)))
     except (SolverError, MatrixGameError):
         if len(models) == 1:

@@ -39,19 +39,19 @@ from .model import GameModel, GridFlowStates
 from .shapley import SolverError, StrategyField, knot_segments
 
 _BATCH = 1 << 14  # paths walked together; results do not depend on it
+# the thinning bound of a state is this factor times its largest total rate:
+# any factor >= 1 bounds every intensity, a larger one draws more candidates
+_RATE_BOUND_FACTOR = 1.25
 
 
 @dataclass(frozen=True)
 class SimConfig:
     n_paths: int
     rng_seed: int
-    rate_bound_factor: float = 1.25
 
     def __post_init__(self):
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
-        if self.rate_bound_factor < 1.0:
-            raise ValueError("rate_bound_factor must be >= 1")
 
 
 @dataclass
@@ -126,7 +126,7 @@ def philox_uniforms(raw: np.ndarray) -> np.ndarray:
 # tables and flow arithmetic
 
 
-def _rate_bounds(model: GameModel, factor: float) -> np.ndarray:
+def _rate_bounds(model: GameModel) -> np.ndarray:
     """Per state, an intensity bound valid along the flow from it until the next jump.
 
     The flow keeps a grid-flow state in its mode, so the bound there is the
@@ -136,7 +136,7 @@ def _rate_bounds(model: GameModel, factor: float) -> np.ndarray:
     sp = model.states
     if isinstance(sp, GridFlowStates):
         q = np.repeat(q.reshape(len(sp.modes), sp.cells).max(axis=1), sp.cells)
-    return factor * q
+    return _RATE_BOUND_FACTOR * q
 
 
 class _Tables:
@@ -231,8 +231,7 @@ class _Paths:
 
 
 class _Walker:
-    def __init__(self, model: GameModel, strategies: StrategyField, t0: float, x0: int,
-                 seed: int, factor: float):
+    def __init__(self, model: GameModel, strategies: StrategyField, t0: float, x0: int, seed: int):
         T = model.horizon
         if not 0.0 <= t0 < T:
             raise ValueError("t0 must lie in [0, T)")
@@ -240,7 +239,7 @@ class _Walker:
             raise ValueError(f"x0 must be a state index in [0, {model.n_states})")
         self.model, self.t0, self.x0, self.seed = model, float(t0), int(x0), seed & _U64
         self.tables = _Tables(model, strategies)
-        self.bounds = _rate_bounds(model, factor)
+        self.bounds = _rate_bounds(model)
         sp = model.states
         moving = isinstance(sp, GridFlowStates) and any(m.drift != 0.0 for m in sp.modes)
         self.flow = _Flow(sp) if moving else None
@@ -382,9 +381,9 @@ def _trajectories(t0: float, x0: int, log: list, first: int, exponents: np.ndarr
     )
 
 
-def _walk_paths(model, strategies, t0, x0, seed, factor, n_paths, record, first=0):
+def _walk_paths(model, strategies, t0, x0, seed, n_paths, record, first=0):
     """Exponents, counts and trajectories of paths first..first+n_paths-1."""
-    walker = _Walker(model, strategies, t0, x0, seed, factor)
+    walker = _Walker(model, strategies, t0, x0, seed)
     exponents = np.empty(n_paths)
     counts = np.zeros(3, dtype=np.int64)
     log: list = []
@@ -403,12 +402,10 @@ def simulate_path(
     x0: int,
     seed: int,
     path: int = 0,
-    rate_bound_factor: float = 1.25,
 ) -> Trajectory:
     """Path ``path`` of the walk keyed by ``seed``: the same trajectory that
     :func:`estimate_J` averages as its path of that index."""
-    exponents, _, log = _walk_paths(model, strategies, t0, x0, seed, rate_bound_factor, 1,
-                                    path + 1, first=path)
+    exponents, _, log = _walk_paths(model, strategies, t0, x0, seed, 1, path + 1, first=path)
     return _trajectories(t0, x0, log, path, exponents)[0]
 
 
@@ -428,8 +425,7 @@ def estimate_J(
     """
     n = config.n_paths
     record = max(0, min(record, n))
-    exps, counts, log = _walk_paths(model, strategies, t0, x0, config.rng_seed,
-                                    config.rate_bound_factor, n, record)
+    exps, counts, log = _walk_paths(model, strategies, t0, x0, config.rng_seed, n, record)
     if np.any(np.abs(exps) > 700.0):
         raise SolverError(
             f"exponent overflow in exp(): max |exponent| = {np.abs(exps).max():.4g}; "

@@ -78,10 +78,17 @@ def _least(name: str, margin: np.ndarray, tol: float, where) -> CheckResult:
     return CheckResult(name, bool(worst >= -tol), where(*i), worst)
 
 
-def _math(f, values: np.ndarray) -> np.ndarray:
-    """``f`` from the math module applied entrywise (np.exp and np.log may
-    differ from it in the last bit)."""
-    return np.array([f(v) for v in values.ravel().tolist()]).reshape(values.shape)
+def _exp(values: np.ndarray) -> np.ndarray:
+    """math.exp entrywise (np.exp may differ from it in the last bit); a
+    growth term past the float range counts as +inf."""
+
+    def exp(v: float) -> float:
+        try:
+            return math.exp(v)
+        except OverflowError:
+            return math.inf
+
+    return np.array([exp(v) for v in values.ravel().tolist()]).reshape(values.shape)
 
 
 def check_assumptions(model: GameModel) -> VerificationReport:
@@ -115,8 +122,8 @@ def check_assumptions(model: GameModel) -> VerificationReport:
 
         return _least(name, margin, 1e-12, where)
 
-    cost_growth = _math(math.exp, 2.0 * (T + 1.0) * np.abs(model.costs).max(axis=(2, 3)))
-    terminal_growth = _math(math.exp, 2.0 * (T + 1.0) * np.abs(model.terminal))
+    cost_growth = _exp(2.0 * (T + 1.0) * np.abs(model.costs).max(axis=(2, 3)))
+    terminal_growth = _exp(2.0 * (T + 1.0) * np.abs(model.terminal))
     return VerificationReport([
         drift_check("drift_V", ly.V, ly.rho1, ly.b1),
         drift_check("drift_V1_squared", ly.V1**2, ly.rho2, ly.b2),
@@ -146,9 +153,9 @@ def check_bounds(field: ValueField, model: GameModel) -> VerificationReport:
     if pos <= 0.0:
         return VerificationReport(checks)
 
-    knots = grid.knots().tolist()
-    L2 = np.array([ly.M2 * math.exp(ly.rho1 * (T - t)) * (1.0 + ly.b1 / ly.rho1) for t in knots])[:, None]
-    vflow = ly.V[np.stack([model.states.flow_map(T - t) for t in knots])]  # (N+1, S)
+    knots = grid.knots()
+    L2 = (ly.M2 * _exp(ly.rho1 * (T - knots)) * (1.0 + ly.b1 / ly.rho1))[:, None]
+    vflow = ly.V[np.stack([model.states.flow_map(T - t) for t in knots.tolist()])]  # (N+1, S)
     up = L2 * vflow - field.phi
     lo = field.phi - np.exp(-model.lam * L2 * vflow)
     checks.append(_least("upper_bound", up, 1e-12, "knot {}, state {}".format))

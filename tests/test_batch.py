@@ -143,10 +143,8 @@ def one_state(cost=0.0, terminal=0.0, horizon=1.0):
     })
 
 
-# the overflowing member warns as it marches, as it does alone
-@pytest.mark.filterwarnings(
-    "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning"
-)
+# the overflowing member stops with an error, alone or in a batch, and warns of nothing
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestBatchErrors:
     # at N = 2000: cost 1 passes; cost 2000 fails the CFL check; terminal 800
     # overflows; cost 1000 overflows phi during the march

@@ -399,6 +399,21 @@ class TestVerifyCommand:
         assert rc == 1
 
 
+    def test_overflowing_growth_term_fails_with_a_report(self, tmp_path, capsys):
+        # 2*(T+1)*|c| = 1600 passes the float range of e^x
+        doc = demos.doc("nonneg_ladder")
+        doc["costs"][0]["value"] = 400.0
+        model = tmp_path / "big.json"
+        model.write_text(json.dumps(doc))
+        assert main(["validate", "--model", str(model)]) == 1
+        assert "cost_growth: FAIL (margin -inf at seg 0, state 0)" in capsys.readouterr().out
+        out = tmp_path / "v"
+        assert main(["verify", "--model", str(model), "--out", str(out)]) == 1
+        checks = {c["name"]: c for c in read_json(out / "report.json")["assumptions"]["checks"]}
+        assert checks["cost_growth"]["passed"] is False
+        assert checks["cost_growth"]["margin"] == -math.inf
+
+
 class TestLadderCommand:
     def test_bounded_ladder_identical_levels(self, model_files, tmp_path, capsys):
         out = tmp_path / "lad"
@@ -578,8 +593,9 @@ class TestEnvironment:
 
 
 class TestNonFiniteValues:
-    def test_overflowing_solve_exits_one_without_csv(self, tmp_path):
-        # lambda*c*T = 800: phi overflows past the largest float
+    def test_overflowing_solve_exits_one_without_csv(self, tmp_path, capsys):
+        # lambda*c*T = 800: phi overflows past the largest float, and the
+        # march says where without a numpy warning
         doc = {
             "lambda": 1.0,
             "horizon": 1.0,
@@ -590,9 +606,11 @@ class TestNonFiniteValues:
         model = tmp_path / "hot.json"
         model.write_text(json.dumps(doc))
         out = tmp_path / "run"
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rc = main(["solve", "--model", str(model), "--steps", "2000", "--out", str(out)])
         assert rc == 1
+        assert "error: phi is not finite and positive at knot 225, state 0" in capsys.readouterr().err
         assert not (out / "solution.csv").exists()
 
     def _write(self, tmp_path, doc):

@@ -81,11 +81,12 @@ class TestJumpLaw:
             assert all(b > a for a, b in zip(times, times[1:]))
 
     @pytest.mark.parametrize("factor", [1.25, 2.0])
-    def test_first_jump_is_truncated_exponential(self, two_state, factor):
+    def test_first_jump_is_truncated_exponential(self, two_state, factor, monkeypatch):
         # thinning against a loose bound must not distort the law: the
         # accepted first-jump times follow Exp(1) conditioned on <= T
+        monkeypatch.setattr(simulate, "_RATE_BOUND_FACTOR", factor)
         strategies = singleton_strategies(two_state, n_steps=1)
-        config = SimConfig(n_paths=100_000, rng_seed=23, rate_bound_factor=factor)
+        config = SimConfig(n_paths=100_000, rng_seed=23)
         est = estimate_J(two_state, strategies, 0.0, 0, config, record=100_000)
         times = [tr.jumps[0][0] for tr in est.trajectories if tr.jumps]
 
@@ -135,12 +136,13 @@ class TestEstimates:
         with pytest.raises(SolverError, match="overflow"):
             estimate_J(m, strategies, 0.0, 0, SimConfig(n_paths=3, rng_seed=0))
 
-    def test_bound_violation_guard(self, two_state):
+    def test_bound_violation_guard(self, two_state, monkeypatch):
         # a "mixture" of weight 10 is no probability vector: it drives the
         # intensity to 10 times q*, past the bound 1.0*q*
+        monkeypatch.setattr(simulate, "_RATE_BOUND_FACTOR", 1.0)
         ones = singleton_strategies(two_state, n_steps=1)
         strategies = StrategyField(ones.grid, 10.0 * ones.mu, ones.nu)
-        config = SimConfig(n_paths=200, rng_seed=5, rate_bound_factor=1.0)
+        config = SimConfig(n_paths=200, rng_seed=5)
         with pytest.raises(SolverError, match="thinning bound violated"):
             estimate_J(two_state, strategies, 0.0, 0, config)
 
@@ -191,8 +193,6 @@ class TestSimConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SimConfig(n_paths=0, rng_seed=1)
-        with pytest.raises(ValueError):
-            SimConfig(n_paths=1, rng_seed=1, rate_bound_factor=0.5)
 
 
 SEEDS = (0, 707, 2**64 - 1)

@@ -52,6 +52,18 @@ class TestCheckAssumptions:
         assert "cost_growth" in failed
         assert "state 0" in failed["cost_growth"].location
 
+    def test_overflowing_growth_term_fails_with_margin_minus_inf(self):
+        # 2*(T+1)*|c| = 1600 and 2*(T+1)*|g| = 1200 pass the float range of e^x
+        doc = demos.doc("nonneg_ladder")
+        doc["costs"][0]["value"] = 400.0
+        doc["terminal"] = [{"state": 2, "value": 300.0}]
+        report = check_assumptions(model_from_dict(doc))
+        failed = {c.name: c for c in report.checks if not c.passed}
+        assert sorted(failed) == ["cost_growth", "terminal_growth"]
+        assert failed["cost_growth"].location == "seg 0, state 0"
+        assert failed["terminal_growth"].location == "state 2"
+        assert all(c.margin == -math.inf for c in failed.values())
+
     def test_requires_lyapunov(self, const_cost):
         with pytest.raises(ModelValidationError, match="lyapunov"):
             check_assumptions(const_cost)
@@ -80,6 +92,16 @@ class TestCheckBounds:
             field, _ = backward_solve(model, SolverConfig(n_steps=200))
             report = check_bounds(field, model)
             assert report.passed, report.to_json()
+
+
+    def test_overflowing_growth_bound_is_infinite(self, two_state):
+        # rho1*T = 800: e^{rho1*(T-t)} passes the largest float below t = 0.113
+        doc = demos.doc("two_state")
+        doc["lyapunov"]["rho1"] = 800.0
+        report = check_bounds(ValueField(TimeGrid(4, 1.0), np.ones((5, 2))), model_from_dict(doc))
+        assert report.passed
+        upper = {c.name: c for c in report.checks}["upper_bound"]
+        assert upper.location == "knot 4, state 0" and math.isfinite(upper.margin)
 
 
 class TestExploitability:
