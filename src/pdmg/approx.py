@@ -17,7 +17,6 @@ shift identity with them, in one batched backward sweep
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -25,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .model import GameModel, ModelValidationError
-from .shapley import FMT, SolverConfig, ValueField, backward_solve_batch
+from .shapley import FMT, SolverConfig, ValueField, backward_solve_batch, json_text
 # backward_solve is not called here, but it is part of this module's
 # namespace: pdmgbench/tracing.py wraps it under this name
 from .shapley import backward_solve  # noqa: F401
@@ -54,7 +53,7 @@ class LadderReport:
             "converged_gap": _f(self.converged_gap),
             "violations": self.violations,
         }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return json_text(doc)
 
 
 def _f(v: float) -> float:

@@ -42,6 +42,7 @@ from .shapley import (
     best_response_solve,
     export_solution_csv,
     import_solution_csv,
+    json_text,
     picard_solve,
     policy_evaluate,
     saddle_from_field,
@@ -99,7 +100,7 @@ def _manifest(out: str, command: str, args, artifacts: list, wall: float, extra=
     }
     if extra:
         doc.update(extra)
-    return _write(os.path.join(out, "manifest.json"), json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return _write(os.path.join(out, "manifest.json"), json_text(doc) + "\n")
 
 
 def cmd_validate(args) -> int:
@@ -186,7 +187,7 @@ def cmd_simulate(args) -> int:
         "t0": _fnum(args.t0),
         "x0": args.x0,
     }
-    est_path = _write(os.path.join(out, "estimate.json"), json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    est_path = _write(os.path.join(out, "estimate.json"), json_text(doc) + "\n")
     artifacts = [est_path]
     if args.dump_trajectories:
         # the walks of the first paths, exactly as the estimate averaged them
@@ -239,7 +240,7 @@ def cmd_verify(args) -> int:
         ok = ok and gap <= args.gap_tol
 
     sections["passed"] = ok
-    path = _write(os.path.join(out, "report.json"), json.dumps(sections, indent=2, sort_keys=True) + "\n")
+    path = _write(os.path.join(out, "report.json"), json_text(sections) + "\n")
     _manifest(out, "verify", args, [path], time.time() - t_start)
     print(f"verify: {'pass' if ok else 'FAIL'} (report at {path})")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -324,6 +325,29 @@ def _finite(text: str) -> float:
     return value
 
 
+def _count(low: int):
+    """argparse type: an integer >= ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _tolerance(text: str) -> float:
+    """A finite number >= 0 (argparse type)."""
+    value = _finite(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"expected a number >= 0, got {text!r}")
+    return value
+
+
 def _levels(text: str) -> list:
     """The levels of ``--n-list``: comma-separated finite numbers, integral ones as int."""
     levels = [_finite(v) for v in text.split(",")]
@@ -370,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("solve", cmd_solve, help="solve the optimality equation backward in time")
     sp.add_argument("--model", required=True)
-    sp.add_argument("--steps", type=int, required=True)
+    sp.add_argument("--steps", type=_count(1), required=True)
     sp.add_argument("--scheme", choices=["semi_lagrangian", "picard"], default="semi_lagrangian")
     sp.add_argument("--tol", type=float, default=SolverConfig.tol, help="Picard stopping tolerance")
     sp.add_argument("--out")
@@ -384,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", required=True)
     sp.add_argument("--strategies", required=True)
     sp.add_argument("--side", choices=["maximize", "minimize"], required=True)
-    sp.add_argument("--steps", type=int)
+    sp.add_argument("--steps", type=_count(1))
     sp.add_argument("--out")
 
     sp = add("simulate", cmd_simulate, help="Monte Carlo estimate of the exponential functional")
@@ -392,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--strategies", required=True)
     sp.add_argument("--t0", type=float, default=0.0)
     sp.add_argument("--x0", type=int, default=0)
-    sp.add_argument("--paths", type=int, required=True)
+    sp.add_argument("--paths", type=_count(1), required=True)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--dump-trajectories", type=int, default=0, metavar="N_PATHS")
     sp.add_argument("--out")
@@ -401,15 +425,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", required=True)
     sp.add_argument("--field", help="solution CSV with the value field")
     sp.add_argument("--strategies", help="solution CSV with the strategy pair")
-    sp.add_argument("--refine", type=int, default=8)
-    sp.add_argument("--gap-tol", type=float, default=2e-3)
+    sp.add_argument("--refine", type=_count(1), default=8)
+    sp.add_argument("--gap-tol", type=_tolerance, default=2e-3)
     sp.add_argument("--out")
 
     sp = add("ladder", cmd_ladder, help="truncation ladder monotonicity run")
     sp.add_argument("--model", required=True)
     sp.add_argument("--n-list", type=_as_given(_levels), required=True, help="comma-separated increasing levels")
     sp.add_argument("--probe", type=_as_given(_probe), action="append", help="t,x (repeatable)")
-    sp.add_argument("--steps", type=int, required=True)
+    sp.add_argument("--steps", type=_count(1), required=True)
     sp.add_argument("--shift-check-n", type=_finite)
     sp.add_argument("--out")
 
@@ -419,8 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("oracle", cmd_oracle, help="fine-grid cross-solver deviation report")
     sp.add_argument("--model", required=True)
-    sp.add_argument("--steps", type=int, required=True)
-    sp.add_argument("--refine", type=int, default=8)
+    sp.add_argument("--steps", type=_count(1), required=True)
+    sp.add_argument("--refine", type=_count(2), default=8)
     sp.add_argument("--probe", type=_as_given(_probe), action="append", help="t,x (repeatable)")
     sp.add_argument("--tol", type=float, default=SolverConfig.tol, help="Picard stopping tolerance")
     sp.add_argument("--out")

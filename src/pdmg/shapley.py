@@ -32,10 +32,14 @@ mixtures contracted into the step tables, so that a knot costs a few small
 array operations.  ``backward_solve_batch`` marches several models on one
 grid (the levels of a truncation ladder, say) in that one sweep, a member
 axis leading every slice, so their knots cost one loop.
+``evaluate_and_respond`` marches one model's pair evaluation and both best
+responses (the three solves of exploitability) as the members of one
+sweep, on one build of the step tables.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import operator
 import warnings
@@ -191,6 +195,23 @@ def terminal_field(model: GameModel) -> np.ndarray:
     if np.any(np.abs(expo) > 700.0):
         raise SolverError("lambda*g exceeds 700; rescale the model before solving")
     return np.exp(expo)
+
+
+def json_text(doc) -> str:
+    """``doc`` as strict JSON (RFC 8259, two-space indent, sorted keys), the
+    form of every JSON artifact: a float that is not finite, which JSON
+    cannot hold, is written as the string "inf", "-inf" or "nan"."""
+
+    def strict(value):
+        if isinstance(value, float) and not math.isfinite(value):
+            return str(float(value))
+        if isinstance(value, dict):
+            return {k: strict(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [strict(v) for v in value]
+        return value
+
+    return json.dumps(strict(doc), indent=2, sort_keys=True, allow_nan=False)
 
 
 def _bad_entries(phi: np.ndarray) -> np.ndarray:
@@ -412,9 +433,15 @@ class _Reducer:
     coefficients a chunk of knots at a time; a one-action axis needs no
     contraction (its simplex is [1]), so a reducer that fixes no wider axis
     marches on the segment tables themselves.
+
+    ``signs`` holds one sign per slice a model marches: a slice signed -1
+    is marched as -phi.  ``entries``, when set, replaces the sweep's entry
+    builder for a reducer whose tables are not one (S, W) pair per knot.
     """
 
     certify = None
+    entries = None
+    signs = (1.0,)
 
     def __init__(self, model: GameModel, slices=None, mu=None, nu=None):
         A, B = model.widths
@@ -461,20 +488,83 @@ class _Pair(_Reducer):
 class _BestResponse(_Reducer):
     """One player held to its half of ``fixed``, the other free: the value is
     the best admissible pure action, a max for player 1 and a min for
-    player 2, with the padding masked by an additive -inf (+inf) pad."""
+    player 2, with the padding masked by an additive -inf pad.  Player 2's
+    side marches on -phi, so that its min is the max of the negated
+    entries; negation is exact, so the bits are those of the min."""
 
     def __init__(self, model: GameModel, fixed: StrategyField, slices: np.ndarray, side: str):
         if side == "maximize":
             super().__init__(model, slices, nu=fixed.nu)
             self.pad = np.where(model.cells[:, :, 0], 0.0, -np.inf)
-            self.reduce = np.maximum.reduce
         else:
             super().__init__(model, slices, mu=fixed.mu)
-            self.pad = np.where(model.cells[:, 0, :], 0.0, np.inf)
-            self.reduce = np.minimum.reduce
+            self.pad = np.where(model.cells[:, 0, :], 0.0, -np.inf)
+            self.signs = (-1.0,)
 
     def fold(self, k: int, entries: np.ndarray) -> np.ndarray:
-        return self.reduce(entries + self.pad, axis=1)
+        return np.maximum.reduce(entries + self.pad, axis=-1)
+
+
+class _PairAndResponses(_Reducer):
+    """The pair evaluation of ``fixed`` and the best response of each side
+    with more than one action, marched as the members of one sweep: the
+    pair, then player 1's side, then player 2's (on -phi).
+
+    A knot's entries are one flat row, each member's (S, W) entries in turn
+    (W = 1 for the pair), and its slices are one ``np.maximum.reduceat``
+    over the padded row: the pair's runs are one entry long.  The members
+    are grouped by the width of their step tables, so that each keeps the
+    BLAS call of its own sweep (the bits of a matrix product depend on its
+    column count): the pair's np.dot, one np.matmul for both sides when
+    A == B, else each side's np.dot, each written into its part of the row.
+    A knot's tables are the row of diagonal coefficients and a tuple with
+    each group's JT.
+    """
+
+    def __init__(self, model: GameModel, fixed: StrategyField, slices: np.ndarray):
+        S = model.n_states
+        A, B = model.widths
+        sides = [_BestResponse(model, fixed, slices, side) for side, w in (("maximize", A), ("minimize", B)) if w > 1]
+        members = [_Pair(model, fixed, slices)] + sides
+        self.signs = tuple(m.signs[0] for m in members)
+        self.contracts = True  # the pair holds an axis wider than 1
+        widths = [m.width for m in members]
+        ends = np.cumsum([S * w for w in widths]).tolist()
+        starts = [0] + ends[:-1]
+        self.row = np.empty(ends[-1])
+        # entry -> the member slice psi it multiplies, and the runs folded into one value
+        self.spread = np.repeat(np.arange(len(members) * S), np.repeat(widths, S))
+        self.runs = np.concatenate([[0], np.cumsum(np.repeat(widths, S))[:-1]])
+        self.pad = np.concatenate([np.zeros(S)] + [side.pad.ravel() for side in sides])
+        self.groups, self.calls = [], []
+        for g in [[0], [1, 2]] if A == B else [[m] for m in range(len(members))]:
+            out = self.row[starts[g[0]] : ends[g[-1]]]
+            if len(g) > 1:
+                self.calls.append((np.matmul, (slice(g[0], g[-1] + 1), None), out.reshape(len(g), 1, -1)))
+            else:
+                self.calls.append((np.dot, g[0], out))
+            self.groups.append([members[m] for m in g])
+
+    def tables(self, diags: list, jumps: list, segs: np.ndarray, k_lo: int):
+        Ds, JTs = [], []
+        for group in self.groups:
+            parts = [member.tables(diags, jumps, segs, k_lo) for member in group]
+            Ds += [np.asarray(D)[rows].reshape(len(segs), -1) for D, _, rows in parts]
+            JT, rows = parts[0][1:]
+            if len(parts) > 1:
+                # both sides contract, so rows is range(K); each member's JT
+                # stays the transposed view of its (S*W, S) table
+                JT = np.stack([p[1].swapaxes(-1, -2) for p in parts], axis=1).swapaxes(-1, -2)
+            JTs.append([JT[i] for i in rows])
+        return np.concatenate(Ds, axis=1), list(zip(*JTs)), range(len(segs))
+
+    def entries(self, D: np.ndarray, JT: tuple, psi: np.ndarray) -> np.ndarray:
+        for (product, at, out), jt in zip(self.calls, JT):
+            product(psi[at], jt, out=out)
+        return D * psi.take(self.spread) + self.row
+
+    def fold(self, k: int, entries: np.ndarray) -> np.ndarray:
+        return np.maximum.reduceat(entries + self.pad, self.runs).reshape(len(self.signs), -1)
 
 
 # overflowing entries, and a carried 2x2 support whose entries come to
@@ -493,9 +583,13 @@ def _sweep(models: list, grid: TimeGrid, reducer: _Reducer) -> list[ValueField]:
     ``reducer.fold(k, entries)`` is slice k.  In a batch, slice k is (R, S),
     the tables (R, S, W) and (R, S, S*W), and the entries (R, S, W) of all
     members come from one np.matmul (:func:`_member_entries`), bit for bit
-    the np.dot each member's own sweep makes.  A chunk holds at most
-    ``_CHUNK_GAMES`` games, and at most ``_CHUNK_COEFFS`` coefficients where
-    the reducer contracts mixtures (one member only).  With
+    the np.dot each member's own sweep makes.  A reducer with several
+    ``signs`` marches that many slices of one model on its own tables and
+    builds their entries with ``reducer.entries``; a slice signed -1 holds
+    -phi from the terminal slice down and is negated back at the end.  A
+    chunk holds at most ``_CHUNK_GAMES`` games, and at most
+    ``_CHUNK_COEFFS`` coefficients where the reducer contracts mixtures (one
+    model only).  With
     ``reducer.certify``, ``certify(k_lo, chunk, phi)`` sees the entries
     (K, [R,] S, W) of knots k_lo..k_lo+K-1 once the chunk is done and
     returns None to accept it, or a knot to resume from: every slice from
@@ -508,22 +602,23 @@ def _sweep(models: list, grid: TimeGrid, reducer: _Reducer) -> list[ValueField]:
     lags = _FlowLags(model, grid)
     knot_seg = knot_segments(model, grid)
     diags, jumps = _member_coefficients(models, grid)
-    lead = (len(models),) if len(models) > 1 else ()
-    N, S, W = grid.n_steps, model.n_states, reducer.width
+    signs = reducer.signs * len(models)
+    lead = (len(signs),) if len(signs) > 1 else ()
+    N, S = grid.n_steps, model.n_states
     phi = np.empty((N + 1,) + lead + (S,))
-    phi[N] = np.reshape([terminal_field(m) for m in models], lead + (S,))
+    phi[N] = np.reshape([sign * terminal_field(m) for m in models for sign in reducer.signs], lead + (S,))
     cap = max(1, _CHUNK_GAMES // (len(models) * S))
     if reducer.contracts:
         # no table a contraction makes is larger than (K, S, A, B, S)
         A, B = model.widths
         cap = max(1, min(cap, _CHUNK_COEFFS // (S * A * B * S)))
     certify, fold, flows, step = reducer.certify, reducer.fold, lags.flows, lags.step_map
-    entries_of = _member_entries if lead else _cell_entries
+    entries_of = reducer.entries or (_member_entries if lead else _cell_entries)
     k_hi, length = N, (1 if certify else cap)
     while k_hi > 0:
         k_lo = max(k_hi - length, 0)
         D, JT, rows = reducer.tables(diags, jumps, knot_seg[k_lo:k_hi], k_lo)
-        chunk = np.empty((k_hi - k_lo,) + lead + (S, W)) if certify else None
+        chunk = np.empty((k_hi - k_lo,) + lead + (S, reducer.width)) if certify else None
         for k in range(k_hi - 1, k_lo - 1, -1):
             if not flows:
                 psi = phi[k + 1]
@@ -538,7 +633,10 @@ def _sweep(models: list, grid: TimeGrid, reducer: _Reducer) -> list[ValueField]:
             phi[k] = fold(k, entries)
         resume = certify(k_lo, chunk, phi) if certify else None
         k_hi, length = (k_lo, min(2 * length, cap)) if resume is None else (resume + 1, 1)
-    fields = [ValueField(grid, np.ascontiguousarray(p)) for p in (np.moveaxis(phi, 1, 0) if lead else [phi])]
+    fields = [
+        ValueField(grid, np.ascontiguousarray(p if sign > 0 else -p))
+        for p, sign in zip(np.moveaxis(phi, 1, 0) if lead else [phi], signs)
+    ]
     for field in fields:
         bad = _bad_entries(field.phi)
         if bad.size:
@@ -756,6 +854,33 @@ def best_response_solve(
         # a free player with one action everywhere: the pair's value
         return _sweep([model], grid, _Pair(model, fixed, slices))[0]
     return _sweep([model], grid, _BestResponse(model, fixed, slices, side))[0]
+
+
+def evaluate_and_respond(
+    model: GameModel,
+    fixed: StrategyField,
+    config: SolverConfig,
+) -> tuple[ValueField, ValueField, ValueField]:
+    """The pair evaluation of ``fixed`` and both sides' best responses to it,
+    on the grid of ``config``, in one sweep on one build of the step tables.
+
+    Returns (pair, player 1's best response, player 2's best response), each
+    bit for bit the field of :func:`policy_evaluate` of ``fixed`` resampled
+    to the grid, and of :func:`best_response_solve` of that side.  A side
+    with one action everywhere is the pair itself (the same field object),
+    so a model without choices marches the pair alone.  Checks the CFL load
+    first; the error raised may differ from the one the three solves raise
+    one after another.
+    """
+    grid = TimeGrid(config.n_steps, model.horizon)
+    check_cfl(model, grid)
+    slices = fixed.slices_at(grid)
+    if model.widths == (1, 1):
+        pair = _sweep([model], grid, _Pair(model, fixed, slices))[0]
+        return pair, pair, pair
+    pair, *rest = _sweep([model], grid, _PairAndResponses(model, fixed, slices))
+    A, B = model.widths
+    return pair, rest[0] if A > 1 else pair, rest[-1] if B > 1 else pair
 
 
 def _bracket_entries(model: GameModel, u: np.ndarray, knot_seg: np.ndarray) -> np.ndarray:

@@ -8,23 +8,26 @@ the factorial contraction estimate of the fixed-point operator.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .matrix_game import MatrixGameError
 from .model import GameModel, GridFlowStates, ModelValidationError
 from .shapley import (
     FMT,
     SolverConfig,
+    SolverError,
     StrategyField,
     TimeGrid,
     ValueField,
     _FlowLags,
     backward_solve,
     best_response_solve,
+    evaluate_and_respond,
     gamma_apply,
+    json_text,
     picard_solve,
     policy_evaluate,
     to_risk_value,
@@ -60,7 +63,7 @@ class VerificationReport:
                 for c in self.checks
             ],
         }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return json_text(doc)
 
 
 def _flow_durations(model: GameModel, n_samples: int = 64) -> np.ndarray:
@@ -174,19 +177,24 @@ def exploitability(
     Both best responses and the pair evaluation run on a grid refined by
     ``refine`` relative to the strategies, so the gap measures genuine
     strategy suboptimality rather than per-cell solver residue: the gap of
-    the computed saddle shrinks first-order in the coarse step.  ``config``
-    is not read: the grid comes from the strategies and ``refine``.
+    the computed saddle shrinks first-order in the coarse step.  The three
+    march as one sweep (:func:`evaluate_and_respond`), each bit for bit its
+    own solve; if that sweep fails, the pair evaluation and the two best
+    responses run one after another, so that the error, type and message,
+    is the one the first failing solve raises.  ``config`` is not read: the
+    grid comes from the strategies and ``refine``.
     """
     fine = TimeGrid(strategies.grid.n_steps * refine, strategies.grid.horizon)
     fine_cfg = SolverConfig(n_steps=fine.n_steps)
-    pair = policy_evaluate(model, strategies.resample(fine))
-    sup_side = best_response_solve(model, strategies, "maximize", fine_cfg)
-    inf_side = best_response_solve(model, strategies, "minimize", fine_cfg)
-    risk_pair = to_risk_value(pair, model.lam)[0]
-    risk_sup = to_risk_value(sup_side, model.lam)[0]
-    risk_inf = to_risk_value(inf_side, model.lam)[0]
-    gap = max(float(np.max(risk_sup - risk_pair)), float(np.max(risk_pair - risk_inf)), 0.0)
-    return gap
+    try:
+        fields = evaluate_and_respond(model, strategies, fine_cfg)
+    except (SolverError, MatrixGameError):
+        policy_evaluate(model, strategies.resample(fine))
+        best_response_solve(model, strategies, "maximize", fine_cfg)
+        best_response_solve(model, strategies, "minimize", fine_cfg)
+        raise
+    risk_pair, risk_sup, risk_inf = (to_risk_value(field, model.lam)[0] for field in fields)
+    return max(float(np.max(risk_sup - risk_pair)), float(np.max(risk_pair - risk_inf)), 0.0)
 
 
 @dataclass
@@ -218,7 +226,7 @@ class OracleReport:
                 for t, x, c, fb, fp in self.probe_values
             ],
         }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return json_text(doc)
 
 
 def oracle_fine_grid(

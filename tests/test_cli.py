@@ -7,7 +7,7 @@ import pytest
 
 from pdmg import demos
 from pdmg.cli import main
-from pdmg.shapley import FMT, import_solution_csv
+from pdmg.shapley import FMT, import_solution_csv, json_text
 from pdmg.simulate import SimConfig, estimate_J
 
 
@@ -411,7 +411,27 @@ class TestVerifyCommand:
         assert main(["verify", "--model", str(model), "--out", str(out)]) == 1
         checks = {c["name"]: c for c in read_json(out / "report.json")["assumptions"]["checks"]}
         assert checks["cost_growth"]["passed"] is False
-        assert checks["cost_growth"]["margin"] == -math.inf
+        assert checks["cost_growth"]["margin"] == "-inf"
+
+    def test_reports_are_strict_json(self, tmp_path):
+        # JSON has no Infinity or NaN: a strict parser refuses those tokens
+        def refuse(token):
+            raise ValueError(f"not JSON: {token}")
+
+        doc = demos.doc("nonneg_ladder")
+        doc["costs"][0]["value"] = 400.0
+        model = tmp_path / "big.json"
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "v"
+        assert main(["verify", "--model", str(model), "--out", str(out)]) == 1
+        for name in ("report.json", "manifest.json"):
+            json.loads((out / name).read_text(), parse_constant=refuse)
+
+
+def test_json_text_writes_non_finite_numbers_as_strings():
+    doc = {"a": [math.inf, (-math.inf, np.float64("nan"))], "b": {"c": 1.5, "d": None, "e": 2}}
+    assert json.loads(json_text(doc)) == {"a": ["inf", ["-inf", "nan"]], "b": {"c": 1.5, "d": None, "e": 2}}
+    assert json_text({"b": 1, "a": [0.1]}) == json.dumps({"b": 1, "a": [0.1]}, indent=2, sort_keys=True)
 
 
 class TestLadderCommand:
@@ -472,10 +492,50 @@ class TestLadderArguments:
         import pdmg.approx
         import pdmg.cli
         import pdmg.shapley
+        import pdmg.verify
 
         assert pdmg.approx.backward_solve is pdmg.shapley.backward_solve
+        assert pdmg.verify.policy_evaluate is pdmg.shapley.policy_evaluate
+        assert pdmg.verify.best_response_solve is pdmg.shapley.best_response_solve
         assert pdmg.cli.ladder_run is pdmg.approx.ladder_run
         assert pdmg.cli.shift_identity_check is pdmg.approx.shift_identity_check
+
+
+@pytest.fixture(scope="module")
+def saddle_csv(model_files, tmp_path_factory):
+    out = tmp_path_factory.mktemp("saddle")
+    assert main(["solve", "--model", model_files["two_state"], "--steps", "20", "--out", str(out)]) == 0
+    return str(out / "solution.csv")
+
+
+class TestNumericArguments:
+    @pytest.mark.parametrize("command, flags, flag", [
+        ("solve", ["--steps", "0"], "--steps"),
+        ("best-response", ["--strategies", "S", "--side", "maximize", "--steps", "0"], "--steps"),
+        ("simulate", ["--strategies", "S", "--seed", "1", "--paths", "0"], "--paths"),
+        ("verify", ["--strategies", "S", "--refine", "0"], "--refine"),
+        ("verify", ["--strategies", "S", "--gap-tol", "nan"], "--gap-tol"),
+        ("verify", ["--strategies", "S", "--gap-tol", "-0.001"], "--gap-tol"),
+        ("oracle", ["--steps", "20", "--refine", "1"], "--refine"),
+        ("oracle", ["--steps", "-5"], "--steps"),
+        ("ladder", ["--n-list", "1,2", "--steps", "0"], "--steps"),
+    ])
+    def test_bad_value_exits_two_naming_the_flag(self, model_files, saddle_csv, tmp_path, capsys,
+                                                 command, flags, flag):
+        flags = [saddle_csv if f == "S" else f for f in flags]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--model", model_files["two_state"], *flags, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"argument {flag}: expected" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_least_values_run(self, model_files, saddle_csv, tmp_path):
+        model = model_files["two_state"]
+        assert main(["verify", "--model", model, "--strategies", saddle_csv, "--refine", "1",
+                     "--gap-tol", "0", "--out", str(tmp_path / "v")]) == 0
+        assert main(["oracle", "--model", model, "--steps", "6", "--refine", "2", "--out", str(tmp_path / "o")]) == 0
+        assert main(["simulate", "--model", model, "--strategies", saddle_csv, "--seed", "1", "--paths", "1",
+                     "--out", str(tmp_path / "s")]) == 0
 
 
 class TestParser:
