@@ -325,16 +325,17 @@ def _finite(text: str) -> float:
     return value
 
 
-def _count(low: int):
-    """argparse type: an integer >= ``low``."""
+def _count(low: int, below: int | None = None):
+    """argparse type: an integer >= ``low``, and < ``below`` if given."""
+    bound = f">= {low}" if below is None else f"in [{low}, {below})"
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             value = low - 1
-        if value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        if value < low or (below is not None and value >= below):
+            raise argparse.ArgumentTypeError(f"expected an integer {bound}, got {text!r}")
         return value
 
     return parse
@@ -345,6 +346,14 @@ def _tolerance(text: str) -> float:
     value = _finite(text)
     if value < 0.0:
         raise argparse.ArgumentTypeError(f"expected a number >= 0, got {text!r}")
+    return value
+
+
+def _positive(text: str) -> float:
+    """A finite number > 0 (argparse type)."""
+    value = _finite(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"expected a number > 0, got {text!r}")
     return value
 
 
@@ -396,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", required=True)
     sp.add_argument("--steps", type=_count(1), required=True)
     sp.add_argument("--scheme", choices=["semi_lagrangian", "picard"], default="semi_lagrangian")
-    sp.add_argument("--tol", type=float, default=SolverConfig.tol, help="Picard stopping tolerance")
+    sp.add_argument("--tol", type=_positive, default=SolverConfig.tol, help="Picard stopping tolerance")
     sp.add_argument("--out")
 
     sp = add("evaluate", cmd_evaluate, help="evaluate a fixed strategy pair")
@@ -417,8 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t0", type=float, default=0.0)
     sp.add_argument("--x0", type=int, default=0)
     sp.add_argument("--paths", type=_count(1), required=True)
-    sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--dump-trajectories", type=int, default=0, metavar="N_PATHS")
+    sp.add_argument("--seed", type=_count(0, 2**64), required=True, help="Philox key, 0 <= seed < 2**64")
+    sp.add_argument("--dump-trajectories", type=_count(0), default=0, metavar="N_PATHS")
     sp.add_argument("--out")
 
     sp = add("verify", cmd_verify, help="assumption, bound and saddle checks")
@@ -439,14 +448,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("game", cmd_game, help="solve a zero-sum matrix game from a CSV")
     sp.add_argument("--matrix", required=True)
-    sp.add_argument("--tol", type=float, default=GAME_TOL, help="largest certified duality gap")
+    sp.add_argument("--tol", type=_tolerance, default=GAME_TOL, help="largest certified duality gap")
 
     sp = add("oracle", cmd_oracle, help="fine-grid cross-solver deviation report")
     sp.add_argument("--model", required=True)
     sp.add_argument("--steps", type=_count(1), required=True)
     sp.add_argument("--refine", type=_count(2), default=8)
     sp.add_argument("--probe", type=_as_given(_probe), action="append", help="t,x (repeatable)")
-    sp.add_argument("--tol", type=float, default=SolverConfig.tol, help="Picard stopping tolerance")
+    sp.add_argument("--tol", type=_positive, default=SolverConfig.tol, help="Picard stopping tolerance")
     sp.add_argument("--out")
 
     return p

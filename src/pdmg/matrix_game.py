@@ -242,8 +242,15 @@ def _exact_simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     return x[:n], list(-tab[m, n:-1]), -tab[m, -1]
 
 
+def _check_tol(tol: float) -> None:
+    """ValueError unless tol >= 0: a NaN tolerance would certify any gap."""
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
+
+
 def solve(game: MatrixGame, tol: float = GAME_TOL) -> GameSolution:
     """Value and mixed saddle strategies with a certified duality gap <= tol."""
+    _check_tol(tol)
     p = game.payoffs
     m, n = p.shape
 
@@ -341,6 +348,7 @@ def solve_stack(payoffs, mask, tol: float = GAME_TOL, fallback=solve):
     (``solve`` by default), so every answer has a certified gap <= tol.  A
     stack of 1x1 games is all pure saddles: each value is its entry.
     """
+    _check_tol(tol)
     P = np.asarray(payoffs, dtype=float)
     lead, (A, B) = P.shape[:-2], P.shape[-2:]
     if A == B == 1:  # a game's one entry is admissible and its value

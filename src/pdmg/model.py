@@ -84,10 +84,6 @@ class GridFlowStates:
             return np.minimum(raw, p - raw)
         return np.clip(raw, 0, self.cells - 1)
 
-    def shifted_cells(self, shift: int) -> np.ndarray:
-        """``fold_cells(cell + shift)`` for every cell, as one int array."""
-        return self.fold_cells(np.arange(self.cells) + shift)
-
     def flow_map(self, dt: float) -> np.ndarray:
         """The state each state flows to in time dt, as one (S,) int array:
         floor(cell + drift*dt/cell_width + 0.5) folded into the grid."""

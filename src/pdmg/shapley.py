@@ -181,8 +181,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
+        if not (self.tol > 0.0 and math.isfinite(self.tol)):
+            raise ValueError("tol must be finite and positive")
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +295,17 @@ def check_cfl(model: GameModel, grid: TimeGrid) -> None:
 
 
 class _FlowLags:
-    """Rounded flow lookup maps on the grid, anchored at the terminal time.
+    """The tables of a model on one grid that every sweep on it reads, built
+    once: the rounded flow lookup maps anchored at the terminal time, the
+    time segment of every knot and the operator's terminal slices.
 
     For grid-flow modes the cell displacement over a lag of l steps is
     round(drift*l*Delta/width); per-step backward lookups use increments of
     this cumulative displacement so that composed steps track the true
     characteristic to within one cell at any refinement.  (Re-rounding the
     one-step displacement independently per step would freeze the flow
-    entirely once |drift|*Delta < width/2.)
+    entirely once |drift|*Delta < width/2.)  On a finite state space every
+    lookup is the identity.
     """
 
     def __init__(self, model: GameModel, grid: TimeGrid):
@@ -321,17 +324,14 @@ class _FlowLags:
             )  # (modes, N+1)
         else:
             self._disp = None
-        self._maps = {}  # per-mode displacements -> state lookup
 
-    def _shifted(self, disp: np.ndarray) -> np.ndarray:
-        """State lookup moving every cell of mode m by disp[m] cells."""
-        key = tuple(disp.tolist())
-        if key not in self._maps:
-            sp = self.model.states
-            self._maps[key] = np.concatenate(
-                [mode * sp.cells + sp.shifted_cells(shift) for mode, shift in enumerate(key)]
-            )
-        return self._maps[key]
+    def _lookups(self, disp: np.ndarray) -> np.ndarray:
+        """Row j: the state lookup moving every cell of mode m by disp[m, j]
+        cells, (J, S) from per-mode displacements (modes, J)."""
+        sp = self.model.states
+        cells = sp.fold_cells(np.arange(sp.cells) + disp[:, :, None])  # (modes, J, cells)
+        cells += (np.arange(len(sp.modes)) * sp.cells)[:, None, None]
+        return cells.transpose(1, 0, 2).reshape(disp.shape[1], -1)
 
     @cached_property
     def lag_table(self) -> np.ndarray:
@@ -340,14 +340,35 @@ class _FlowLags:
         n = self.grid.n_steps
         if self._disp is None:
             return np.tile(self.identity, (n + 1, 1))
-        return np.stack([self._shifted(self._disp[:, n - k]) for k in range(n + 1)])
+        return self._lookups(self._disp[:, ::-1])
 
-    def step_map(self, k: int) -> np.ndarray:
-        """Lookup from knot k into slice k+1 (increment of the anchored path)."""
-        if self._disp is None:
-            return self.identity
+    @cached_property
+    def step_table(self) -> np.ndarray:
+        """Row k: the lookup from knot k into slice k+1 (increment of the
+        anchored path), (N, S)."""
         n = self.grid.n_steps
-        return self._shifted(self._disp[:, n - k] - self._disp[:, n - k - 1])
+        if self._disp is None:
+            return np.tile(self.identity, (n, 1))
+        return self._lookups(self._disp[:, n:0:-1] - self._disp[:, n - 1 :: -1])
+
+    @cached_property
+    def segments(self) -> np.ndarray:
+        """Time segment of every knot, (N+1,): :func:`knot_segments`."""
+        return knot_segments(self.model, self.grid)
+
+    @cached_property
+    def bracket_tables(self) -> list:
+        """:func:`_bracket_tables` of every knot."""
+        return _bracket_tables(self.model, self.segments)
+
+    @cached_property
+    def terminal(self) -> np.ndarray:
+        """Row k: the terminal slice looked up along the flow from knot k,
+        (N+1, S), read-only; errors as :func:`terminal_field` on exponent
+        overflow."""
+        table = terminal_field(self.model)[self.lag_table]
+        table.flags.writeable = False
+        return table
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +621,7 @@ def _sweep(models: list, grid: TimeGrid, reducer: _Reducer) -> list[ValueField]:
     """
     model = models[0]
     lags = _FlowLags(model, grid)
-    knot_seg = knot_segments(model, grid)
+    knot_seg = lags.segments
     diags, jumps = _member_coefficients(models, grid)
     signs = reducer.signs * len(models)
     lead = (len(signs),) if len(signs) > 1 else ()
@@ -612,7 +633,8 @@ def _sweep(models: list, grid: TimeGrid, reducer: _Reducer) -> list[ValueField]:
         # no table a contraction makes is larger than (K, S, A, B, S)
         A, B = model.widths
         cap = max(1, min(cap, _CHUNK_COEFFS // (S * A * B * S)))
-    certify, fold, flows, step = reducer.certify, reducer.fold, lags.flows, lags.step_map
+    certify, fold, flows = reducer.certify, reducer.fold, lags.flows
+    steps = lags.step_table if flows else None
     entries_of = reducer.entries or (_member_entries if lead else _cell_entries)
     k_hi, length = N, (1 if certify else cap)
     while k_hi > 0:
@@ -623,9 +645,9 @@ def _sweep(models: list, grid: TimeGrid, reducer: _Reducer) -> list[ValueField]:
             if not flows:
                 psi = phi[k + 1]
             elif lead:  # along the state axis of (R, S)
-                psi = phi[k + 1].take(step(k), axis=-1)
+                psi = phi[k + 1].take(steps[k], axis=-1)
             else:  # plain indexing: cheaper than take on (S,)
-                psi = phi[k + 1][step(k)]
+                psi = phi[k + 1][steps[k]]
             i = rows[k - k_lo]
             entries = entries_of(D[i], JT[i], psi)
             if certify:
@@ -883,14 +905,23 @@ def evaluate_and_respond(
     return pair, rest[0] if A > 1 else pair, rest[-1] if B > 1 else pair
 
 
-def _bracket_entries(model: GameModel, u: np.ndarray, knot_seg: np.ndarray) -> np.ndarray:
-    """Cell games lambda*c*u(x) + sum_y q(y|x,a,b)*u(y) at every row of u: (K, S, A, B)."""
+def _bracket_tables(model: GameModel, knot_seg: np.ndarray) -> list:
+    """(rows, D, J.T) of every time segment: ``rows`` masks its knots among
+    ``knot_seg``, and D (S, A*B) and J (S*A*B, S) are the step tables of its
+    bracket games lambda*c*u(x) + sum_y q(y|x,a,b)*u(y)."""
     S = model.n_states
-    E = np.empty(u.shape + model.widths)
+    tables = []
     for seg in range(model.n_segments):
-        rows = knot_seg == seg
         D, J = model.lam * model.costs[seg].reshape(S, -1), model.rates[seg].reshape(-1, S)
-        E[rows] = _cell_entries(D, J.T, u[rows]).reshape((-1, S) + model.widths)
+        tables.append((knot_seg == seg, D, J.T))
+    return tables
+
+
+def _bracket_entries(model: GameModel, u: np.ndarray, tables: list) -> np.ndarray:
+    """Cell games at every row of u, (K, S, A, B), on the :func:`_bracket_tables` of its knots."""
+    E = np.empty(u.shape + model.widths)
+    for rows, D, JT in tables:
+        E[rows] = _cell_entries(D, JT, u[rows]).reshape((-1, model.n_states) + model.widths)
     return E
 
 
@@ -905,24 +936,31 @@ def gamma_apply(
     Gamma u(t_k, x) = exp(lam*g(T, flow(x, T-t_k)))
                       + Delta * sum_{j>k} val[...](t_j, flow(x, t_j - t_k)),
 
-    right-endpoint Riemann quadrature on the grid.
+    right-endpoint Riemann quadrature on the grid.  ``lags`` holds the
+    grid's tables; a caller applying the operator more than once passes
+    the same one each time.
     """
-    n, N = model.n_states, grid.n_steps
-    d = grid.delta
     if lags is None:
         lags = _FlowLags(model, grid)
-    E = _bracket_entries(model, u, knot_segments(model, grid))
-    w = solve_stack(E, model.cells, fallback=solve_game)[0]
-    out = terminal_field(model)[lags.lag_table]
+    E = _bracket_entries(model, u, lags.bracket_tables)
+    g = grid.delta * solve_stack(E, model.cells, fallback=solve_game)[0][1:]
     # suffix accumulation along the terminal-anchored characteristic paths
     # (the same rounded paths the backward stepper composes), so the two
     # solvers sample identical flow positions and differ only in quadrature:
     # G(k, x) = Delta * sum_{j>k} w(j, path position), via
     # G(k) = (Delta*w[k+1] + G(k+1)) looked up through the one-step map.
-    suffix = np.zeros(n)
-    for k in range(N - 1, -1, -1):
-        suffix = (d * w[k + 1] + suffix)[lags.step_map(k)]
-        out[k] += suffix
+    if not lags.flows:
+        # the lookups are the identity: add.accumulate adds in the loop's order
+        G = np.cumsum(g[::-1], axis=0)[::-1]
+    else:
+        # characteristics that a clamp or a reflection merges are summed in
+        # this order, which any other association would round differently
+        steps, G = lags.step_table, np.empty_like(g)
+        suffix = np.zeros(model.n_states)
+        for k in range(grid.n_steps - 1, -1, -1):
+            suffix = G[k] = (g[k] + suffix)[steps[k]]
+    out = lags.terminal.copy()
+    out[:-1] += G
     return out
 
 
@@ -942,7 +980,7 @@ def picard_solve(
     """
     grid = TimeGrid(config.n_steps, model.horizon)
     lags = _FlowLags(model, grid)
-    u = terminal_field(model)[lags.lag_table]
+    u = lags.terminal
     rate = 2.0 * model.q_star_max() + model.max_abs_cost()
     residuals = []
     for sweep in range(MAX_PICARD_SWEEPS):
@@ -982,7 +1020,7 @@ def saddle_from_field(model: GameModel, field: ValueField) -> StrategyField:
         # N*S 1x1 cell games, each a pure saddle whatever its entry
         COUNTS["pure_saddle"] += N * model.n_states
         return StrategyField(grid, *_pure_mixtures(model, N))
-    E = _bracket_entries(model, field.phi[:N], knot_segments(model, grid)[:N])
+    E = _bracket_entries(model, field.phi[:N], _bracket_tables(model, knot_segments(model, grid)[:N]))
     return StrategyField(grid, *solve_stack(E, model.cells, fallback=solve_game)[1:])
 
 

@@ -62,7 +62,7 @@ def sweep(model: GameModel, grid: TimeGrid, reduce) -> ValueField:
     phi = np.empty((N + 1, S))
     phi[N] = terminal_field(model)
     for k in range(N - 1, -1, -1):
-        psi = phi[k + 1][lags.step_map(k)]
+        psi = phi[k + 1][lags.step_table[k]]
         E = cell_entries(diags[knot_seg[k]], jumps[knot_seg[k]], psi, psi)
         phi[k] = reduce(k, E)
     bad = _bad_entries(phi)

@@ -148,7 +148,7 @@ def check_against_reference(model, field, strategies, counts, reference):
     lips = [float((d + j.sum(axis=-1)).max()) for d, j in zip(diags, jumps)]
     bound = 0.0
     for k in range(N - 1, -1, -1):
-        psi = phi[k + 1][lags.step_map(k)]
+        psi = phi[k + 1][lags.step_table[k]]
         E = perknot.cell_entries(diags[knot_seg[k]], jumps[knot_seg[k]], psi, psi)
         mu, nu = strategies.mu[k], strategies.nu[k]
         assert np.all(mu >= 0.0) and np.all(nu >= 0.0)

@@ -519,6 +519,19 @@ class TestNumericArguments:
         ("oracle", ["--steps", "20", "--refine", "1"], "--refine"),
         ("oracle", ["--steps", "-5"], "--steps"),
         ("ladder", ["--n-list", "1,2", "--steps", "0"], "--steps"),
+        # an infinite Picard tolerance stops after one sweep and certifies nothing
+        ("solve", ["--steps", "100", "--scheme", "picard", "--tol", "inf"], "--tol"),
+        ("solve", ["--steps", "100", "--scheme", "picard", "--tol", "nan"], "--tol"),
+        ("solve", ["--steps", "100", "--scheme", "picard", "--tol", "-1"], "--tol"),
+        ("solve", ["--steps", "100", "--scheme", "picard", "--tol", "0"], "--tol"),
+        ("oracle", ["--steps", "20", "--tol", "inf"], "--tol"),
+        ("oracle", ["--steps", "20", "--tol", "nan"], "--tol"),
+        ("oracle", ["--steps", "20", "--tol", "-1"], "--tol"),
+        # seed -1 would key the stream of seed 2**64 - 1
+        ("simulate", ["--strategies", "S", "--paths", "1", "--seed", "-1"], "--seed"),
+        ("simulate", ["--strategies", "S", "--paths", "1", "--seed", str(2**64)], "--seed"),
+        ("simulate", ["--strategies", "S", "--paths", "1", "--seed", "1", "--dump-trajectories", "-1"],
+         "--dump-trajectories"),
     ])
     def test_bad_value_exits_two_naming_the_flag(self, model_files, saddle_csv, tmp_path, capsys,
                                                  command, flags, flag):
@@ -536,6 +549,22 @@ class TestNumericArguments:
         assert main(["oracle", "--model", model, "--steps", "6", "--refine", "2", "--out", str(tmp_path / "o")]) == 0
         assert main(["simulate", "--model", model, "--strategies", saddle_csv, "--seed", "1", "--paths", "1",
                      "--out", str(tmp_path / "s")]) == 0
+
+    @pytest.mark.parametrize("seed", ["0", str(2**64 - 1)])
+    def test_seed_range_ends_run(self, model_files, saddle_csv, tmp_path, seed):
+        assert main(["simulate", "--model", model_files["two_state"], "--strategies", saddle_csv, "--seed", seed,
+                     "--paths", "1", "--dump-trajectories", "0", "--out", str(tmp_path)]) == 0
+        assert read_json(tmp_path / "estimate.json")["seed"] == int(seed)
+
+    # NaN certified any duality gap; inf would too
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_game_tol_exits_two_naming_the_flag(self, tmp_path, capsys, tol):
+        matrix = tmp_path / "m.csv"
+        matrix.write_text("1,2\n3,4\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["game", "--matrix", str(matrix), "--tol", tol])
+        assert exc.value.code == 2
+        assert "argument --tol: expected" in capsys.readouterr().err
 
 
 class TestParser:

@@ -48,6 +48,12 @@ class TestSolveExamples:
         with pytest.raises(MatrixGameError, match="non-finite"):
             MatrixGame(np.array([[1.0, np.inf]]))
 
+    # a NaN tolerance certified any duality gap
+    @pytest.mark.parametrize("tol", [np.nan, -1.0])
+    def test_nan_or_negative_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            solve(MatrixGame(np.array([[1.0, 2.0], [3.0, 4.0]])), tol)
+
     def test_single_row_and_column(self):
         sol = solve(MatrixGame(np.array([[4.0, -2.0, 7.0]])))
         assert sol.value == -2.0

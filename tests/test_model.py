@@ -216,7 +216,7 @@ class TestFlow:
         )
         for shift in range(-17, 18):
             expected = [perstate.apply_boundary(sp, cell + shift) for cell in range(5)]
-            assert sp.shifted_cells(shift).tolist() == expected
+            assert sp.fold_cells(np.arange(5) + shift).tolist() == expected
 
     def test_mode_cell_naming(self):
         sp = GridFlowStates(

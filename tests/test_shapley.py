@@ -18,6 +18,7 @@ from pdmg.shapley import (
     TimeGrid,
     ValueField,
     _bracket_entries,
+    _bracket_tables,
     _ediff,
     backward_solve,
     best_response_solve,
@@ -91,7 +92,7 @@ class TestTimeGrid:
 
 def _cell_game(model, u):
     """The bracket game lambda*c*u(x) + sum_y q(y|x,a,b)*u(y) of state 0 for one slice u."""
-    return _bracket_entries(model, np.array([u], dtype=float), np.zeros(1, dtype=int))[0, 0]
+    return _bracket_entries(model, np.array([u], dtype=float), _bracket_tables(model, np.zeros(1, dtype=int)))[0, 0]
 
 
 class TestLocalGameMatrix:
@@ -235,6 +236,12 @@ class TestPicard:
         }
         with np.errstate(over="ignore"), pytest.raises(SolverError, match="Picard sweep 1 has residual inf"):
             picard_solve(model_from_dict(doc), SolverConfig(n_steps=10))
+
+    # an infinite tolerance stops after one sweep, whatever its residual
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0])
+    def test_config_rejects_a_tol_that_is_not_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            SolverConfig(n_steps=10, tol=tol)
 
     def test_sweep_cap_reports_the_last_residual(self, controlled, monkeypatch):
         monkeypatch.setattr(shapley, "MAX_PICARD_SWEEPS", 2)

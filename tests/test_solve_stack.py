@@ -71,6 +71,12 @@ class TestAgainstSimplex:
         with pytest.raises(MatrixGameError, match="non-finite"):
             one([[1.0, np.nan], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("tol", [np.nan, -1.0])
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_nan_or_negative_tol_rejected(self, tol, width):
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            solve_stack(np.ones((3, width, width)), np.ones((width, width), dtype=bool), tol)
+
     def test_stack_of_1x1_games_is_pure_saddles(self):
         payoffs = np.random.default_rng(4).normal(size=(3, 2, 1, 1))
         reset_counts()
