@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .model import GameModel, ModelValidationError
-from .shapley import FMT, SolverConfig, ValueField, backward_solve_batch, json_text
+from .shapley import SolverConfig, ValueField, backward_solve_batch, json_text, report_numbers
 # backward_solve is not called here, but it is part of this module's
 # namespace: pdmgbench/tracing.py wraps it under this name
 from .shapley import backward_solve  # noqa: F401
@@ -40,24 +40,13 @@ class LadderReport:
     converged_gap: float  # max |phi_n - phi_{n_max}| over probes at the two largest levels
     violations: list
     # worst relative error of the shift identity at t = 0 when the ladder
-    # ran with a shift level (not part of ladder.json)
+    # ran with a shift level (not part of ladder.json: the manifest has it)
     shift_rel_err: Optional[float] = None
 
     def to_json(self) -> str:
-        doc = {
-            "n_values": self.n_values,
-            "probes": [[_f(t), x] for t, x in self.probes],
-            "phi_at_probe": [[_f(v) for v in row] for row in self.phi_at_probe],
-            "direction": self.direction,
-            "monotone_ok": self.monotone_ok,
-            "converged_gap": _f(self.converged_gap),
-            "violations": self.violations,
-        }
-        return json_text(doc)
-
-
-def _f(v: float) -> float:
-    return float(FMT % v)
+        doc = dict(vars(self))
+        del doc["shift_rel_err"]
+        return json_text(report_numbers(doc))
 
 
 def _rebuild(model: GameModel, rates, costs, terminal) -> GameModel:
@@ -212,7 +201,7 @@ def ladder_run(model: GameModel, n_list, probes, config: SolverConfig, shift_n=N
                     "levels": [n_list[i], n_list[i + 1]],
                     "knot": int(k),
                     "state": int(x),
-                    "violation": _f(-worst),
+                    "violation": -worst,
                 }
             )
 

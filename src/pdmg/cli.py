@@ -45,6 +45,7 @@ from .shapley import (
     json_text,
     picard_solve,
     policy_evaluate,
+    report_numbers,
     saddle_from_field,
     to_risk_value,
 )
@@ -56,10 +57,6 @@ from .verify import check_assumptions, check_bounds, exploitability, oracle_fine
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_IO = 2
-
-
-def _fnum(v):
-    return float(FMT % float(v))
 
 
 def _out_dir(args) -> str:
@@ -98,8 +95,7 @@ def _manifest(out: str, command: str, args, artifacts: list, wall: float, extra=
         "wall_clock_s": round(wall, 6),
         "version": __version__,
     }
-    if extra:
-        doc.update(extra)
+    doc.update(report_numbers(extra or {}))  # the config echoes the flags as given
     return _write(os.path.join(out, "manifest.json"), json_text(doc) + "\n")
 
 
@@ -146,7 +142,7 @@ def cmd_evaluate(args) -> int:
         os.path.join(out, "evaluation.csv"), export_solution_csv(model, field, strategies)
     )
     _manifest(out, "evaluate", args, [csv_path], time.time() - t_start)
-    print(f"phi(0, .) = {[float(FMT % v) for v in field.phi[0]]}")
+    print(f"phi(0, .) = {report_numbers(field.phi[0].tolist())}")
     return EXIT_OK
 
 
@@ -164,7 +160,7 @@ def cmd_best_response(args) -> int:
         os.path.join(out, "best_response.csv"), export_solution_csv(model, field, strat_echo)
     )
     _manifest(out, "best-response", args, [csv_path], time.time() - t_start)
-    print(f"best-response phi(0, .) = {[float(FMT % v) for v in field.phi[0]]}")
+    print(f"best-response phi(0, .) = {report_numbers(field.phi[0].tolist())}")
     return EXIT_OK
 
 
@@ -177,17 +173,17 @@ def cmd_simulate(args) -> int:
     config = SimConfig(n_paths=args.paths, rng_seed=args.seed)
     est = estimate_J(model, strategies, args.t0, args.x0, config, record=args.dump_trajectories)
     doc = {
-        "mean": _fnum(est.mean),
-        "stderr": _fnum(est.stderr),
+        "mean": est.mean,
+        "stderr": est.stderr,
         "n_paths": est.n_paths,
-        "min_exponent": _fnum(est.min_exponent),
-        "max_exponent": _fnum(est.max_exponent),
-        "risk_value": _fnum(np.log(est.mean) / model.lam),
+        "min_exponent": est.min_exponent,
+        "max_exponent": est.max_exponent,
+        "risk_value": np.log(est.mean) / model.lam,
         "seed": args.seed,
-        "t0": _fnum(args.t0),
+        "t0": args.t0,
         "x0": args.x0,
     }
-    est_path = _write(os.path.join(out, "estimate.json"), json_text(doc) + "\n")
+    est_path = _write(os.path.join(out, "estimate.json"), json_text(report_numbers(doc)) + "\n")
     artifacts = [est_path]
     if args.dump_trajectories:
         # the walks of the first paths, exactly as the estimate averaged them
@@ -200,8 +196,8 @@ def cmd_simulate(args) -> int:
         "candidates": est.candidates,
         "jumps": est.jumps,
         "rejections": est.rejections,
-        "acceptance_rate": _fnum(est.jumps / est.candidates) if est.candidates else None,
-        "jumps_per_path": _fnum(est.jumps / est.n_paths),
+        "acceptance_rate": est.jumps / est.candidates if est.candidates else None,
+        "jumps_per_path": est.jumps / est.n_paths,
     }
     _manifest(out, "simulate", args, artifacts, time.time() - t_start, {"simulation": simulation})
     print(f"mean {FMT % est.mean}  stderr {FMT % est.stderr}  ({est.n_paths} paths)")
@@ -217,7 +213,7 @@ def cmd_verify(args) -> int:
 
     if model.lyapunov is not None:
         rep = check_assumptions(model)
-        sections["assumptions"] = json.loads(rep.to_json())
+        sections["assumptions"] = rep.doc()
         ok = ok and rep.passed
     else:
         sections["assumptions"] = "skipped (no lyapunov data)"
@@ -228,7 +224,7 @@ def cmd_verify(args) -> int:
             field, strategies = import_solution_csv(model, fh.read())
         if model.lyapunov is not None:
             rep = check_bounds(field, model)
-            sections["bounds"] = json.loads(rep.to_json())
+            sections["bounds"] = rep.doc()
             ok = ok and rep.passed
     if args.strategies:
         with open(args.strategies) as fh:
@@ -236,11 +232,11 @@ def cmd_verify(args) -> int:
     if strategies is not None:
         config = SolverConfig(n_steps=strategies.grid.n_steps)
         gap = exploitability(model, strategies, config, refine=args.refine)
-        sections["exploitability"] = {"gap": _fnum(gap), "tolerance": _fnum(args.gap_tol)}
+        sections["exploitability"] = {"gap": gap, "tolerance": args.gap_tol}
         ok = ok and gap <= args.gap_tol
 
     sections["passed"] = ok
-    path = _write(os.path.join(out, "report.json"), json_text(sections) + "\n")
+    path = _write(os.path.join(out, "report.json"), json_text(report_numbers(sections)) + "\n")
     _manifest(out, "verify", args, [path], time.time() - t_start)
     print(f"verify: {'pass' if ok else 'FAIL'} (report at {path})")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -255,9 +251,7 @@ def cmd_ladder(args) -> int:
     # the levels and the shift pair march as one batch
     report = ladder_run(model, _levels(args.n_list), probes, config, args.shift_check_n)
     path = _write(os.path.join(out, "ladder.json"), report.to_json() + "\n")
-    extra = {}
-    if report.shift_rel_err is not None:
-        extra["shift_identity_rel_err"] = _fnum(report.shift_rel_err)
+    extra = None if report.shift_rel_err is None else {"shift_identity_rel_err": report.shift_rel_err}
     _manifest(out, "ladder", args, [path], time.time() - t_start, extra)
     print(
         f"ladder {report.direction}: monotone_ok={report.monotone_ok} "

@@ -242,15 +242,10 @@ def _exact_simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     return x[:n], list(-tab[m, n:-1]), -tab[m, -1]
 
 
-def _check_tol(tol: float) -> None:
-    """ValueError unless tol >= 0: a NaN tolerance would certify any gap."""
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
-
-
 def solve(game: MatrixGame, tol: float = GAME_TOL) -> GameSolution:
     """Value and mixed saddle strategies with a certified duality gap <= tol."""
-    _check_tol(tol)
+    if not tol >= 0.0:  # a NaN tolerance would certify any gap
+        raise ValueError(f"tol must be >= 0, got {tol}")
     p = game.payoffs
     m, n = p.shape
 
@@ -303,7 +298,7 @@ def solve(game: MatrixGame, tol: float = GAME_TOL) -> GameSolution:
     return GameSolution(value, row_mix, col_mix, gap)
 
 
-def _equalizers(Q: np.ndarray, tol: float):
+def _equalizers(Q: np.ndarray):
     """Certified full-support equalizing strategies of square games Q (L, s, s).
 
     Solves [Q -1; 1^T 0] [y; v] = [0; 1] and the same system for Q^T in
@@ -311,7 +306,7 @@ def _equalizers(Q: np.ndarray, tol: float):
     form needs no shift, so value-0 games such as matching pennies stay
     nonsingular).  Returns (ok, value, row_mix, col_mix): ``ok`` marks the
     games whose mixtures are nonnegative with the duality gap of
-    ``_certificate`` <= tol (which fails for a non-finite value).
+    ``_certificate`` <= ``GAME_TOL`` (which fails for a non-finite value).
     """
     L, s = Q.shape[:2]
     scale = np.abs(Q).max(axis=(1, 2))  # > 0: an all-zero game is a pure saddle
@@ -332,11 +327,11 @@ def _equalizers(Q: np.ndarray, tol: float):
     col_mix, row_mix = mixes
     value = sol[0, :, s] * scale + 0.0  # + 0.0: no -0.0
     ok = (row_mix >= 0.0).all(axis=1) & (col_mix >= 0.0).all(axis=1)
-    ok &= _certificate(Q, value, row_mix, col_mix) <= tol
+    ok &= _certificate(Q, value, row_mix, col_mix) <= GAME_TOL
     return ok, value, row_mix, col_mix
 
 
-def solve_stack(payoffs, mask, tol: float = GAME_TOL, fallback=solve):
+def solve_stack(payoffs, mask, fallback=solve):
     """Values and saddle mixtures of a stack of zero-padded games.
 
     ``payoffs`` (..., A, B) holds one game per leading index; ``mask``
@@ -345,10 +340,9 @@ def solve_stack(payoffs, mask, tol: float = GAME_TOL, fallback=solve):
     mixtures (..., A) and (..., B), zero past each game's m and n.  Pure
     saddles (exact) and certified full-support equalizers of square games
     are settled in batch; every other game goes through ``fallback``
-    (``solve`` by default), so every answer has a certified gap <= tol.  A
-    stack of 1x1 games is all pure saddles: each value is its entry.
+    (``solve`` by default), so every answer has a certified gap <= GAME_TOL.
+    A stack of 1x1 games is all pure saddles: each value is its entry.
     """
-    _check_tol(tol)
     P = np.asarray(payoffs, dtype=float)
     lead, (A, B) = P.shape[:-2], P.shape[-2:]
     if A == B == 1:  # a game's one entry is admissible and its value
@@ -384,7 +378,7 @@ def solve_stack(payoffs, mask, tol: float = GAME_TOL, fallback=solve):
     with np.errstate(all="ignore"):
         for s in set(m[square].tolist()):
             idx = np.flatnonzero(square & (m == s))
-            ok, v, x, y = _equalizers(P[idx, :s, :s], tol)
+            ok, v, x, y = _equalizers(P[idx, :s, :s])
             idx = idx[ok]
             value[idx], row_mix[idx, :s], col_mix[idx, :s] = v[ok], x[ok], y[ok]
             left[idx] = False
@@ -392,7 +386,7 @@ def solve_stack(payoffs, mask, tol: float = GAME_TOL, fallback=solve):
 
     # 4. the rest, one at a time
     for c in np.flatnonzero(left).tolist():
-        sol = fallback(MatrixGame(P[c, : m[c], : n[c]]), tol)
+        sol = fallback(MatrixGame(P[c, : m[c], : n[c]]))
         value[c] = sol.value
         row_mix[c, : m[c]] = sol.row_mix
         col_mix[c, : n[c]] = sol.col_mix
@@ -439,7 +433,7 @@ def support_values(payoffs: np.ndarray, sup: Supports) -> np.ndarray:
     return a - b * c / (d - b - c + sup.unpaired)
 
 
-def certify_supports(payoffs: np.ndarray, mask, value: np.ndarray, sup: Supports, tol: float = GAME_TOL):
+def certify_supports(payoffs: np.ndarray, mask, value: np.ndarray, sup: Supports):
     """Mixtures of a chunk of game stacks (K, G, A, B) on carried supports, certified at once.
 
     ``value`` (K, G) are the games' values from :func:`support_values`.  The
@@ -447,8 +441,8 @@ def certify_supports(payoffs: np.ndarray, mask, value: np.ndarray, sup: Supports
     row i1, the column player q = (d' - b')/(d' - b' - c') on column j0
     (1 on the corner of a 1x1 support).  Returns (ok, row_mix, col_mix):
     ``ok`` (K, G) marks the games whose mixtures are nonnegative with a
-    duality gap <= tol over their admissible entries (``mask``), which
-    fails for a non-finite value.
+    duality gap <= ``GAME_TOL`` over their admissible entries (``mask``),
+    which fails for a non-finite value.
     """
     K, G, A, B = payoffs.shape
     a, b, c, d = np.moveaxis(payoffs.reshape(K, -1)[:, sup.take], 1, 0)
@@ -466,5 +460,5 @@ def certify_supports(payoffs: np.ndarray, mask, value: np.ndarray, sup: Supports
     col_mix[:, g, j1] = 1.0 - q
     col_mix[:, g, j0] = q
     ok = (p >= 0.0) & (p <= 1.0) & (q >= 0.0) & (q <= 1.0)
-    ok &= _certificate(payoffs, value, row_mix, col_mix, mask) <= tol
+    ok &= _certificate(payoffs, value, row_mix, col_mix, mask) <= GAME_TOL
     return ok, row_mix, col_mix

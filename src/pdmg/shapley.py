@@ -50,7 +50,6 @@ from typing import Optional
 import numpy as np
 
 from .matrix_game import (
-    COUNTS,
     MatrixGameError,
     Supports,
     carried_supports,
@@ -212,6 +211,19 @@ def json_text(doc) -> str:
         return value
 
     return json.dumps(strict(doc), indent=2, sort_keys=True, allow_nan=False)
+
+
+def report_numbers(doc):
+    """``doc`` with every float, at any depth, rounded to the ``FMT`` digits
+    the console prints: the numbers of every JSON report.  Tuples become
+    lists; ints, flags and strings stay as given."""
+    if isinstance(doc, float):
+        return float(FMT % doc)
+    if isinstance(doc, dict):
+        return {k: report_numbers(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [report_numbers(v) for v in doc]
+    return doc
 
 
 def _bad_entries(phi: np.ndarray) -> np.ndarray:
@@ -936,14 +948,16 @@ def gamma_apply(
     Gamma u(t_k, x) = exp(lam*g(T, flow(x, T-t_k)))
                       + Delta * sum_{j>k} val[...](t_j, flow(x, t_j - t_k)),
 
-    right-endpoint Riemann quadrature on the grid.  ``lags`` holds the
-    grid's tables; a caller applying the operator more than once passes
-    the same one each time.
+    right-endpoint Riemann quadrature on the grid, which values the cell
+    games of knots 1..N only.  ``lags`` holds the grid's tables; a caller
+    applying the operator more than once passes the same one each time.
     """
     if lags is None:
         lags = _FlowLags(model, grid)
-    E = _bracket_entries(model, u, lags.bracket_tables)
-    g = grid.delta * solve_stack(E, model.cells, fallback=solve_game)[0][1:]
+    # every knot's entries (a segment's one-row np.dot would round apart from
+    # its many-row one), but the games of knots 1..N only: w[0] is never read
+    E = _bracket_entries(model, u, lags.bracket_tables)[1:]
+    g = grid.delta * solve_stack(E, model.cells, fallback=solve_game)[0]
     # suffix accumulation along the terminal-anchored characteristic paths
     # (the same rounded paths the backward stepper composes), so the two
     # solvers sample identical flow positions and differ only in quadrature:
@@ -984,8 +998,10 @@ def picard_solve(
     rate = 2.0 * model.q_star_max() + model.max_abs_cost()
     residuals = []
     for sweep in range(MAX_PICARD_SWEEPS):
-        nxt = gamma_apply(model, u, grid, lags)
-        res = float(np.max(np.abs(nxt - u)))
+        # an overflow surfaces as the residual that is not finite, named below
+        with np.errstate(over="ignore", invalid="ignore"):
+            nxt = gamma_apply(model, u, grid, lags)
+            res = float(np.max(np.abs(nxt - u)))
         if not math.isfinite(res):
             raise SolverError(f"Picard sweep {sweep + 1} has residual {res}; rescale the model")
         residuals.append(res)
@@ -1016,10 +1032,6 @@ def saddle_from_field(model: GameModel, field: ValueField) -> StrategyField:
     """Extract per-cell saddle mixtures from a solved value field."""
     grid = field.grid
     N = grid.n_steps
-    if model.widths == (1, 1):
-        # N*S 1x1 cell games, each a pure saddle whatever its entry
-        COUNTS["pure_saddle"] += N * model.n_states
-        return StrategyField(grid, *_pure_mixtures(model, N))
     E = _bracket_entries(model, field.phi[:N], _bracket_tables(model, knot_segments(model, grid)[:N]))
     return StrategyField(grid, *solve_stack(E, model.cells, fallback=solve_game)[1:])
 

@@ -16,7 +16,6 @@ import numpy as np
 from .matrix_game import MatrixGameError
 from .model import GameModel, GridFlowStates, ModelValidationError
 from .shapley import (
-    FMT,
     SolverConfig,
     SolverError,
     StrategyField,
@@ -30,6 +29,7 @@ from .shapley import (
     json_text,
     picard_solve,
     policy_evaluate,
+    report_numbers,
     to_risk_value,
 )
 
@@ -50,26 +50,17 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
+    def doc(self) -> dict:
+        return {"passed": self.passed, "checks": [dict(vars(c)) for c in self.checks]}
+
     def to_json(self) -> str:
-        doc = {
-            "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "location": c.location,
-                    "margin": float(FMT % c.margin),
-                }
-                for c in self.checks
-            ],
-        }
-        return json_text(doc)
+        return json_text(report_numbers(self.doc()))
 
 
-def _flow_durations(model: GameModel, n_samples: int = 64) -> np.ndarray:
+def _flow_durations(model: GameModel) -> np.ndarray:
     """Durations at which flow images are sampled for assumption checks."""
     if isinstance(model.states, GridFlowStates):
-        return np.linspace(0.0, model.horizon, n_samples + 1)
+        return np.linspace(0.0, model.horizon, 65)  # 64 equal intervals
     return np.array([0.0])  # identity flow: one duration suffices
 
 
@@ -210,23 +201,10 @@ class OracleReport:
         return max(self.max_dev_backward, self.max_dev_picard)
 
     def to_json(self) -> str:
-        doc = {
-            "n_coarse": self.n_coarse,
-            "refine_factor": self.refine_factor,
-            "max_dev_backward": float(FMT % self.max_dev_backward),
-            "max_dev_picard": float(FMT % self.max_dev_picard),
-            "probe_values": [
-                {
-                    "t": float(FMT % t),
-                    "state": x,
-                    "coarse": float(FMT % c),
-                    "fine_backward": float(FMT % fb),
-                    "fine_picard": float(FMT % fp),
-                }
-                for t, x, c, fb, fp in self.probe_values
-            ],
-        }
-        return json_text(doc)
+        doc = dict(vars(self))
+        keys = ("t", "state", "coarse", "fine_backward", "fine_picard")
+        doc["probe_values"] = [dict(zip(keys, row)) for row in self.probe_values]
+        return json_text(report_numbers(doc))
 
 
 def oracle_fine_grid(

@@ -349,6 +349,17 @@ class TestCellGameCounts:
             "pure_saddle": 2, "equalizer": 0, "simplex": 0, "exact": 0
         }
 
+    def test_picard_values_the_knots_its_quadrature_reads(self, model_files, tmp_path):
+        # const_cost at N = 7 converges in 8 sweeps, each valuing the 1x1
+        # games of knots 1..7, and the saddle read off the field values
+        # those of knots 0..6: 8*7 + 7 = 63 pure saddles
+        out = tmp_path / "picard"
+        assert main(["solve", "--model", model_files["const_cost"], "--steps", "7", "--scheme", "picard",
+                     "--out", str(out)]) == 0
+        assert read_json(out / "manifest.json")["cell_games"] == {
+            "pure_saddle": 63, "equalizer": 0, "simplex": 0, "exact": 0
+        }
+
 
 class TestBestResponseCommand:
     def test_refined_non_multiple_steps(self, model_files, tmp_path):
@@ -759,6 +770,24 @@ class TestNonFiniteValues:
             assert rc == 1
             assert "lambda*g exceeds 700" in capsys.readouterr().err
             assert not (out / "solution.csv").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_picard_overflowing_quadrature_exits_one_without_a_warning(self, tmp_path, capsys):
+        # Delta*lambda*c = 1e308 per knot: the quadrature's sum passes the
+        # largest float, and the residual check names it
+        doc = {
+            "lambda": 1.0,
+            "horizon": 1000.0,
+            "states": {"finite": ["a"]},
+            "actions": {"p1": [[0]], "p2": [[0]]},
+            "costs": [{"state": 0, "a": 0, "b": 0, "value": 1e306}],
+        }
+        out = tmp_path / "run"
+        rc = main(["solve", "--model", self._write(tmp_path, doc), "--steps", "10", "--scheme", "picard",
+                   "--out", str(out)])
+        assert rc == 1
+        assert "error: Picard sweep 1 has residual inf; rescale the model" in capsys.readouterr().err
+        assert not (out / "solution.csv").exists()
 
     def test_huge_cell_count_exits_two_naming_the_field(self, tmp_path, capsys):
         doc = demos.doc("grid_flow")

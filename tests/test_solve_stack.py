@@ -26,7 +26,7 @@ WIDTH = 4
 def one(payoffs):
     """solve_stack on a single unpadded game."""
     p = np.asarray(payoffs, dtype=float)
-    v, x, y = solve_stack(p[None], np.ones((1,) + p.shape, dtype=bool), TOL)
+    v, x, y = solve_stack(p[None], np.ones((1,) + p.shape, dtype=bool))
     return v[0], x[0], y[0]
 
 
@@ -49,7 +49,7 @@ class TestAgainstSimplex:
     @settings(max_examples=150, deadline=None)
     def test_values_mixtures_and_certificates(self, stack):
         payoffs, mask, sizes = stack
-        value, rows, cols = solve_stack(payoffs, mask, TOL)
+        value, rows, cols = solve_stack(payoffs, mask)
         assert value.shape == (len(sizes),)
         for c, (m, n) in enumerate(sizes):
             game = payoffs[c, :m, :n]
@@ -62,20 +62,14 @@ class TestAgainstSimplex:
 
     def test_leading_axes_are_kept(self):
         payoffs = np.random.default_rng(3).normal(size=(3, 5, 2, 2))
-        value, rows, cols = solve_stack(payoffs, np.ones((2, 2), dtype=bool), TOL)
+        value, rows, cols = solve_stack(payoffs, np.ones((2, 2), dtype=bool))
         assert value.shape == (3, 5) and rows.shape == cols.shape == (3, 5, 2)
-        flat = solve_stack(payoffs.reshape(15, 2, 2), np.ones((2, 2), dtype=bool), TOL)
+        flat = solve_stack(payoffs.reshape(15, 2, 2), np.ones((2, 2), dtype=bool))
         assert np.array_equal(value.ravel(), flat[0])
 
     def test_non_finite_entry_rejected(self):
         with pytest.raises(MatrixGameError, match="non-finite"):
             one([[1.0, np.nan], [0.0, 1.0]])
-
-    @pytest.mark.parametrize("tol", [np.nan, -1.0])
-    @pytest.mark.parametrize("width", [1, 2])
-    def test_nan_or_negative_tol_rejected(self, tol, width):
-        with pytest.raises(ValueError, match="tol must be >= 0"):
-            solve_stack(np.ones((3, width, width)), np.ones((width, width), dtype=bool), tol)
 
     def test_stack_of_1x1_games_is_pure_saddles(self):
         payoffs = np.random.default_rng(4).normal(size=(3, 2, 1, 1))
@@ -91,7 +85,7 @@ class TestAgainstSimplex:
         payoffs = np.array([[[1.0, -1.0, np.inf], [-1.0, 1.0, 7.0], [5.0, 5.0, 5.0]]])
         mask = np.zeros((1, 3, 3), dtype=bool)
         mask[0, :2, :2] = True
-        value, rows, cols = solve_stack(payoffs, mask, TOL)
+        value, rows, cols = solve_stack(payoffs, mask)
         assert value[0] == 0.0
         assert np.allclose(rows[0], [0.5, 0.5, 0.0]) and np.allclose(cols[0], [0.5, 0.5, 0.0])
 
@@ -120,7 +114,7 @@ class TestCraftedGames:
         payoffs = np.array([game, pennies])
         mask = np.ones((2, 3, 3), dtype=bool)
         mask[1, 2, :] = mask[1, :, 2] = False
-        value, rows, cols = solve_stack(payoffs, mask, TOL)
+        value, rows, cols = solve_stack(payoffs, mask)
         assert COUNTS == {"pure_saddle": 0, "equalizer": 1, "simplex": 1, "exact": 0}
         ref = solve(MatrixGame(np.array(game)), TOL)
         assert value[0] == pytest.approx(ref.value, abs=TOL)
@@ -158,9 +152,9 @@ class TestSolverUse:
     def test_controlled_backward_solve_needs_no_simplex(self, controlled, monkeypatch):
         calls = []
 
-        def counting(game, tol):
+        def counting(game):
             calls.append(game.payoffs.shape)
-            return solve(game, tol)
+            return solve(game)
 
         monkeypatch.setattr(pdmg.shapley, "solve_game", counting)
         field, _ = backward_solve(controlled, SolverConfig(n_steps=200))
