@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .model import GameModel, ModelValidationError
-from .shapley import SolverConfig, ValueField, backward_solve_batch, json_text, report_numbers
+from .shapley import SolverConfig, TimeGrid, ValueField, backward_solve_batch, json_text, probe_knot, report_numbers
 # backward_solve is not called here, but it is part of this module's
 # namespace: pdmgbench/tracing.py wraps it under this name
 from .shapley import backward_solve  # noqa: F401
@@ -110,9 +110,9 @@ def shift_factor(lam: float, horizon: float, s: float, n: float) -> float:
 
 def _shift_error(model: GameModel, n: float, s: float, clipped: ValueField, shifted: ValueField) -> float:
     """Worst relative error of phi(shifted) = phi(clipped)*factor over the
-    states, at the grid knot nearest to s."""
+    states, at the grid knot nearest to s (ValueError unless 0 <= s <= T)."""
     grid = clipped.grid
-    k = min(round(s / grid.delta), grid.n_steps)
+    k, _ = probe_knot(grid, model.n_states, s, 0)
     fac = shift_factor(model.lam, model.horizon, grid.knot(k), n)
     rel = np.abs(shifted.phi[k] / (clipped.phi[k] * fac) - 1.0)
     return float(rel.max())
@@ -161,9 +161,8 @@ def ladder_run(model: GameModel, n_list, probes, config: SolverConfig, shift_n=N
     probes = list(probes)
     if not probes:
         raise ValueError("probes must hold at least one (t, x) probe")
-    for t, x in probes:
-        if not (0.0 <= t <= model.horizon) or not (0 <= x < model.n_states):
-            raise ValueError(f"invalid probe ({t}, {x})")
+    grid = TimeGrid(config.n_steps, model.horizon)
+    at = [probe_knot(grid, model.n_states, t, x) for t, x in probes]
     if shift_n is not None and not math.isfinite(shift_n):
         raise ValueError(f"shift_n {shift_n} is not finite")
 
@@ -176,14 +175,7 @@ def ladder_run(model: GameModel, n_list, probes, config: SolverConfig, shift_n=N
     shift_rel_err = None if shift_n is None else _shift_error(model, shift_n, 0.0, *fields[len(levels):])
     fields = fields[: len(levels)]
 
-    grid = fields[0].grid
-    phi_at_probe = []
-    for field in fields:
-        row = []
-        for t, x in probes:
-            k = min(round(t / grid.delta), grid.n_steps)
-            row.append(float(field.phi[k, x]))
-        phi_at_probe.append(row)
+    phi_at_probe = [[float(field.phi[k, x]) for k, x in at] for field in fields]
 
     slack = 1e-10
     violations = []

@@ -44,6 +44,8 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
+from decimal import Decimal
+from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
@@ -130,6 +132,15 @@ class TimeGrid:
         """Index of the knot within 1e-12*max(1, T) of t, else None."""
         j = round(t / self.delta)
         return j if abs(t - j * self.delta) <= 1e-12 * max(1.0, self.horizon) else None
+
+
+def probe_knot(grid: TimeGrid, n_states: int, t: float, x: int) -> tuple[int, int]:
+    """The (knot, state) that a probe (t, x) of a field on ``grid`` reads:
+    the knot nearest to t.  Raises ValueError, naming the probe, unless
+    0 <= t <= T and 0 <= x < ``n_states``."""
+    if not (0.0 <= t <= grid.horizon) or not (0 <= x < n_states):
+        raise ValueError(f"invalid probe ({t}, {x})")
+    return round(t / grid.delta), x
 
 
 @dataclass
@@ -294,10 +305,12 @@ def check_cfl(model: GameModel, grid: TimeGrid) -> None:
     if load <= 0.0:
         return
     if grid.delta * load > CFL_SAFETY * (1.0 + 1e-12):
-        required = int(math.ceil(model.horizon * load / CFL_SAFETY))
+        # T*load/CFL_SAFETY in exact arithmetic: in floats it may overflow
+        required = math.ceil(Fraction(model.horizon) * Fraction(load) / Fraction(CFL_SAFETY))
+        shown = required if required < 10**12 else f"{Decimal(required):.4g}"
         raise CFLError(
             f"time step too large: Delta*(lambda*max|c| + 2*max q*) = "
-            f"{grid.delta * load:.4g} > {CFL_SAFETY}; use N >= {required}",
+            f"{grid.delta * load:.4g} > {CFL_SAFETY}; use N >= {shown}",
             required,
         )
 
@@ -465,7 +478,9 @@ class _Reducer:
     over an axis wider than 1 is contracted into the segments' step
     coefficients a chunk of knots at a time; a one-action axis needs no
     contraction (its simplex is [1]), so a reducer that fixes no wider axis
-    marches on the segment tables themselves.
+    marches on the segment tables themselves.  A reducer with W = 1 needs
+    no ``fold``: :func:`_sweep` values each of its knots by the entry, as
+    with both players held to a pair.
 
     ``signs`` holds one sign per slice a model marches: a slice signed -1
     is marched as -phi.  ``entries``, when set, replaces the sweep's entry
@@ -508,16 +523,6 @@ class _Reducer:
         return D, J.reshape(K, S * W, S).transpose(0, 2, 1), range(K)
 
 
-class _Pair(_Reducer):
-    """Both players held to ``strategies``: W = 1 and the value is the entry."""
-
-    def __init__(self, model: GameModel, strategies: StrategyField, slices: np.ndarray):
-        super().__init__(model, slices, strategies.mu, strategies.nu)
-
-    def fold(self, k: int, entries: np.ndarray) -> np.ndarray:
-        return entries[..., 0]
-
-
 class _BestResponse(_Reducer):
     """One player held to its half of ``fixed``, the other free: the value is
     the best admissible pure action, a max for player 1 and a min for
@@ -558,13 +563,14 @@ class _PairAndResponses(_Reducer):
         S = model.n_states
         A, B = model.widths
         sides = [_BestResponse(model, fixed, slices, side) for side, w in (("maximize", A), ("minimize", B)) if w > 1]
-        members = [_Pair(model, fixed, slices)] + sides
+        members = [_Reducer(model, slices, fixed.mu, fixed.nu)] + sides
         self.signs = tuple(m.signs[0] for m in members)
         self.contracts = True  # the pair holds an axis wider than 1
         widths = [m.width for m in members]
         ends = np.cumsum([S * w for w in widths]).tolist()
         starts = [0] + ends[:-1]
         self.row = np.empty(ends[-1])
+        self.width = ends[-1]  # a knot's entries: the whole row
         # entry -> the member slice psi it multiplies, and the runs folded into one value
         self.spread = np.repeat(np.arange(len(members) * S), np.repeat(widths, S))
         self.runs = np.concatenate([[0], np.cumsum(np.repeat(widths, S))[:-1]])
@@ -613,16 +619,18 @@ def _sweep(models: list, grid: TimeGrid, reducer: _Reducer) -> list[ValueField]:
     it.  With psi the next slice composed with the one-step flow (phi[k+1]
     itself on a finite state space), knot k's entries are
     ``D*psi[:, None] + (psi @ J.T).reshape(S, W)`` and
-    ``reducer.fold(k, entries)`` is slice k.  In a batch, slice k is (R, S),
-    the tables (R, S, W) and (R, S, S*W), and the entries (R, S, W) of all
-    members come from one np.matmul (:func:`_member_entries`), bit for bit
-    the np.dot each member's own sweep makes.  A reducer with several
-    ``signs`` marches that many slices of one model on its own tables and
-    builds their entries with ``reducer.entries``; a slice signed -1 holds
-    -phi from the terminal slice down and is negated back at the end.  A
-    chunk holds at most ``_CHUNK_GAMES`` games, and at most
-    ``_CHUNK_COEFFS`` coefficients where the reducer contracts mixtures (one
-    model only).  With
+    ``reducer.fold(k, entries)`` is slice k.  The sweep alone values a knot
+    where the reducer's W is 1: no player has a choice there, each entry is
+    the value of its 1x1 game, and there is no certificate to run.  In a
+    batch, slice k is (R, S), the tables (R, S, W) and (R, S, S*W), and the
+    entries (R, S, W) of all members come from one np.matmul
+    (:func:`_member_entries`), bit for bit the np.dot each member's own
+    sweep makes.  A reducer with several ``signs`` marches that many slices
+    of one model on its own tables and builds their entries with
+    ``reducer.entries``; a slice signed -1 holds -phi from the terminal
+    slice down and is negated back at the end.  A chunk holds at most
+    ``_CHUNK_GAMES`` games, and at most ``_CHUNK_COEFFS`` coefficients where
+    the reducer contracts mixtures (one model only).  With
     ``reducer.certify``, ``certify(k_lo, chunk, phi)`` sees the entries
     (K, [R,] S, W) of knots k_lo..k_lo+K-1 once the chunk is done and
     returns None to accept it, or a knot to resume from: every slice from
@@ -645,7 +653,11 @@ def _sweep(models: list, grid: TimeGrid, reducer: _Reducer) -> list[ValueField]:
         # no table a contraction makes is larger than (K, S, A, B, S)
         A, B = model.widths
         cap = max(1, min(cap, _CHUNK_COEFFS // (S * A * B * S)))
-    certify, fold, flows = reducer.certify, reducer.fold, lags.flows
+    if reducer.width == 1:
+        certify, fold = None, lambda k, entries: entries[..., 0]
+    else:
+        certify, fold = reducer.certify, reducer.fold
+    flows = lags.flows
     steps = lags.step_table if flows else None
     entries_of = reducer.entries or (_member_entries if lead else _cell_entries)
     k_hi, length = N, (1 if certify else cap)
@@ -679,28 +691,23 @@ def _sweep(models: list, grid: TimeGrid, reducer: _Reducer) -> list[ValueField]:
     return fields
 
 
-def _pure_mixtures(model: GameModel, n_slices: int) -> tuple[np.ndarray, np.ndarray]:
-    """Strategy arrays on each player's first action: the saddle of 1x1 cells."""
-    mu = np.zeros((n_slices, model.n_states, model.widths[0]))
-    nu = np.zeros((n_slices, model.n_states, model.widths[1]))
-    mu[..., 0] = nu[..., 0] = 1.0
-    return mu, nu
-
-
 class _CarriedSaddles(_Reducer):
     """Cell reducer of ``backward_solve_batch``: each cell keeps the support
     of its saddle at the knot above.
 
     Both players are free, so the sweep marches on the segment tables with
-    W = A*B.  The cells of a batch of R members are the (R, S) pairs; each
-    member holds its own supports and its own record of the knots settled
-    afresh.  A member's knot is solved afresh by ``solve_stack`` at the
-    start, after its failed certificate and while some cell's support is
-    neither 1x1 nor 2x2; every other knot takes each cell's value on its
-    carried support, and :meth:`certify` builds and certifies the mixtures
-    of a chunk's carried knots at once.  Knots solved afresh are certified
-    by ``solve_stack``, and within a chunk a member carries one set of
-    supports from its last knot solved afresh down.
+    W = A*B.  Every cell starts on the first-action pair, the saddle of a
+    1x1 game: where no player has a choice (W = 1), the sweep values each
+    knot by its entry and the cells keep that pair.  The cells of a batch
+    of R members are the (R, S) pairs; each member holds its own supports
+    and its own record of the knots settled afresh.  A member's knot is
+    solved afresh by ``solve_stack`` at the start, after its failed
+    certificate and while some cell's support is neither 1x1 nor 2x2; every
+    other knot takes each cell's value on its carried support, and
+    :meth:`certify` builds and certifies the mixtures of a chunk's carried
+    knots at once.  Knots solved afresh are certified by ``solve_stack``,
+    and within a chunk a member carries one set of supports from its last
+    knot solved afresh down.
     """
 
     def __init__(self, model: GameModel, n_steps: int, members: int = 1):
@@ -709,8 +716,9 @@ class _CarriedSaddles(_Reducer):
         S, A, B = model.cells.shape
         R = members
         self.games = (R, S, A, B)
-        mu, nu = _pure_mixtures(model, n_steps * R)
-        self.mu, self.nu = mu.reshape(n_steps, R, S, A), nu.reshape(n_steps, R, S, B)
+        # (member, knot, ...): each member's mixtures are one contiguous block
+        self.mu, self.nu = np.zeros((R, n_steps, S, A)), np.zeros((R, n_steps, S, B))
+        self.mu[..., 0] = self.nu[..., 0] = 1.0
         lead = (R,) if R > 1 else ()
         self.flags = np.zeros((n_steps, R), dtype=bool)  # (knot, member) settled by solve_stack
         self.mask = np.concatenate([model.cells] * R)  # (R*S, A, B)
@@ -751,10 +759,10 @@ class _CarriedSaddles(_Reducer):
         new = idle & ~self.flags[k]
         if new.any():
             games = entries.reshape(self.games)[new]
-            values[new], self.mu[k, new], self.nu[k, new] = solve_stack(games, self.cells, fallback=solve_game)
+            values[new], self.mu[new, k], self.nu[new, k] = solve_stack(games, self.cells, fallback=solve_game)
         self.flags[k] = idle
         for r in np.flatnonzero(idle).tolist():
-            self._hold(r, carried_supports(self.mu[k, r], self.nu[k, r]))
+            self._hold(r, carried_supports(self.mu[r, k], self.nu[r, k]))
         return v
 
     def certify(self, k_lo: int, chunk: np.ndarray, phi: np.ndarray):
@@ -767,8 +775,8 @@ class _CarriedSaddles(_Reducer):
         ok, mu, nu = certify_supports(
             chunk.reshape(K, R * S, A, B), self.mask, phi[k_lo : k_lo + K].reshape(K, R * S), self.flat
         )
-        self.mu[k_lo : k_lo + K][carried] = mu.reshape(K, R, S, A)[carried]
-        self.nu[k_lo : k_lo + K][carried] = nu.reshape(K, R, S, B)[carried]
+        self.mu[:, k_lo : k_lo + K].swapaxes(0, 1)[carried] = mu.reshape(K, R, S, A)[carried]
+        self.nu[:, k_lo : k_lo + K].swapaxes(0, 1)[carried] = nu.reshape(K, R, S, B)[carried]
         failed = carried & ~ok.reshape(K, R, S).all(axis=2)
         if not np.count_nonzero(failed):
             count_locked(games, 0)
@@ -788,10 +796,7 @@ class _CarriedSaddles(_Reducer):
 
     def strategies(self, grid: TimeGrid) -> list[StrategyField]:
         """Every member's saddle mixtures."""
-        return [
-            StrategyField(grid, np.ascontiguousarray(self.mu[:, r]), np.ascontiguousarray(self.nu[:, r]))
-            for r in range(self.games[0])
-        ]
+        return [StrategyField(grid, self.mu[r], self.nu[r]) for r in range(self.games[0])]
 
 
 def backward_solve_batch(models, config: SolverConfig) -> list[tuple[ValueField, StrategyField]]:
@@ -825,9 +830,6 @@ def backward_solve_batch(models, config: SolverConfig) -> list[tuple[ValueField,
     try:
         for m in models:
             check_cfl(m, grid)
-        if model.widths == (1, 1):
-            pure = StrategyField(grid, *_pure_mixtures(model, grid.n_steps))
-            return [(field, pure) for field in _sweep(models, grid, _Pair(model, pure, None))]
         saddles = _CarriedSaddles(model, grid.n_steps, len(models))
         fields = _sweep(models, grid, saddles)
         return list(zip(fields, saddles.strategies(grid)))
@@ -847,9 +849,9 @@ def backward_solve(model: GameModel, config: SolverConfig) -> tuple[ValueField, 
     and the per-cell saddle mixtures.  Every cell game is settled with a
     certified duality gap <= ``GAME_TOL``: on the support carried
     from the knot above, or by ``solve_stack`` (see :class:`_CarriedSaddles`).
-    When no player has a choice the solve is the pure pair's evaluation: a
-    1x1 game's value is its entry and needs no certificate.  This is the
-    one-member case of :func:`backward_solve_batch`.
+    When no player has a choice every game is 1x1, valued by its entry
+    with no certificate (see :func:`_sweep`).  This is the one-member case
+    of :func:`backward_solve_batch`.
     """
     return backward_solve_batch([model], config)[0]
 
@@ -863,7 +865,7 @@ def policy_evaluate(model: GameModel, strategies: StrategyField) -> ValueField:
     field to rounding.
     """
     grid = strategies.grid
-    return _sweep([model], grid, _Pair(model, strategies, np.arange(grid.n_steps)))[0]
+    return _sweep([model], grid, _Reducer(model, np.arange(grid.n_steps), strategies.mu, strategies.nu))[0]
 
 
 def best_response_solve(
@@ -883,11 +885,7 @@ def best_response_solve(
         raise ValueError("side must be 'maximize' or 'minimize'")
     grid = TimeGrid(config.n_steps, model.horizon)
     check_cfl(model, grid)
-    slices = fixed.slices_at(grid)
-    if model.widths[0 if side == "maximize" else 1] == 1:
-        # a free player with one action everywhere: the pair's value
-        return _sweep([model], grid, _Pair(model, fixed, slices))[0]
-    return _sweep([model], grid, _BestResponse(model, fixed, slices, side))[0]
+    return _sweep([model], grid, _BestResponse(model, fixed, fixed.slices_at(grid), side))[0]
 
 
 def evaluate_and_respond(
@@ -910,7 +908,9 @@ def evaluate_and_respond(
     check_cfl(model, grid)
     slices = fixed.slices_at(grid)
     if model.widths == (1, 1):
-        pair = _sweep([model], grid, _Pair(model, fixed, slices))[0]
+        # the pair alone, as a plain sweep: through _PairAndResponses its
+        # one-entry runs would still cost a reduceat per knot
+        pair = _sweep([model], grid, _Reducer(model, slices, fixed.mu, fixed.nu))[0]
         return pair, pair, pair
     pair, *rest = _sweep([model], grid, _PairAndResponses(model, fixed, slices))
     A, B = model.widths

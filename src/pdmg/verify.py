@@ -2,8 +2,9 @@
 
 Checks the standing drift/growth assumptions of a model against its
 Lyapunov data, the value-field sandwich bounds, saddle quality via
-best-response exploitability, cross-solver agreement on a refined grid, and
-the factorial contraction estimate of the fixed-point operator.
+best-response exploitability, and cross-solver agreement on a refined grid.
+The factorial contraction bound of the fixed-point operator is reported by
+``picard_solve(collect_info=True)``.
 """
 
 from __future__ import annotations
@@ -21,17 +22,19 @@ from .shapley import (
     StrategyField,
     TimeGrid,
     ValueField,
-    _FlowLags,
     backward_solve,
     best_response_solve,
     evaluate_and_respond,
-    gamma_apply,
     json_text,
     picard_solve,
     policy_evaluate,
+    probe_knot,
     report_numbers,
     to_risk_value,
 )
+# gamma_apply is not called here, but it is part of this module's namespace:
+# pdmgbench/tracing.py wraps it under this name
+from .shapley import gamma_apply  # noqa: F401
 
 
 @dataclass
@@ -72,13 +75,14 @@ def _least(name: str, margin: np.ndarray, tol: float, where) -> CheckResult:
     return CheckResult(name, bool(worst >= -tol), where(*i), worst)
 
 
-def _exp(values: np.ndarray) -> np.ndarray:
-    """math.exp entrywise (np.exp may differ from it in the last bit); a
-    growth term past the float range counts as +inf."""
+def _exp(scale: float, values: np.ndarray) -> np.ndarray:
+    """math.exp(scale*v) for every entry v of ``values`` (np.exp may differ
+    from it in the last bit); a growth term past the float range, in the
+    product or in its exponential, counts as +inf."""
 
     def exp(v: float) -> float:
         try:
-            return math.exp(v)
+            return math.exp(scale * v)  # a float product past the range is inf
         except OverflowError:
             return math.inf
 
@@ -116,8 +120,8 @@ def check_assumptions(model: GameModel) -> VerificationReport:
 
         return _least(name, margin, 1e-12, where)
 
-    cost_growth = _exp(2.0 * (T + 1.0) * np.abs(model.costs).max(axis=(2, 3)))
-    terminal_growth = _exp(2.0 * (T + 1.0) * np.abs(model.terminal))
+    cost_growth = _exp(2.0 * (T + 1.0), np.abs(model.costs).max(axis=(2, 3)))
+    terminal_growth = _exp(2.0 * (T + 1.0), np.abs(model.terminal))
     return VerificationReport([
         drift_check("drift_V", ly.V, ly.rho1, ly.b1),
         drift_check("drift_V1_squared", ly.V1**2, ly.rho2, ly.b2),
@@ -148,7 +152,7 @@ def check_bounds(field: ValueField, model: GameModel) -> VerificationReport:
         return VerificationReport(checks)
 
     knots = grid.knots()
-    L2 = (ly.M2 * _exp(ly.rho1 * (T - knots)) * (1.0 + ly.b1 / ly.rho1))[:, None]
+    L2 = (ly.M2 * _exp(ly.rho1, T - knots) * (1.0 + ly.b1 / ly.rho1))[:, None]
     vflow = ly.V[np.stack([model.states.flow_map(T - t) for t in knots.tolist()])]  # (N+1, S)
     up = L2 * vflow - field.phi
     lo = field.phi - np.exp(-model.lam * L2 * vflow)
@@ -215,9 +219,13 @@ def oracle_fine_grid(
 ) -> OracleReport:
     """Independent discretisation oracle: re-solve on a refine_factor-times
     finer grid with both solvers and report the worst coarse-vs-fine
-    deviation at shared knots."""
+    deviation at shared knots, and both grids' values at each probe (t, x)
+    on the coarse knot nearest to t.  Raises ValueError for a probe off the
+    horizon or the state space (:func:`pdmg.shapley.probe_knot`)."""
     if refine_factor < 2:
         raise ValueError("refine_factor must be >= 2")
+    grid = TimeGrid(config.n_steps, model.horizon)
+    at = [probe_knot(grid, model.n_states, t, x) for t, x in probes or ()]
     coarse, _ = backward_solve(model, config)
     fine_cfg = replace(config, n_steps=config.n_steps * refine_factor)
     fine_b, _ = backward_solve(model, fine_cfg)
@@ -227,46 +235,15 @@ def oracle_fine_grid(
     dev_b = float(np.abs(coarse.phi - fine_b.phi[sub]).max())
     dev_p = float(np.abs(coarse.phi - fine_p.phi[sub]).max())
 
-    rows = []
-    if probes:
-        for t, x in probes:
-            k = min(round(t / coarse.grid.delta), config.n_steps)
-            kf = k * refine_factor
-            rows.append(
-                (
-                    coarse.grid.knot(k),
-                    int(x),
-                    float(coarse.phi[k, x]),
-                    float(fine_b.phi[kf, x]),
-                    float(fine_p.phi[kf, x]),
-                )
-            )
+    rows = [
+        (
+            grid.knot(k),
+            int(x),
+            float(coarse.phi[k, x]),
+            float(fine_b.phi[k * refine_factor, x]),
+            float(fine_p.phi[k * refine_factor, x]),
+        )
+        for k, x in at
+    ]
     return OracleReport(config.n_steps, refine_factor, dev_b, dev_p, rows)
 
-
-def contraction_check(
-    model: GameModel,
-    m: int,
-    config: SolverConfig,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Empirical m-sweep contraction of the fixed-point operator.
-
-    Applies the operator m times to two random bounded fields and returns
-    (sup-norm ratio, factorial bound ((2*||q|| + ||c||)*T)^m / m!).
-    """
-    grid = TimeGrid(config.n_steps, model.horizon)
-    lags = _FlowLags(model, grid)
-    rng = np.random.default_rng(seed)
-    shape = (grid.n_steps + 1, model.n_states)
-    g1 = rng.uniform(0.5, 2.0, size=shape)
-    g2 = rng.uniform(0.5, 2.0, size=shape)
-    denom = float(np.abs(g1 - g2).max())
-    for _ in range(m):
-        g1 = gamma_apply(model, g1, grid, lags)
-        g2 = gamma_apply(model, g2, grid, lags)
-    num = float(np.abs(g1 - g2).max())
-    ratio = num / denom if denom > 0.0 else 0.0
-    rate = 2.0 * model.q_star_max() + model.max_abs_cost()
-    bound = (rate * model.horizon) ** m / math.factorial(m)
-    return ratio, bound

@@ -29,7 +29,6 @@ from pdmg.shapley import (
     ValueField,
     _bad_entries,
     _FlowLags,
-    _pure_mixtures,
     _step_coefficients,
     check_cfl,
     knot_segments,
@@ -80,7 +79,8 @@ def backward_solve(model: GameModel, config: SolverConfig) -> tuple[ValueField, 
     """
     grid = TimeGrid(config.n_steps, model.horizon)
     check_cfl(model, grid)
-    mu, nu = _pure_mixtures(model, grid.n_steps)
+    mu = np.zeros((grid.n_steps, model.n_states, model.widths[0]))
+    nu = np.zeros((grid.n_steps, model.n_states, model.widths[1]))
 
     def value(k, E):
         v, mu[k], nu[k] = solve_stack(E, model.cells, fallback=solve_game)

@@ -7,10 +7,14 @@ the knot segments, the terminal slices along the flow and the masks of the
 bracket games, and accumulates the suffix knot by knot through each step
 map, the identity included.  ``FlowLags`` builds those lookups as they were
 built then, one cached map per displacement, here from the scalar boundary
-rule of ``perstate.apply_boundary``.  ``picard_solve``, ``contraction_check``
-and ``saddle_from_field`` are the loops of that time around it.  The loop
-and the lookups are copies, so no reference runs the code it checks.
+rule of ``perstate.apply_boundary``.  ``picard_solve`` and
+``saddle_from_field`` are the loops of that time around it.  The loop and
+the lookups are copies, so no reference runs the code it checks.
 ``test_picard_tables.py`` checks the operator against these.
+``contraction_check`` is the empirical m-sweep contraction of the operator
+against its factorial bound, which ``test_verify.py`` and
+``test_acceptance.py`` check on the demos: it runs this ``gamma_apply``,
+which ``test_picard_tables.py`` ties bit for bit to the package's.
 """
 
 from __future__ import annotations
@@ -141,6 +145,8 @@ def picard_solve(model: GameModel, config: SolverConfig, collect_info: bool = Fa
 
 
 def contraction_check(model: GameModel, m: int, config: SolverConfig, seed: int = 0) -> tuple[float, float]:
+    """(sup-norm ratio after m applications of the operator to two random
+    bounded fields, factorial bound ((2*||q|| + ||c||)*T)^m / m!)."""
     grid = TimeGrid(config.n_steps, model.horizon)
     lags = FlowLags(model, grid)
     rng = np.random.default_rng(seed)

@@ -24,9 +24,10 @@ from pdmg.shapley import (
     policy_evaluate,
 )
 from pdmg.simulate import SimConfig, estimate_J
-from pdmg.verify import check_bounds, contraction_check, exploitability, oracle_fine_grid
+from pdmg.verify import check_bounds, exploitability, oracle_fine_grid
 
 from conftest import singleton_strategies
+from picard_loop import contraction_check
 
 
 def report(num: int, name: str, ok: bool, detail: str = ""):

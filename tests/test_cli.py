@@ -491,6 +491,16 @@ class TestLadderArguments:
         assert exc.value.code == 2
         assert "argument --probe: expected an integer state index, got 'x'" in capsys.readouterr().err
 
+    # a state past the model, a negative state, a time past T = 1 and a
+    # negative time: oracle refuses each as ladder does
+    @pytest.mark.parametrize("probe", ["0,99", "0,-1", "5,0", "-0.3,0"])
+    def test_oracle_probe_off_the_horizon_or_the_states_exits_one(self, model_files, tmp_path, capsys, probe):
+        assert main(["oracle", "--model", model_files["two_state"], "--steps", "20", "--refine", "2",
+                     f"--probe={probe}", "--out", str(tmp_path)]) == 1
+        t, x = probe.split(",")
+        assert capsys.readouterr().err == f"error: invalid probe ({float(t)}, {int(x)})\n"
+        assert not (tmp_path / "oracle.json").exists()
+
     def test_manifest_keeps_the_flags_as_given(self, model_files, tmp_path):
         assert main(["ladder", "--model", model_files["two_state"], "--n-list", "1,2.5,4", "--probe", "0,1",
                      "--steps", "50", "--shift-check-n", "1", "--out", str(tmp_path)]) == 0
@@ -508,6 +518,7 @@ class TestLadderArguments:
         assert pdmg.approx.backward_solve is pdmg.shapley.backward_solve
         assert pdmg.verify.policy_evaluate is pdmg.shapley.policy_evaluate
         assert pdmg.verify.best_response_solve is pdmg.shapley.best_response_solve
+        assert pdmg.verify.gamma_apply is pdmg.shapley.gamma_apply
         assert pdmg.cli.ladder_run is pdmg.approx.ladder_run
         assert pdmg.cli.shift_identity_check is pdmg.approx.shift_identity_check
 

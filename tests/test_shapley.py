@@ -22,6 +22,7 @@ from pdmg.shapley import (
     _ediff,
     backward_solve,
     best_response_solve,
+    check_cfl,
     export_solution_csv,
     gamma_apply,
     import_solution_csv,
@@ -173,6 +174,23 @@ class TestBackwardSolve:
             backward_solve(m, SolverConfig(n_steps=10))
         assert err.value.required_n >= 160
         backward_solve(m, SolverConfig(n_steps=err.value.required_n))
+
+    def test_cfl_required_steps_past_the_float_range(self):
+        # T*load/CFL_SAFETY = 2e308 is past the largest float
+        doc = demos.doc("matching_pennies")
+        doc["costs"][0]["value"] = 1e308
+        with pytest.raises(CFLError) as err:
+            backward_solve(model_from_dict(doc), SolverConfig(n_steps=20))
+        assert err.value.required_n == 2 * int(1e308)
+        assert str(err.value).endswith("; use N >= 2.000e+308")
+
+    @pytest.mark.parametrize("cost, shown", [(1e308, "1.000e+308"), (1e12, "1.000e+12"), (1e11, "100000000003")])
+    def test_cfl_message_shortens_a_count_past_twelve_digits(self, cost, shown):
+        doc = demos.doc("grid_flow")
+        doc["costs"][0]["value"] = cost
+        with pytest.raises(CFLError) as err:
+            check_cfl(model_from_dict(doc), TimeGrid(20, 1.0))
+        assert str(err.value).endswith(f"; use N >= {shown}")
 
     def test_monotone_in_time_for_nonneg_costs(self, controlled, nonneg_ladder_model, grid_flow):
         # c >= 0, g = 0, time-homogeneous: phi nonincreasing in t

@@ -17,12 +17,12 @@ from pdmg.shapley import (
 from pdmg.verify import (
     check_assumptions,
     check_bounds,
-    contraction_check,
     exploitability,
     oracle_fine_grid,
 )
 
 from conftest import singleton_strategies
+from picard_loop import contraction_check
 
 
 class TestCheckAssumptions:
@@ -63,6 +63,17 @@ class TestCheckAssumptions:
         assert failed["cost_growth"].location == "seg 0, state 0"
         assert failed["terminal_growth"].location == "state 2"
         assert all(c.margin == -math.inf for c in failed.values())
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_growth_product_past_the_float_range_fails_without_a_warning(self):
+        # 2*(T+1)*|c| = 4e308 is past the float range before its exponential is
+        doc = demos.doc("grid_flow")
+        doc["costs"][0]["value"] = 1e308
+        report = check_assumptions(model_from_dict(doc))
+        failed = {c.name: c for c in report.checks if not c.passed}
+        assert list(failed) == ["cost_growth"]
+        assert failed["cost_growth"].location == "seg 0, state 0"
+        assert failed["cost_growth"].margin == -math.inf
 
     def test_requires_lyapunov(self, const_cost):
         with pytest.raises(ModelValidationError, match="lyapunov"):

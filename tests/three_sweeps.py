@@ -19,7 +19,6 @@ from pdmg.shapley import (
     StrategyField,
     TimeGrid,
     ValueField,
-    _Pair,
     _Reducer,
     _sweep,
     check_cfl,
@@ -51,7 +50,7 @@ def best_response_solve(model, fixed: StrategyField, side: str, config: SolverCo
     check_cfl(model, grid)
     slices = fixed.slices_at(grid)
     if model.widths[0 if side == "maximize" else 1] == 1:
-        return _sweep([model], grid, _Pair(model, fixed, slices))[0]
+        return _sweep([model], grid, _Reducer(model, slices, fixed.mu, fixed.nu))[0]
     return _sweep([model], grid, BestResponse(model, fixed, slices, side))[0]
 
 
