@@ -59,19 +59,15 @@ EXIT_CHECK_FAILED = 1
 EXIT_IO = 2
 
 
-def _out_dir(args) -> str:
-    out = os.environ.get("PDMG_OUT", None)
-    if getattr(args, "out", None):
-        out = args.out
-    if not out:
-        out = "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def _read_model(path: str) -> GameModel:
     with open(path) as fh:
         return load_model(fh.read())
+
+
+def _read_solution(model: GameModel, path: str):
+    """The (field, strategies) of a solution CSV of ``model``."""
+    with open(path) as fh:
+        return import_solution_csv(model, fh.read())
 
 
 def _write(path: str, text: str) -> str:
@@ -80,23 +76,43 @@ def _write(path: str, text: str) -> str:
     return path
 
 
-def _manifest(out: str, command: str, args, artifacts: list, wall: float, extra=None) -> str:
-    doc = {
-        "command": command,
-        "model": getattr(args, "model", None),
-        "config": {
-            k: v
-            for k, v in sorted(vars(args).items())
-            if k not in ("func", "command") and v is not None
-        },
-        "seed": getattr(args, "seed", None),
-        "artifacts": artifacts,
-        "cell_games": dict(COUNTS),
-        "wall_clock_s": round(wall, 6),
-        "version": __version__,
-    }
-    doc.update(report_numbers(extra or {}))  # the config echoes the flags as given
-    return _write(os.path.join(out, "manifest.json"), json_text(doc) + "\n")
+def _run(cmd):
+    """The frame of a command that writes artifacts.
+
+    It zeroes the cell-game counts, starts the clock, reads ``--model`` and
+    picks the output directory (``--out``, else ``PDMG_OUT``, else ``.``).
+    ``cmd(args, model, out)`` returns its exit code, its artifacts as
+    (file name, text) pairs, its manifest extras and its summary line.  The
+    frame writes the artifacts, then ``manifest.json``, then prints the
+    summary: a failed write leaves no manifest and prints no summary.
+    """
+
+    @functools.wraps(cmd)
+    def run(args) -> int:
+        reset_counts()
+        t_start = time.time()
+        model = _read_model(args.model)
+        out = args.out or os.environ.get("PDMG_OUT") or "."
+        os.makedirs(out, exist_ok=True)
+        code, artifacts, extra, summary = cmd(args, model, out)
+        paths = [_write(os.path.join(out, name), text) for name, text in artifacts]
+        config = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "command") and v is not None}
+        doc = {
+            "command": args.command,
+            "model": args.model,
+            "config": config,
+            "seed": getattr(args, "seed", None),
+            "artifacts": paths,
+            "cell_games": dict(COUNTS),
+            "wall_clock_s": round(time.time() - t_start, 6),
+            "version": __version__,
+        }
+        doc.update(report_numbers(extra))  # the config echoes the flags as given
+        _write(os.path.join(out, "manifest.json"), json_text(doc) + "\n")
+        print(summary)
+        return code
+
+    return run
 
 
 def cmd_validate(args) -> int:
@@ -111,65 +127,44 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def cmd_solve(args) -> int:
-    t_start = time.time()
-    model = _read_model(args.model)
-    out = _out_dir(args)
+@_run
+def cmd_solve(args, model, out):
     config = SolverConfig(n_steps=args.steps, tol=args.tol)
     if args.scheme == "picard":
         field = picard_solve(model, config)
         strategies = saddle_from_field(model, field)
     else:
         field, strategies = backward_solve(model, config)
-    csv_path = _write(
-        os.path.join(out, "solution.csv"), export_solution_csv(model, field, strategies)
-    )
-    _manifest(out, "solve", args, [csv_path], time.time() - t_start)
+    csv = export_solution_csv(model, field, strategies)
     risk = to_risk_value(field, model.lam)
-    for x in range(model.n_states):
-        print(f"phi(0, {model.state_name(x)}) = {FMT % field.phi[0, x]}   risk value {FMT % risk[0, x]}")
-    return EXIT_OK
+    summary = "\n".join(
+        f"phi(0, {model.state_name(x)}) = {FMT % field.phi[0, x]}   risk value {FMT % risk[0, x]}"
+        for x in range(model.n_states)
+    )
+    return EXIT_OK, [("solution.csv", csv)], {}, summary
 
 
-def cmd_evaluate(args) -> int:
-    t_start = time.time()
-    model = _read_model(args.model)
-    out = _out_dir(args)
-    with open(args.strategies) as fh:
-        _, strategies = import_solution_csv(model, fh.read())
+@_run
+def cmd_evaluate(args, model, out):
+    _, strategies = _read_solution(model, args.strategies)
     field = policy_evaluate(model, strategies)
-    csv_path = _write(
-        os.path.join(out, "evaluation.csv"), export_solution_csv(model, field, strategies)
-    )
-    _manifest(out, "evaluate", args, [csv_path], time.time() - t_start)
-    print(f"phi(0, .) = {report_numbers(field.phi[0].tolist())}")
-    return EXIT_OK
+    csv = export_solution_csv(model, field, strategies)
+    return EXIT_OK, [("evaluation.csv", csv)], {}, f"phi(0, .) = {report_numbers(field.phi[0].tolist())}"
 
 
-def cmd_best_response(args) -> int:
-    t_start = time.time()
-    model = _read_model(args.model)
-    out = _out_dir(args)
-    with open(args.strategies) as fh:
-        _, strategies = import_solution_csv(model, fh.read())
-    steps = args.steps or strategies.grid.n_steps
-    config = SolverConfig(n_steps=steps)
+@_run
+def cmd_best_response(args, model, out):
+    _, strategies = _read_solution(model, args.strategies)
+    config = SolverConfig(n_steps=args.steps or strategies.grid.n_steps)
     field = best_response_solve(model, strategies, args.side, config)
-    strat_echo = strategies.resample(field.grid)
-    csv_path = _write(
-        os.path.join(out, "best_response.csv"), export_solution_csv(model, field, strat_echo)
-    )
-    _manifest(out, "best-response", args, [csv_path], time.time() - t_start)
-    print(f"best-response phi(0, .) = {report_numbers(field.phi[0].tolist())}")
-    return EXIT_OK
+    csv = export_solution_csv(model, field, strategies.resample(field.grid))
+    summary = f"best-response phi(0, .) = {report_numbers(field.phi[0].tolist())}"
+    return EXIT_OK, [("best_response.csv", csv)], {}, summary
 
 
-def cmd_simulate(args) -> int:
-    t_start = time.time()
-    model = _read_model(args.model)
-    out = _out_dir(args)
-    with open(args.strategies) as fh:
-        _, strategies = import_solution_csv(model, fh.read())
+@_run
+def cmd_simulate(args, model, out):
+    _, strategies = _read_solution(model, args.strategies)
     config = SimConfig(n_paths=args.paths, rng_seed=args.seed)
     est = estimate_J(model, strategies, args.t0, args.x0, config, record=args.dump_trajectories)
     doc = {
@@ -183,15 +178,14 @@ def cmd_simulate(args) -> int:
         "t0": args.t0,
         "x0": args.x0,
     }
-    est_path = _write(os.path.join(out, "estimate.json"), json_text(report_numbers(doc)) + "\n")
-    artifacts = [est_path]
+    artifacts = [("estimate.json", json_text(report_numbers(doc)) + "\n")]
     if args.dump_trajectories:
         # the walks of the first paths, exactly as the estimate averaged them
         lines = ["path_id,jump_index,time,state,exponent_so_far"]
         for i, tr in enumerate(est.trajectories):
             for j, ((t, x), e) in enumerate(zip(tr.jumps, tr.jump_exponents)):
                 lines.append(f"{i},{j},{FMT % t},{x},{FMT % e}")
-        artifacts.append(_write(os.path.join(out, "trajectories.csv"), "\n".join(lines) + "\n"))
+        artifacts.append(("trajectories.csv", "\n".join(lines) + "\n"))
     simulation = {
         "candidates": est.candidates,
         "jumps": est.jumps,
@@ -199,15 +193,12 @@ def cmd_simulate(args) -> int:
         "acceptance_rate": est.jumps / est.candidates if est.candidates else None,
         "jumps_per_path": est.jumps / est.n_paths,
     }
-    _manifest(out, "simulate", args, artifacts, time.time() - t_start, {"simulation": simulation})
-    print(f"mean {FMT % est.mean}  stderr {FMT % est.stderr}  ({est.n_paths} paths)")
-    return EXIT_OK
+    summary = f"mean {FMT % est.mean}  stderr {FMT % est.stderr}  ({est.n_paths} paths)"
+    return EXIT_OK, artifacts, {"simulation": simulation}, summary
 
 
-def cmd_verify(args) -> int:
-    t_start = time.time()
-    model = _read_model(args.model)
-    out = _out_dir(args)
+@_run
+def cmd_verify(args, model, out):
     sections = {}
     ok = True
 
@@ -220,15 +211,13 @@ def cmd_verify(args) -> int:
 
     strategies = None
     if args.field:
-        with open(args.field) as fh:
-            field, strategies = import_solution_csv(model, fh.read())
+        field, strategies = _read_solution(model, args.field)
         if model.lyapunov is not None:
             rep = check_bounds(field, model)
             sections["bounds"] = rep.doc()
             ok = ok and rep.passed
     if args.strategies:
-        with open(args.strategies) as fh:
-            _, strategies = import_solution_csv(model, fh.read())
+        _, strategies = _read_solution(model, args.strategies)
     if strategies is not None:
         config = SolverConfig(n_steps=strategies.grid.n_steps)
         gap = exploitability(model, strategies, config, refine=args.refine)
@@ -236,28 +225,22 @@ def cmd_verify(args) -> int:
         ok = ok and gap <= args.gap_tol
 
     sections["passed"] = ok
-    path = _write(os.path.join(out, "report.json"), json_text(report_numbers(sections)) + "\n")
-    _manifest(out, "verify", args, [path], time.time() - t_start)
-    print(f"verify: {'pass' if ok else 'FAIL'} (report at {path})")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    report = json_text(report_numbers(sections)) + "\n"
+    summary = f"verify: {'pass' if ok else 'FAIL'} (report at {os.path.join(out, 'report.json')})"
+    return EXIT_OK if ok else EXIT_CHECK_FAILED, [("report.json", report)], {}, summary
 
 
-def cmd_ladder(args) -> int:
-    t_start = time.time()
-    model = _read_model(args.model)
-    out = _out_dir(args)
+@_run
+def cmd_ladder(args, model, out):
     probes = [_probe(p) for p in args.probe] if args.probe else [(0.0, 0)]
     config = SolverConfig(n_steps=args.steps)
     # the levels and the shift pair march as one batch
     report = ladder_run(model, _levels(args.n_list), probes, config, args.shift_check_n)
-    path = _write(os.path.join(out, "ladder.json"), report.to_json() + "\n")
-    extra = None if report.shift_rel_err is None else {"shift_identity_rel_err": report.shift_rel_err}
-    _manifest(out, "ladder", args, [path], time.time() - t_start, extra)
-    print(
-        f"ladder {report.direction}: monotone_ok={report.monotone_ok} "
-        f"converged_gap={FMT % report.converged_gap}"
-    )
-    return EXIT_OK if report.monotone_ok else EXIT_CHECK_FAILED
+    extra = {} if report.shift_rel_err is None else {"shift_identity_rel_err": report.shift_rel_err}
+    gap = FMT % report.converged_gap
+    summary = f"ladder {report.direction}: monotone_ok={report.monotone_ok} converged_gap={gap}"
+    code = EXIT_OK if report.monotone_ok else EXIT_CHECK_FAILED
+    return code, [("ladder.json", report.to_json() + "\n")], extra, summary
 
 
 class MatrixFormatError(ValueError):
@@ -292,20 +275,13 @@ def cmd_game(args) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(args) -> int:
-    t_start = time.time()
-    model = _read_model(args.model)
-    out = _out_dir(args)
+@_run
+def cmd_oracle(args, model, out):
     probes = [_probe(p) for p in args.probe] if args.probe else None
     config = SolverConfig(n_steps=args.steps, tol=args.tol)
     report = oracle_fine_grid(model, args.refine, config, probes)
-    path = _write(os.path.join(out, "oracle.json"), report.to_json() + "\n")
-    _manifest(out, "oracle", args, [path], time.time() - t_start)
-    print(
-        f"max deviation: backward {FMT % report.max_dev_backward}, "
-        f"picard {FMT % report.max_dev_picard}"
-    )
-    return EXIT_OK
+    summary = f"max deviation: backward {FMT % report.max_dev_backward}, picard {FMT % report.max_dev_picard}"
+    return EXIT_OK, [("oracle.json", report.to_json() + "\n")], {}, summary
 
 
 def _finite(text: str) -> float:
@@ -457,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    reset_counts()
     try:
         return args.func(args)
     except (ModelFormatError, SolutionFormatError, MatrixFormatError, OSError, json.JSONDecodeError) as exc:

@@ -116,6 +116,8 @@ class TimeGrid:
             raise ValueError("n_steps must be >= 1")
         if not self.horizon > 0.0:
             raise ValueError("horizon must be positive")
+        if not math.isfinite(self.n_steps * self.horizon):  # the knots k*T/N form k*T
+            raise ValueError(f"N*T = {self.n_steps}*{self.horizon:.4g} is past the float range")
 
     @property
     def delta(self) -> float:
@@ -237,17 +239,31 @@ def report_numbers(doc):
     return doc
 
 
+_TINY = np.finfo(float).tiny  # the smallest normal double
+
+
 def _bad_entries(phi: np.ndarray) -> np.ndarray:
-    """(knot, state) of every entry of phi that is not finite and positive."""
-    return np.argwhere(~(np.isfinite(phi) & (phi > 0.0)))
+    """(knot, state) of every entry of phi that is not finite and positive,
+    or is positive below the smallest normal double: there a step's product
+    can round back up to the same subnormal, so the value is silently wrong."""
+    return np.argwhere(~(np.isfinite(phi) & (phi >= _TINY)))
+
+
+def _refuse_bad_phi(phi: np.ndarray, error: type, text: str, last: bool = False):
+    """Raise ``error`` naming the first (``last``: the last) of the
+    ``_bad_entries`` of phi, if any: ``text`` formatted with its knot and
+    state, or for a subnormal entry a message that says so."""
+    bad = _bad_entries(phi)
+    if bad.size:
+        k, x = bad[-1 if last else 0]
+        if 0.0 < phi[k, x] < _TINY:
+            text = "phi = {2} at knot {0}, state {1} is below the smallest normal double"
+        raise error(text.format(k, x, FMT % phi[k, x]))
 
 
 def to_risk_value(field: ValueField, lam: float) -> np.ndarray:
     """Certainty-equivalent values (1/lambda) * ln phi, entrywise."""
-    bad = _bad_entries(field.phi)
-    if bad.size:
-        k, x = bad[0]
-        raise SolverError(f"nonpositive or non-finite phi at knot {k}, state {x}")
+    _refuse_bad_phi(field.phi, SolverError, "nonpositive or non-finite phi at knot {}, state {}")
     return np.log(field.phi) / lam
 
 
@@ -637,7 +653,7 @@ def _sweep(models: list, grid: TimeGrid, reducer: _Reducer) -> list[ValueField]:
     that knot down is computed again.  After a rejection the next chunk is
     one knot long, after an accepted chunk twice as long.  Returns each
     member's field; raises PositivityError, for the first member in order
-    whose phi is not finite and positive.
+    whose phi is not finite and positive or is subnormal.
     """
     model = models[0]
     lags = _FlowLags(model, grid)
@@ -684,10 +700,7 @@ def _sweep(models: list, grid: TimeGrid, reducer: _Reducer) -> list[ValueField]:
         for p, sign in zip(np.moveaxis(phi, 1, 0) if lead else [phi], signs)
     ]
     for field in fields:
-        bad = _bad_entries(field.phi)
-        if bad.size:
-            k, x = bad[-1]
-            raise PositivityError(f"phi is not finite and positive at knot {k}, state {x}")
+        _refuse_bad_phi(field.phi, PositivityError, "phi is not finite and positive at knot {}, state {}", last=True)
     return fields
 
 
@@ -1064,8 +1077,7 @@ def export_solution_csv(model: GameModel, field: ValueField, strategies: Strateg
     """
     grid = field.grid
     n, N = model.n_states, grid.n_steps
-    if _bad_entries(field.phi).size:
-        raise SolverError("cannot export a field with nonpositive or non-finite phi")
+    _refuse_bad_phi(field.phi, SolverError, "cannot export a field with nonpositive or non-finite phi")
     names, shown = _csv_layout(model)
     # one knot's rows: t, the state, phi, risk, a %s per admissible action
     knot_rows = "".join(
@@ -1206,10 +1218,7 @@ def import_solution_csv(model: GameModel, text: str) -> tuple[ValueField, Strate
             f"(t = {FMT % knots[r]})"
         )
     phi = phi.reshape(N + 1, n)
-    bad = _bad_entries(phi)
-    if bad.size:
-        k, x = bad[0]
-        raise SolverError(f"solution CSV: nonpositive or non-finite phi at knot {k}, state {x}")
+    _refuse_bad_phi(phi, SolverError, "solution CSV: nonpositive or non-finite phi at knot {}, state {}")
     wa = model.widths[0]
     mu = np.ascontiguousarray(entries[: N * n, :wa]).reshape(N, n, wa)
     nu = np.ascontiguousarray(entries[: N * n, wa:]).reshape(N, n, -1)

@@ -89,6 +89,9 @@ def _exp(scale: float, values: np.ndarray) -> np.ndarray:
     return np.array([exp(v) for v in values.ravel().tolist()]).reshape(values.shape)
 
 
+# the rule of both checks: a product past the float range is +inf, as in _exp,
+# and a margin that is then not a number (inf - inf) fails its check
+@np.errstate(over="ignore", invalid="ignore")
 def check_assumptions(model: GameModel) -> VerificationReport:
     """Exhaustive drift/growth checks over states, action pairs and segments.
 
@@ -135,6 +138,7 @@ def check_assumptions(model: GameModel) -> VerificationReport:
     ])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_bounds(field: ValueField, model: GameModel) -> VerificationReport:
     """Pointwise sandwich e^{-lam*L2*V} <= phi <= L2*V with
     L2(t) = M2*exp(rho1*(T-t))*(1 + b1/rho1) and V along the flow."""

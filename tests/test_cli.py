@@ -703,6 +703,46 @@ class TestEnvironment:
         assert (target / "solution.csv").exists()
 
 
+class TestRunFrame:
+    # each artifact command's flags on two_state (S: a solution CSV) and the
+    # files it writes besides the manifest
+    COMMANDS = {
+        "solve": (["--steps", "20"], ["solution.csv"]),
+        "evaluate": (["--strategies", "S"], ["evaluation.csv"]),
+        "best-response": (["--strategies", "S", "--side", "minimize"], ["best_response.csv"]),
+        "simulate": (["--strategies", "S", "--paths", "20", "--seed", "1", "--dump-trajectories", "2"],
+                     ["estimate.json", "trajectories.csv"]),
+        "verify": (["--field", "S", "--refine", "2"], ["report.json"]),
+        "ladder": (["--n-list", "1,2", "--steps", "20"], ["ladder.json"]),
+        "oracle": (["--steps", "20", "--refine", "2"], ["oracle.json"]),
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_manifest_names_exactly_the_files_written(self, model_files, saddle_csv, tmp_path, command):
+        flags, files = self.COMMANDS[command]
+        model, out = model_files["two_state"], tmp_path / "run"
+        argv = [command, "--model", model, *[saddle_csv if f == "S" else f for f in flags], "--out", str(out)]
+        assert main(argv) == 0
+        manifest = read_json(out / "manifest.json")
+        assert (manifest["command"], manifest["model"]) == (command, model)
+        assert manifest["artifacts"] == [str(out / f) for f in files]
+        assert sorted(p.name for p in out.iterdir()) == sorted(files + ["manifest.json"])
+
+    def test_failed_artifact_write_exits_two_without_summary_or_manifest(self, model_files, saddle_csv,
+                                                                          tmp_path, capsys):
+        # the artifacts are written in order, then the manifest, then the summary
+        out = tmp_path / "run"
+        (out / "trajectories.csv").mkdir(parents=True)
+        flags, _ = self.COMMANDS["simulate"]
+        argv = ["simulate", "--model", model_files["two_state"], *[saddle_csv if f == "S" else f for f in flags],
+                "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "trajectories.csv" in captured.err
+        assert sorted(p.name for p in out.iterdir()) == ["estimate.json", "trajectories.csv"]
+
+
 class TestNonFiniteValues:
     def test_overflowing_solve_exits_one_without_csv(self, tmp_path, capsys):
         # lambda*c*T = 800: phi overflows past the largest float, and the
@@ -722,6 +762,44 @@ class TestNonFiniteValues:
             rc = main(["solve", "--model", str(model), "--steps", "2000", "--out", str(out)])
         assert rc == 1
         assert "error: phi is not finite and positive at knot 225, state 0" in capsys.readouterr().err
+        assert not (out / "solution.csv").exists()
+
+    def test_subnormal_solve_exits_one_without_csv(self, tmp_path, capsys):
+        # lambda*c*T = -800: phi falls below the smallest normal double, where
+        # a step's product rounds back up to the same subnormal; the march
+        # stops at the first such knot instead of printing phi(0) = 4.9e-324
+        doc = {
+            "lambda": 1.0,
+            "horizon": 1.0,
+            "states": {"finite": ["a"]},
+            "actions": {"p1": [[0]], "p2": [[0]]},
+            "costs": [{"state": 0, "a": 0, "b": 0, "value": -800.0}],
+        }
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["solve", "--model", self._write(tmp_path, doc), "--steps", "2000", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: phi = 2.21711908166e-308 at knot 229, state 0 ")
+        assert err.endswith("is below the smallest normal double\n")
+        assert not (out / "solution.csv").exists()
+
+    def test_horizon_times_steps_past_the_float_range_exits_one(self, tmp_path, capsys):
+        # with no costs nothing else bounds the step: the knots k*T/N of
+        # T = 1e308 were written as t = inf from knot 2 on
+        doc = {
+            "lambda": 1.0,
+            "horizon": 1e308,
+            "states": {"finite": ["a"]},
+            "actions": {"p1": [[0]], "p2": [[0]]},
+        }
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["solve", "--model", self._write(tmp_path, doc), "--steps", "20", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: N*T = 20*1e+308 is past the float range\n"
         assert not (out / "solution.csv").exists()
 
     def _write(self, tmp_path, doc):

@@ -75,6 +75,26 @@ class TestCheckAssumptions:
         assert failed["cost_growth"].location == "seg 0, state 0"
         assert failed["cost_growth"].margin == -math.inf
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name, key, index, failed", [
+        # rho2*V1(x)^2 is past the float range on the right of the drift check
+        ("nonneg_ladder", "rho2", None, {}),
+        # M2*V(x) is past the float range in the cost growth bound, which holds;
+        # the drift and V^2 <= M3*V1 fail
+        ("two_state", "V", 1, {"drift_V": -1e308, "V_squared_vs_V1": -math.inf}),
+        # V1(x)^2 is past the float range on both sides of the drift check: a
+        # margin of inf - inf is not a number and fails
+        ("nonneg_ladder", "V1", 1, {"drift_V1_squared": math.nan}),
+    ])
+    def test_lyapunov_data_past_the_float_range_checks_without_a_warning(self, name, key, index, failed):
+        doc = demos.doc(name)
+        if index is None:
+            doc["lyapunov"][key] = 1e308
+        else:
+            doc["lyapunov"][key][index] = 1e308
+        report = check_assumptions(model_from_dict(doc))
+        np.testing.assert_equal({c.name: c.margin for c in report.checks if not c.passed}, failed)  # nan == nan
+
     def test_requires_lyapunov(self, const_cost):
         with pytest.raises(ModelValidationError, match="lyapunov"):
             check_assumptions(const_cost)
@@ -104,6 +124,19 @@ class TestCheckBounds:
             report = check_bounds(field, model)
             assert report.passed, report.to_json()
 
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_bound_with_M2_past_the_float_range_is_infinite_without_a_warning(self, two_state):
+        # M2*e^{rho1*(T-t)}*(1 + b1/rho1) passes the largest float below t = T
+        # for M2 = 1e308; at t = T it is 1.2e308, the least upper margin
+        doc = demos.doc("two_state")
+        doc["lyapunov"]["M2"] = 1e308
+        model = model_from_dict(doc)
+        field, _ = backward_solve(model, SolverConfig(n_steps=20))
+        report = check_bounds(field, model)
+        assert report.passed
+        upper = {c.name: c for c in report.checks}["upper_bound"]
+        assert upper.location.startswith("knot 20,") and upper.margin > 1e308
 
     def test_overflowing_growth_bound_is_infinite(self, two_state):
         # rho1*T = 800: e^{rho1*(T-t)} passes the largest float below t = 0.113
