@@ -9,14 +9,18 @@ monotonically, and shifting the clipped model up by n produces a
 nonnegative model whose value equals the clipped one times the exact factor
 exp(lambda*(T-s+1)*n).
 
-A ladder's levels share states, action sets, time breaks and horizon, so
-``ladder_run`` marches all of them, and the clipped and shifted pair of the
-shift identity with them, in one batched backward sweep
+Every truncation is an overlay of one validated model: it shares the
+model's states, action sets, time breaks, lambda, horizon and Lyapunov data
+and replaces only its costs, terminal cost and, for the nonnegative ladder,
+the rate rows outside S_n.  A ladder's levels thus share their structure,
+so ``ladder_run`` marches all of them, and the clipped and shifted pair of
+the shift identity with them, in one batched backward sweep
 (:func:`pdmg.shapley.backward_solve_batch`).
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -49,10 +53,28 @@ class LadderReport:
         return json_text(report_numbers(doc))
 
 
-def _rebuild(model: GameModel, rates, costs, terminal) -> GameModel:
-    """``model`` with its dense tables and terminal cost replaced."""
-    return GameModel(model.states, model.actions_p1, model.actions_p2, model.time_breaks, rates, costs, terminal,
-                     model.lam, model.horizon, model.lyapunov)
+def _rebuild(model: GameModel, costs, terminal, inside=None) -> GameModel:
+    """An overlay of ``model``: a shallow copy with its costs and terminal
+    cost replaced and, given the state mask ``inside``, the rates, costs and
+    terminal cost of every state outside it zeroed.  Its tables are
+    read-only and bit for bit those the constructor builds from the same
+    arrays.  It skips ``validate``: a zeroed rate row is conservative and
+    nonnegative, and costs and the terminal cost are not checked there."""
+    member = copy.copy(model)
+    keep = model.cells if inside is None else model.cells & inside[:, None, None]
+    member.costs = np.where(keep, costs, 0.0)
+    member.terminal = np.asarray(terminal if inside is None else np.where(inside, terminal, 0.0), dtype=float)
+    if inside is not None:
+        out = np.flatnonzero(~inside)
+        member.rates = model.rates.copy()
+        member.rates[:, out] = 0.0
+        # the constructor writes -q_totals, so -0.0, on an admissible diagonal
+        member.rates[:, out, :, :, out] = np.where(model.cells[out], -0.0, 0.0)[:, None]
+        member.q_totals = np.where(inside[:, None, None], model.q_totals, 0.0)
+        member.q_stars = np.where(inside, model.q_stars, 0.0)
+    for table in (member.costs, member.terminal, member.rates, member.q_totals, member.q_stars):
+        table.flags.writeable = False
+    return member
 
 
 def truncate_nonneg(model: GameModel, n: float) -> GameModel:
@@ -77,20 +99,14 @@ def truncate_nonneg(model: GameModel, n: float) -> GameModel:
         # math.log per state: np.log may differ in the last bit
         return np.minimum(float(n), [math.log(lyap.M2 * v) / (2.0 * (T + 1.0)) for v in V])
 
-    inside = lyap.V <= n
     level = np.array([caps(lyap.V[model.states.flow_map(T - t)]) for t in model.time_breaks])
     costs = np.minimum(model.costs, level[:, :, None, None])
-    return _rebuild(
-        model,
-        np.where(inside[:, None, None, None], model.rates, 0.0),
-        np.where(inside[:, None, None], costs, 0.0),
-        np.where(inside, np.minimum(model.terminal, caps(lyap.V)), 0.0),
-    )
+    return _rebuild(model, costs, np.minimum(model.terminal, caps(lyap.V)), lyap.V <= n)
 
 
 def truncate_clipped(model: GameModel, n: float) -> GameModel:
     """Level-n clip for signed costs: costs max(-n, c), terminal max(-n, g)."""
-    return _rebuild(model, model.rates, np.maximum(model.costs, -float(n)), np.maximum(model.terminal, -float(n)))
+    return _rebuild(model, np.maximum(model.costs, -float(n)), np.maximum(model.terminal, -float(n)))
 
 
 def truncate_general(model: GameModel, n: float) -> tuple[GameModel, GameModel]:
@@ -100,7 +116,7 @@ def truncate_general(model: GameModel, n: float) -> tuple[GameModel, GameModel]:
     shifted: clipped costs + n and terminal + n (both nonnegative).
     """
     clipped = truncate_clipped(model, n)
-    return clipped, _rebuild(model, model.rates, clipped.costs + float(n), clipped.terminal + float(n))
+    return clipped, _rebuild(model, clipped.costs + float(n), clipped.terminal + float(n))
 
 
 def shift_factor(lam: float, horizon: float, s: float, n: float) -> float:
@@ -127,10 +143,6 @@ def shift_identity_check(model: GameModel, n: float, s: float, config: SolverCon
     """
     (clipped, _), (shifted, _) = backward_solve_batch(truncate_general(model, n), config)
     return _shift_error(model, n, s, clipped, shifted)
-
-
-def _is_nonneg(model: GameModel) -> bool:
-    return not (np.any(model.terminal < 0.0) or np.any(model.costs < 0.0))
 
 
 def ladder_run(model: GameModel, n_list, probes, config: SolverConfig, shift_n=None) -> LadderReport:
@@ -166,9 +178,7 @@ def ladder_run(model: GameModel, n_list, probes, config: SolverConfig, shift_n=N
     if shift_n is not None and not math.isfinite(shift_n):
         raise ValueError(f"shift_n {shift_n} is not finite")
 
-    nonneg = _is_nonneg(model) and model.lyapunov is not None
-    direction = "nondecreasing" if nonneg else "nonincreasing"
-
+    nonneg = model.lyapunov is not None and not (np.any(model.terminal < 0.0) or np.any(model.costs < 0.0))
     levels = [truncate_nonneg(model, n) if nonneg else truncate_clipped(model, n) for n in n_list]
     pair = [] if shift_n is None else list(truncate_general(model, shift_n))
     fields = [field for field, _ in backward_solve_batch(levels + pair, config)]
@@ -177,36 +187,17 @@ def ladder_run(model: GameModel, n_list, probes, config: SolverConfig, shift_n=N
 
     phi_at_probe = [[float(field.phi[k, x]) for k, x in at] for field in fields]
 
-    slack = 1e-10
     violations = []
     for i in range(len(fields) - 1):
-        diff = fields[i + 1].phi - fields[i].phi
-        worst = float(diff.min()) if nonneg else float(-diff.max())
-        if worst < -slack:
-            k, x = (
-                np.unravel_index(np.argmin(diff), diff.shape)
-                if nonneg
-                else np.unravel_index(np.argmax(diff), diff.shape)
-            )
-            violations.append(
-                {
-                    "levels": [n_list[i], n_list[i + 1]],
-                    "knot": int(k),
-                    "state": int(x),
-                    "violation": -worst,
-                }
-            )
+        # the worst step against the expected direction, past a slack of 1e-10
+        drop = fields[i].phi - fields[i + 1].phi if nonneg else fields[i + 1].phi - fields[i].phi
+        k, x = np.unravel_index(np.argmax(drop), drop.shape)
+        if drop[k, x] > 1e-10:
+            violations.append({"levels": [n_list[i], n_list[i + 1]], "knot": int(k), "state": int(x),
+                               "violation": float(drop[k, x])})
 
-    gap = float(np.max(np.abs(np.array(phi_at_probe[-1]) - np.array(phi_at_probe[-2])))) if len(
-        fields
-    ) > 1 else 0.0
-    return LadderReport(
-        n_values=n_list,
-        probes=probes,
-        phi_at_probe=phi_at_probe,
-        direction=direction,
-        monotone_ok=not violations,
-        converged_gap=gap,
-        violations=violations,
-        shift_rel_err=shift_rel_err,
-    )
+    gap = float(np.max(np.abs(np.subtract(phi_at_probe[-1], phi_at_probe[-2])))) if len(fields) > 1 else 0.0
+    return LadderReport(n_values=n_list, probes=probes, phi_at_probe=phi_at_probe,
+                        direction="nondecreasing" if nonneg else "nonincreasing",
+                        monotone_ok=not violations, converged_gap=gap, violations=violations,
+                        shift_rel_err=shift_rel_err)

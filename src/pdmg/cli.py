@@ -296,13 +296,15 @@ def _finite(text: str) -> float:
 
 
 def _count(low: int, below: int | None = None):
-    """argparse type: an integer >= ``low``, and < ``below`` if given."""
-    bound = f">= {low}" if below is None else f"in [{low}, {below})"
+    """argparse type: an integer >= ``low``, and < ``below`` if given, that
+    converts to a float."""
+    bound = f">= {low} that converts to a float" if below is None else f"in [{low}, {below})"
 
     def parse(text: str) -> int:
         try:
             value = int(text)
-        except ValueError:
+            float(value)  # a count past the float range is no count
+        except (ValueError, OverflowError):
             value = low - 1
         if value < low or (below is not None and value >= below):
             raise argparse.ArgumentTypeError(f"expected an integer {bound}, got {text!r}")

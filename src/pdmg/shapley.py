@@ -116,7 +116,11 @@ class TimeGrid:
             raise ValueError("n_steps must be >= 1")
         if not self.horizon > 0.0:
             raise ValueError("horizon must be positive")
-        if not math.isfinite(self.n_steps * self.horizon):  # the knots k*T/N form k*T
+        try:
+            finite = math.isfinite(self.n_steps * self.horizon)  # the knots k*T/N form k*T
+        except OverflowError:  # N itself is past the float range
+            finite = False
+        if not finite:
             raise ValueError(f"N*T = {self.n_steps}*{self.horizon:.4g} is past the float range")
 
     @property

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from pdmg.approx import truncate_general
 from pdmg.matrix_game import COUNTS, MatrixGameError, reset_counts
-from pdmg.model import model_from_dict
+from pdmg.model import GameModel, model_from_dict
 from pdmg.shapley import (
     CFLError,
     PositivityError,
@@ -32,19 +32,20 @@ def finite_members(seeds, widths, n_segments):
     return [model_from_dict(doc) for doc in docs]
 
 
-def solve_each_way(models, n):
-    """(batch, own solves, batch counts, summed own counts) at n steps."""
+def solve_each_way(models, n, refs=None):
+    """(batch, own solves, batch counts, summed own counts) at n steps; the
+    own solves are of ``refs`` if given, else of the members."""
     config = SolverConfig(n_steps=n)
     reset_counts()
     batch = backward_solve_batch(models, config)
     batch_counts = dict(COUNTS)
     reset_counts()
-    own = [backward_solve(m, config) for m in models]
+    own = [backward_solve(m, config) for m in refs or models]
     return batch, own, batch_counts, dict(COUNTS)
 
 
-def assert_same_bits(models, n):
-    batch, own, batch_counts, own_counts = solve_each_way(models, n)
+def assert_same_bits(models, n, refs=None):
+    batch, own, batch_counts, own_counts = solve_each_way(models, n, refs)
     assert len(batch) == len(models)
     for (field, strategies), (ref, ref_strategies) in zip(batch, own):
         assert np.array_equal(field.phi, ref.phi)
@@ -125,7 +126,10 @@ class TestBatchIdentity:
     def test_ladder_and_shift_pair(self, signed_cost, two_state):
         for model in (signed_cost, two_state):
             models = [truncate_general(model, n)[0] for n in (1, 2, 4)] + list(truncate_general(model, 2))
-            assert_same_bits(models, 200)
+            # the references run members the validating constructor builds, not the overlays
+            refs = [GameModel(m.states, m.actions_p1, m.actions_p2, m.time_breaks, m.rates, m.costs, m.terminal,
+                              m.lam, m.horizon, m.lyapunov) for m in models]
+            assert_same_bits(models, 200, refs)
 
     def test_single_member_is_backward_solve(self, controlled):
         config = SolverConfig(n_steps=100)

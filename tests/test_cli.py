@@ -554,6 +554,10 @@ class TestNumericArguments:
         ("simulate", ["--strategies", "S", "--paths", "1", "--seed", str(2**64)], "--seed"),
         ("simulate", ["--strategies", "S", "--paths", "1", "--seed", "1", "--dump-trajectories", "-1"],
          "--dump-trajectories"),
+        # a count past the float range ended in an OverflowError traceback
+        ("solve", ["--steps", "1" + "0" * 400], "--steps"),
+        ("ladder", ["--n-list", "1,2", "--steps", str(2**1024)], "--steps"),
+        ("simulate", ["--strategies", "S", "--seed", "1", "--paths", "9" * 310], "--paths"),
     ])
     def test_bad_value_exits_two_naming_the_flag(self, model_files, saddle_csv, tmp_path, capsys,
                                                  command, flags, flag):

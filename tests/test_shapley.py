@@ -90,6 +90,12 @@ class TestTimeGrid:
                     fine = TimeGrid(n * r, horizon)
                     assert np.array_equal(coarse.slices_at(fine), np.repeat(np.arange(n), r))
 
+    @pytest.mark.parametrize("n", [10**400, 2**1024 - 2**969], ids=["1e400", "2**1024-2**969"])
+    def test_step_count_past_the_float_range_is_a_value_error(self, n):
+        # float(n) overflows: an OverflowError escaped the CLI's error handling
+        with pytest.raises(ValueError, match="is past the float range"):
+            TimeGrid(n, 1.0)
+
 
 def _cell_game(model, u):
     """The bracket game lambda*c*u(x) + sum_y q(y|x,a,b)*u(y) of state 0 for one slice u."""
