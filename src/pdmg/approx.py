@@ -94,14 +94,12 @@ def truncate_nonneg(model: GameModel, n: float) -> GameModel:
     if np.any(model.terminal < 0.0):
         raise ModelValidationError("nonnegative truncation: negative terminal cost")
     lyap, T = model.lyapunov, model.horizon
-
-    def caps(V: np.ndarray) -> np.ndarray:
-        # math.log per state: np.log may differ in the last bit
-        return np.minimum(float(n), [math.log(lyap.M2 * v) / (2.0 * (T + 1.0)) for v in V])
-
-    level = np.array([caps(lyap.V[model.states.flow_map(T - t)]) for t in model.time_breaks])
+    # each state's cap, read along the flow; math.log per state: np.log may
+    # differ in the last bit
+    cap = np.minimum(float(n), np.array([math.log(lyap.M2 * v) for v in lyap.V.tolist()]) / (2.0 * (T + 1.0)))
+    level = np.array([cap[model.states.flow_map(T - t)] for t in model.time_breaks])
     costs = np.minimum(model.costs, level[:, :, None, None])
-    return _rebuild(model, costs, np.minimum(model.terminal, caps(lyap.V)), lyap.V <= n)
+    return _rebuild(model, costs, np.minimum(model.terminal, cap), lyap.V <= n)
 
 
 def truncate_clipped(model: GameModel, n: float) -> GameModel:

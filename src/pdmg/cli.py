@@ -395,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("simulate", cmd_simulate, help="Monte Carlo estimate of the exponential functional")
     sp.add_argument("--model", required=True)
     sp.add_argument("--strategies", required=True)
-    sp.add_argument("--t0", type=float, default=0.0)
+    sp.add_argument("--t0", type=_finite, default=0.0)
     sp.add_argument("--x0", type=int, default=0)
     sp.add_argument("--paths", type=_count(1), required=True)
     sp.add_argument("--seed", type=_count(0, 2**64), required=True, help="Philox key, 0 <= seed < 2**64")
@@ -442,6 +442,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except (ModelValidationError, SolverError, MatrixGameError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    except MemoryError as exc:  # a count whose arrays cannot be allocated
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 
 

@@ -657,8 +657,12 @@ def _sweep(models: list, grid: TimeGrid, reducer: _Reducer) -> list[ValueField]:
     that knot down is computed again.  After a rejection the next chunk is
     one knot long, after an accepted chunk twice as long.  Returns each
     member's field; raises PositivityError, for the first member in order
-    whose phi is not finite and positive or is subnormal.
+    whose phi is not finite and positive or is subnormal.  Checks the CFL
+    load of every member first, before it builds any table, so that every
+    backward march refuses an unsafe grid alike.
     """
+    for m in models:
+        check_cfl(m, grid)
     model = models[0]
     lags = _FlowLags(model, grid)
     knot_seg = lags.segments
@@ -845,8 +849,6 @@ def backward_solve_batch(models, config: SolverConfig) -> list[tuple[ValueField,
             )
     grid = TimeGrid(config.n_steps, model.horizon)
     try:
-        for m in models:
-            check_cfl(m, grid)
         saddles = _CarriedSaddles(model, grid.n_steps, len(models))
         fields = _sweep(models, grid, saddles)
         return list(zip(fields, saddles.strategies(grid)))
@@ -879,7 +881,9 @@ def policy_evaluate(model: GameModel, strategies: StrategyField) -> ValueField:
     Uses the same cell update as ``backward_solve`` with the inner game
     replaced by the bilinear mixture of the entry matrix, contracted into
     the step tables, so evaluating the computed saddle reproduces the saddle
-    field to rounding.
+    field to rounding.  Like every backward march it refuses a grid that
+    fails the CFL load (:func:`check_cfl`), on which that update may lose
+    positivity.
     """
     grid = strategies.grid
     return _sweep([model], grid, _Reducer(model, np.arange(grid.n_steps), strategies.mu, strategies.nu))[0]
@@ -901,7 +905,6 @@ def best_response_solve(
     if side not in ("maximize", "minimize"):
         raise ValueError("side must be 'maximize' or 'minimize'")
     grid = TimeGrid(config.n_steps, model.horizon)
-    check_cfl(model, grid)
     return _sweep([model], grid, _BestResponse(model, fixed, fixed.slices_at(grid), side))[0]
 
 
@@ -917,12 +920,11 @@ def evaluate_and_respond(
     bit for bit the field of :func:`policy_evaluate` of ``fixed`` resampled
     to the grid, and of :func:`best_response_solve` of that side.  A side
     with one action everywhere is the pair itself (the same field object),
-    so a model without choices marches the pair alone.  Checks the CFL load
-    first; the error raised may differ from the one the three solves raise
-    one after another.
+    so a model without choices marches the pair alone.  Each member's checks
+    run in the order of its own solve, so the error raised, type and
+    message, is the one the three solves raise one after another.
     """
     grid = TimeGrid(config.n_steps, model.horizon)
-    check_cfl(model, grid)
     slices = fixed.slices_at(grid)
     if model.widths == (1, 1):
         # the pair alone, as a plain sweep: through _PairAndResponses its

@@ -14,27 +14,24 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .matrix_game import MatrixGameError
 from .model import GameModel, GridFlowStates, ModelValidationError
 from .shapley import (
     SolverConfig,
-    SolverError,
     StrategyField,
     TimeGrid,
     ValueField,
     backward_solve,
-    best_response_solve,
     evaluate_and_respond,
     json_text,
     picard_solve,
-    policy_evaluate,
     probe_knot,
     report_numbers,
     to_risk_value,
 )
-# gamma_apply is not called here, but it is part of this module's namespace:
-# pdmgbench/tracing.py wraps it under this name
-from .shapley import gamma_apply  # noqa: F401
+# gamma_apply, policy_evaluate and best_response_solve are not called here,
+# but they are part of this module's namespace: pdmgbench/tracing.py wraps
+# them under these names
+from .shapley import best_response_solve, gamma_apply, policy_evaluate  # noqa: F401
 
 
 @dataclass
@@ -178,20 +175,11 @@ def exploitability(
     strategy suboptimality rather than per-cell solver residue: the gap of
     the computed saddle shrinks first-order in the coarse step.  The three
     march as one sweep (:func:`evaluate_and_respond`), each bit for bit its
-    own solve; if that sweep fails, the pair evaluation and the two best
-    responses run one after another, so that the error, type and message,
-    is the one the first failing solve raises.  ``config`` is not read: the
-    grid comes from the strategies and ``refine``.
+    own solve and raising the error, type and message, that the first
+    failing solve raises.  ``config`` is not read: the grid comes from the
+    strategies and ``refine``.
     """
-    fine = TimeGrid(strategies.grid.n_steps * refine, strategies.grid.horizon)
-    fine_cfg = SolverConfig(n_steps=fine.n_steps)
-    try:
-        fields = evaluate_and_respond(model, strategies, fine_cfg)
-    except (SolverError, MatrixGameError):
-        policy_evaluate(model, strategies.resample(fine))
-        best_response_solve(model, strategies, "maximize", fine_cfg)
-        best_response_solve(model, strategies, "minimize", fine_cfg)
-        raise
+    fields = evaluate_and_respond(model, strategies, SolverConfig(n_steps=strategies.grid.n_steps * refine))
     risk_pair, risk_sup, risk_inf = (to_risk_value(field, model.lam)[0] for field in fields)
     return max(float(np.max(risk_sup - risk_pair)), float(np.max(risk_pair - risk_inf)), 0.0)
 

@@ -7,7 +7,16 @@ import pytest
 
 from pdmg import demos
 from pdmg.cli import main
-from pdmg.shapley import FMT, import_solution_csv, json_text
+from pdmg.shapley import (
+    FMT,
+    SolverConfig,
+    TimeGrid,
+    ValueField,
+    backward_solve,
+    export_solution_csv,
+    import_solution_csv,
+    json_text,
+)
 from pdmg.simulate import SimConfig, estimate_J
 
 
@@ -361,6 +370,33 @@ class TestCellGameCounts:
         }
 
 
+class TestCFLLoad:
+    # controlled_two_state needs N >= 5; a strategy CSV on 2 steps
+    @pytest.fixture(scope="class")
+    def coarse_csv(self, tmp_path_factory):
+        model = demos.build("controlled_two_state")
+        field, strategies = backward_solve(model, SolverConfig(n_steps=40))
+        coarse = TimeGrid(2, model.horizon)
+        path = tmp_path_factory.mktemp("coarse") / "solution.csv"
+        path.write_text(export_solution_csv(model, ValueField(coarse, field.phi[::20]), strategies.resample(coarse)))
+        return str(path)
+
+    # the first-jump update may lose positivity past the CFL load, so every
+    # backward march refuses the grid before it writes anything
+    @pytest.mark.parametrize("command, flags", [
+        ("evaluate", []),
+        ("best-response", ["--side", "maximize"]),
+        ("verify", ["--refine", "1"]),
+    ])
+    def test_every_backward_march_refuses_the_grid(self, model_files, coarse_csv, tmp_path, capsys, command, flags):
+        argv = [command, "--model", model_files["controlled_two_state"], "--strategies", coarse_csv, *flags]
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: time step too large") and captured.err.endswith("use N >= 5\n")
+        assert not any(tmp_path.iterdir())
+
+
 class TestBestResponseCommand:
     def test_refined_non_multiple_steps(self, model_files, tmp_path):
         sol = tmp_path / "sol"
@@ -558,6 +594,10 @@ class TestNumericArguments:
         ("solve", ["--steps", "1" + "0" * 400], "--steps"),
         ("ladder", ["--n-list", "1,2", "--steps", str(2**1024)], "--steps"),
         ("simulate", ["--strategies", "S", "--seed", "1", "--paths", "9" * 310], "--paths"),
+        # a t0 that is not a finite number is refused whatever the model
+        ("simulate", ["--strategies", "S", "--seed", "1", "--paths", "1", "--t0", "nan"], "--t0"),
+        ("simulate", ["--strategies", "S", "--seed", "1", "--paths", "1", "--t0", "inf"], "--t0"),
+        ("simulate", ["--strategies", "S", "--seed", "1", "--paths", "1", "--t0", "1e400"], "--t0"),
     ])
     def test_bad_value_exits_two_naming_the_flag(self, model_files, saddle_csv, tmp_path, capsys,
                                                  command, flags, flag):
@@ -575,6 +615,17 @@ class TestNumericArguments:
         assert main(["oracle", "--model", model, "--steps", "6", "--refine", "2", "--out", str(tmp_path / "o")]) == 0
         assert main(["simulate", "--model", model, "--strategies", saddle_csv, "--seed", "1", "--paths", "1",
                      "--out", str(tmp_path / "s")]) == 0
+
+    # the range of a finite t0 or of x0 depends on the model, as a probe's does
+    @pytest.mark.parametrize("flags, message", [
+        (["--t0", "-0.5"], "t0 must lie in [0, T)"),
+        (["--t0", "1e300"], "t0 must lie in [0, T)"),
+        (["--x0", "2"], "x0 must be a state index in [0, 2)"),
+    ])
+    def test_start_off_the_model_exits_one(self, model_files, saddle_csv, tmp_path, capsys, flags, message):
+        assert main(["simulate", "--model", model_files["two_state"], "--strategies", saddle_csv, "--seed", "1",
+                     "--paths", "1", *flags, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("seed", ["0", str(2**64 - 1)])
     def test_seed_range_ends_run(self, model_files, saddle_csv, tmp_path, seed):
@@ -881,6 +932,15 @@ class TestNonFiniteValues:
         assert rc == 1
         assert "error: Picard sweep 1 has residual inf; rescale the model" in capsys.readouterr().err
         assert not (out / "solution.csv").exists()
+
+    # numpy refuses the 8 PB of mixtures at once and allocates nothing; a
+    # count that could be allocated would run for hours or exhaust memory
+    def test_step_count_past_memory_exits_one(self, model_files, tmp_path, capsys):
+        argv = ["solve", "--model", model_files["const_cost"], "--steps", str(10**15), "--out", str(tmp_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: Unable to allocate") and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
 
     def test_huge_cell_count_exits_two_naming_the_field(self, tmp_path, capsys):
         doc = demos.doc("grid_flow")
