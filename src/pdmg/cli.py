@@ -47,7 +47,6 @@ from .shapley import (
     policy_evaluate,
     report_numbers,
     saddle_from_field,
-    to_risk_value,
 )
 # simulate_path is not called here, but it is part of this module's namespace:
 # pdmgbench/tracing.py wraps it under this name
@@ -136,10 +135,13 @@ def cmd_solve(args, model, out):
     else:
         field, strategies = backward_solve(model, config)
     csv = export_solution_csv(model, field, strategies)
-    risk = to_risk_value(field, model.lam)
+    # phi and risk_value of the first knot's rows, read from the CSV's head
+    end = -1
+    for _ in range(model.n_states + 1):
+        end = csv.index("\n", end + 1)
     summary = "\n".join(
-        f"phi(0, {model.state_name(x)}) = {FMT % field.phi[0, x]}   risk value {FMT % risk[0, x]}"
-        for x in range(model.n_states)
+        f"phi(0, {model.state_name(x)}) = {row[2]}   risk value {row[3]}"
+        for x, row in enumerate(r.split(",") for r in csv[:end].split("\n")[1:])
     )
     return EXIT_OK, [("solution.csv", csv)], {}, summary
 

@@ -18,14 +18,13 @@ square games left get their equalizing strategies from one batched linear
 solve (Shapley and Snow, *Basic solutions of discrete games*, 1950: an
 extreme optimal pair comes from a square nonsingular submatrix, here the
 full one); a game is accepted only when both mixtures are nonnegative and
-the duality certificate of ``solve`` holds on it.  Every other game goes
-through ``solve`` one at a time.
+``certified`` holds on it.  Every other game goes through ``solve`` one at
+a time.
 
-A saddle whose support is 1x1 or 2x2 can be carried to a nearby game:
-``carried_supports`` records the supports of a stack of saddles,
-``support_values`` values a stack of games on them (the entry, or the
-closed-form 2x2 equalizer), and ``certify_supports`` builds the mixtures of
-a whole chunk of such stacks and certifies them in one masked call.
+``certified`` is the one test of a settled game: the duality gap of a
+mixture pair at a value is at most ``GAME_TOL``.  The equalizers of
+``solve_stack`` and the carried saddles of the backward stepper pass it;
+``solve`` alone compares the gap with a ``tol`` of its own.
 
 ``COUNTS`` tallies the route that settled each game since the last
 ``reset_counts()``: pure saddles and equalizers of ``solve_stack``, float
@@ -39,7 +38,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -226,6 +224,12 @@ def _certificate(payoffs: np.ndarray, value, row_mix, col_mix, mask=None):
     return np.maximum(np.maximum(value - lo.min(axis=-1), hi.max(axis=-1) - value), 0.0)
 
 
+def certified(payoffs: np.ndarray, value, row_mix, col_mix, mask=None):
+    """Whether the duality gap of ``_certificate`` is <= ``GAME_TOL``: of one
+    game, or of each game of a stack.  False for a non-finite value."""
+    return _certificate(payoffs, value, row_mix, col_mix, mask) <= GAME_TOL
+
+
 def _exact_simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     """The same LP in exact rational arithmetic: the float tableau's entries
     as Fractions (every float is a dyadic rational) through the same Bland
@@ -305,8 +309,7 @@ def _equalizers(Q: np.ndarray):
     one batched call, each game scaled by its largest entry (the bordered
     form needs no shift, so value-0 games such as matching pennies stay
     nonsingular).  Returns (ok, value, row_mix, col_mix): ``ok`` marks the
-    games whose mixtures are nonnegative with the duality gap of
-    ``_certificate`` <= ``GAME_TOL`` (which fails for a non-finite value).
+    games whose mixtures are nonnegative and ``certified``.
     """
     L, s = Q.shape[:2]
     scale = np.abs(Q).max(axis=(1, 2))  # > 0: an all-zero game is a pure saddle
@@ -327,7 +330,7 @@ def _equalizers(Q: np.ndarray):
     col_mix, row_mix = mixes
     value = sol[0, :, s] * scale + 0.0  # + 0.0: no -0.0
     ok = (row_mix >= 0.0).all(axis=1) & (col_mix >= 0.0).all(axis=1)
-    ok &= _certificate(Q, value, row_mix, col_mix) <= GAME_TOL
+    ok &= certified(Q, value, row_mix, col_mix)
     return ok, value, row_mix, col_mix
 
 
@@ -391,74 +394,3 @@ def solve_stack(payoffs, mask, fallback=solve):
         row_mix[c, : m[c]] = sol.row_mix
         col_mix[c, : n[c]] = sol.col_mix
     return value.reshape(lead), row_mix.reshape(lead + (A,)), col_mix.reshape(lead + (B,))
-
-
-class Supports(NamedTuple):
-    """1x1 and 2x2 supports of a stack of G zero-padded (A, B) games.
-
-    ``take`` (4, G) holds the flat indices into the stack of each game's
-    support corners (i0, j0), (i0, j1), (i1, j0), (i1, j1), with i0 == i1
-    and j0 == j1 on a 1x1 support; ``unpaired`` (G,) is 1.0 on those and
-    0.0 on the 2x2 supports.
-    """
-
-    take: np.ndarray
-    unpaired: np.ndarray
-
-
-def carried_supports(row_mix: np.ndarray, col_mix: np.ndarray) -> Optional[Supports]:
-    """Supports of a stack of saddles (G, A), (G, B); None unless each is 1x1 or 2x2."""
-    rows, cols = row_mix > 0.0, col_mix > 0.0
-    r, c = rows.sum(axis=1), cols.sum(axis=1)
-    paired = (r == 2) & (c == 2)
-    if not np.all(paired | ((r == 1) & (c == 1))):
-        return None
-    (G, A), B = rows.shape, cols.shape[1]
-    i0, i1 = rows.argmax(axis=1), A - 1 - rows[:, ::-1].argmax(axis=1)
-    j0, j1 = cols.argmax(axis=1), B - 1 - cols[:, ::-1].argmax(axis=1)
-    corners = np.stack([i0 * B + j0, i0 * B + j1, i1 * B + j0, i1 * B + j1])
-    return Supports(np.arange(G) * (A * B) + corners, (~paired).astype(float))
-
-
-def support_values(payoffs: np.ndarray, sup: Supports) -> np.ndarray:
-    """Values of a stack of games (G, A, B) on carried supports.
-
-    A 1x1 support takes its entry a; a 2x2 support [[a, b], [c, d]] the
-    equalizer value a - b'c'/(d' - b' - c') on the entries shifted by a
-    (b' = b - a, ...).  Unshifted, a + d - b - c is small against the
-    entries and the subtraction cancels digits.
-    """
-    a, b, c, d = payoffs.reshape(-1)[sup.take]
-    b, c, d = b - a, c - a, d - a
-    return a - b * c / (d - b - c + sup.unpaired)
-
-
-def certify_supports(payoffs: np.ndarray, mask, value: np.ndarray, sup: Supports):
-    """Mixtures of a chunk of game stacks (K, G, A, B) on carried supports, certified at once.
-
-    ``value`` (K, G) are the games' values from :func:`support_values`.  The
-    row player puts p = (d' - c')/(d' - b' - c') on row i0 and 1 - p on
-    row i1, the column player q = (d' - b')/(d' - b' - c') on column j0
-    (1 on the corner of a 1x1 support).  Returns (ok, row_mix, col_mix):
-    ``ok`` (K, G) marks the games whose mixtures are nonnegative with a
-    duality gap <= ``GAME_TOL`` over their admissible entries (``mask``),
-    which fails for a non-finite value.
-    """
-    K, G, A, B = payoffs.shape
-    a, b, c, d = np.moveaxis(payoffs.reshape(K, -1)[:, sup.take], 1, 0)
-    b, c, d = b - a, c - a, d - a
-    paired = sup.unpaired == 0.0
-    den = d - b - c + sup.unpaired
-    p = np.where(paired, (d - c) / den, 1.0)
-    q = np.where(paired, (d - b) / den, 1.0)
-    corner = sup.take % (A * B)
-    i0, i1, j0, j1 = corner[0] // B, corner[2] // B, corner[0] % B, corner[1] % B
-    g = np.arange(G)
-    row_mix, col_mix = np.zeros((K, G, A)), np.zeros((K, G, B))
-    row_mix[:, g, i1] = 1.0 - p
-    row_mix[:, g, i0] = p  # after i1: the two are one row on a 1x1 support
-    col_mix[:, g, j1] = 1.0 - q
-    col_mix[:, g, j0] = q
-    ok = (p >= 0.0) & (p <= 1.0) & (q >= 0.0) & (q <= 1.0)
-    ok &= _certificate(payoffs, value, row_mix, col_mix, mask) <= GAME_TOL
-    return ok, row_mix, col_mix

@@ -51,16 +51,7 @@ from typing import Optional
 
 import numpy as np
 
-from .matrix_game import (
-    MatrixGameError,
-    Supports,
-    carried_supports,
-    certify_supports,
-    count_locked,
-    solve as solve_game,
-    solve_stack,
-    support_values,
-)
+from .matrix_game import MatrixGameError, certified, count_locked, solve as solve_game, solve_stack
 from .model import GameModel, GridFlowStates
 
 FMT = "%.12g"
@@ -729,6 +720,17 @@ class _CarriedSaddles(_Reducer):
     knots at once.  Knots solved afresh are certified by ``solve_stack``,
     and within a chunk a member carries one set of supports from its last
     knot solved afresh down.
+
+    A support is held as ``take`` (4, R, S), the flat indices into a knot's
+    (R, S, A, B) entries of each cell's corners (i0, j0), (i0, j1),
+    (i1, j0), (i1, j1), with i0 == i1 and j0 == j1 on a 1x1 support, and
+    ``unpaired`` (R, S), 1.0 on those and 0.0 on the 2x2 supports.  On a
+    2x2 support [[a, b], [c, d]], shifted by a (b' = b - a, ...), the value
+    is a - b'c'/(d' - b' - c'), the row player puts p = (d' - c')/(d' - b'
+    - c') on row i0 and the column player q = (d' - b')/(d' - b' - c') on
+    column j0 (Shapley and Snow, 1950); a 1x1 support takes its entry a.
+    Unshifted, a + d - b - c is small against the entries and the
+    subtraction cancels digits.
     """
 
     def __init__(self, model: GameModel, n_steps: int, members: int = 1):
@@ -743,29 +745,42 @@ class _CarriedSaddles(_Reducer):
         lead = (R,) if R > 1 else ()
         self.flags = np.zeros((n_steps, R), dtype=bool)  # (knot, member) settled by solve_stack
         self.mask = np.concatenate([model.cells] * R)  # (R*S, A, B)
-        # the supports of every cell, flat indices into a knot's (R, S, A, B)
-        # entries; a member solved afresh holds the (0, 0) corner, a 1x1
-        # support that values and certifies every game without dividing
+        # a member solved afresh holds the (0, 0) corner, a 1x1 support that
+        # values and certifies every game without dividing
         self.idle = np.arange(R * S).reshape(R, S) * (A * B)
         self.take = np.repeat(self.idle[None], 4, axis=0)
         self.unpaired = np.ones((R, S))
-        self.supports = Supports(self.take.reshape((4,) + lead + (S,)), self.unpaired.reshape(lead + (S,)))
-        self.flat = Supports(self.take.reshape(4, R * S), self.unpaired.reshape(R * S))
+        # views of the supports shaped like a knot's values, [R,] S
+        self.corners, self.pad = self.take.reshape((4,) + lead + (S,)), self.unpaired.reshape(lead + (S,))
         self.held = np.zeros(R, dtype=bool)  # members marching on carried supports
         self.all_held = False
         self.phi = None  # the sweep's slices, once a certificate has failed
 
-    def _hold(self, r: int, sup: Optional[Supports]) -> None:
-        """Carry member r on ``sup`` from the next knot down, or solve it afresh (None)."""
-        if sup is None:
-            self.take[:, r], self.unpaired[r] = self.idle[r], 1.0
+    def _hold(self, r: int, row_mix: Optional[np.ndarray] = None, col_mix: Optional[np.ndarray] = None) -> None:
+        """Carry member r from the next knot down on the supports of its
+        saddle (S, A), (S, B), or solve it afresh: with no saddle given, or
+        unless every cell's support is 1x1 or 2x2."""
+        held = row_mix is not None
+        if held:
+            rows, cols = row_mix > 0.0, col_mix > 0.0
+            m, n = rows.sum(axis=1), cols.sum(axis=1)
+            paired = (m == 2) & (n == 2)
+            held = bool(np.all(paired | ((m == 1) & (n == 1))))
+        if held:
+            A, B = rows.shape[1], cols.shape[1]
+            i0, i1 = rows.argmax(axis=1), A - 1 - rows[:, ::-1].argmax(axis=1)
+            j0, j1 = cols.argmax(axis=1), B - 1 - cols[:, ::-1].argmax(axis=1)
+            self.take[:, r] = self.idle[r] + np.stack([i0 * B + j0, i0 * B + j1, i1 * B + j0, i1 * B + j1])
+            self.unpaired[r] = ~paired
         else:
-            self.take[:, r], self.unpaired[r] = sup.take + self.idle[r, 0], sup.unpaired
-        self.held[r] = sup is not None
+            self.take[:, r], self.unpaired[r] = self.idle[r], 1.0
+        self.held[r] = held
         self.all_held = bool(self.held.all())
 
     def fold(self, k: int, entries: np.ndarray) -> np.ndarray:
-        v = support_values(entries, self.supports)
+        a, b, c, d = entries.reshape(-1)[self.corners]
+        b, c, d = b - a, c - a, d - a
+        v = a - b * c / (d - b - c + self.pad)
         if self.all_held:
             self.flags[k] = False
             return v
@@ -783,19 +798,35 @@ class _CarriedSaddles(_Reducer):
             values[new], self.mu[new, k], self.nu[new, k] = solve_stack(games, self.cells, fallback=solve_game)
         self.flags[k] = idle
         for r in np.flatnonzero(idle).tolist():
-            self._hold(r, carried_supports(self.mu[r, k], self.nu[r, k]))
+            self._hold(r, self.mu[r, k], self.nu[r, k])
         return v
 
     def certify(self, k_lo: int, chunk: np.ndarray, phi: np.ndarray):
+        """Build the mixtures of a chunk's carried knots on their supports and
+        certify them at once; None, or the knot to resume from."""
         K = len(chunk)
         carried = ~self.flags[k_lo : k_lo + K]  # (K, R)
         R, S, A, B = self.games
         games = S * int(np.count_nonzero(carried))
         if not games:
             return None
-        ok, mu, nu = certify_supports(
-            chunk.reshape(K, R * S, A, B), self.mask, phi[k_lo : k_lo + K].reshape(K, R * S), self.flat
-        )
+        take, unpaired = self.take.reshape(4, R * S), self.unpaired.reshape(R * S)
+        a, b, c, d = np.moveaxis(chunk.reshape(K, -1)[:, take], 1, 0)
+        b, c, d = b - a, c - a, d - a
+        paired = unpaired == 0.0
+        den = d - b - c + unpaired
+        p = np.where(paired, (d - c) / den, 1.0)
+        q = np.where(paired, (d - b) / den, 1.0)
+        corner = take % (A * B)
+        i0, i1, j0, j1 = corner[0] // B, corner[2] // B, corner[0] % B, corner[1] % B
+        g = np.arange(R * S)
+        mu, nu = np.zeros((K, R * S, A)), np.zeros((K, R * S, B))
+        mu[:, g, i1] = 1.0 - p
+        mu[:, g, i0] = p  # after i1: the two are one row on a 1x1 support
+        nu[:, g, j1] = 1.0 - q
+        nu[:, g, j0] = q
+        ok = (p >= 0.0) & (p <= 1.0) & (q >= 0.0) & (q <= 1.0)
+        ok &= certified(chunk.reshape(K, R * S, A, B), phi[k_lo : k_lo + K].reshape(K, R * S), mu, nu, self.mask)
         self.mu[:, k_lo : k_lo + K].swapaxes(0, 1)[carried] = mu.reshape(K, R, S, A)[carried]
         self.nu[:, k_lo : k_lo + K].swapaxes(0, 1)[carried] = nu.reshape(K, R, S, B)[carried]
         failed = carried & ~ok.reshape(K, R, S).all(axis=2)
@@ -811,7 +842,7 @@ class _CarriedSaddles(_Reducer):
         # afresh there settle again; every other member carries its supports
         # on and gets the same bits as before
         for r in np.flatnonzero(failed[top] | ~carried[top]).tolist():
-            self._hold(r, None)
+            self._hold(r)
         self.phi = phi
         return k_lo + top
 

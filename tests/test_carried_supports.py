@@ -166,7 +166,7 @@ def check_against_reference(model, field, strategies, counts, reference):
 
 
 class TestAgainstPerKnotSweep:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=max(40, settings.default.max_examples // 4), deadline=None)
     @given(
         widths=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3),
         n_segments=st.integers(1, 3),
@@ -177,7 +177,7 @@ class TestAgainstPerKnotSweep:
         model = model_from_dict(random_finite_doc(seed, widths, n_segments))
         check_against_reference(model, *solve_both(model, steps_for(model, n)))
 
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=max(10, settings.default.max_examples // 20), deadline=None)
     @given(cells=st.integers(2, 8), n=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
     def test_random_grid_flows(self, cells, n, seed):
         model = model_from_dict(grid_doc(cells, seed))

@@ -137,6 +137,19 @@ class TestSolve:
         assert abs(doc["probe_values"][0]["fine_backward"] - phi0) <= 5e-3
         assert doc["max_dev_backward"] <= 5e-3
 
+    @pytest.mark.parametrize("scheme", ["semi_lagrangian", "picard"])
+    def test_summary_prints_the_csv_first_knot(self, model_files, tmp_path, capsys, scheme):
+        # the risk value of the unrounded phi differs from the CSV's, which is
+        # derived from the printed phi, in its last digits for both states
+        model = demos.build("controlled_two_state")
+        out = tmp_path / scheme
+        assert main(["solve", "--model", model_files["controlled_two_state"], "--steps", "200",
+                     "--scheme", scheme, "--out", str(out)]) == 0
+        _, rows = read_csv_rows(out / "solution.csv")
+        assert capsys.readouterr().out.splitlines()[: model.n_states] == [
+            f"phi(0, {model.state_name(x)}) = {rows[x][2]}   risk value {rows[x][3]}" for x in range(model.n_states)
+        ]
+
 
 class TestSimulate:
     def test_deterministic_json(self, model_files, tmp_path):

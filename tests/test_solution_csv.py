@@ -1,5 +1,5 @@
-"""The solution CSV against the row-by-row reference, and the checks import
-makes on every field."""
+"""The solution CSV export against the row-by-row reference and its import
+against the block-wise one, and the checks import makes on every field."""
 
 import math
 
@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import block_csv
 import rowwise_csv
 from pdmg.model import model_from_dict
 from pdmg.shapley import (
@@ -102,7 +103,7 @@ def test_blocks_match_the_row_by_row_reference(case):
     text = export_solution_csv(model, field, strategies)
     assert text == rowwise_csv.export_solution_csv(model, field, strategies)
     field2, strategies2 = import_solution_csv(model, text)
-    ref_field, ref_strategies = rowwise_csv.import_solution_csv(model, text)
+    ref_field, ref_strategies = block_csv.import_solution_csv(model, text)
     assert same_bits(field2.phi, ref_field.phi)
     assert same_bits(strategies2.mu, ref_strategies.mu)
     assert same_bits(strategies2.nu, ref_strategies.nu)
