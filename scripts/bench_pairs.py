@@ -4,18 +4,21 @@
 Usage: python3 scripts/bench_pairs.py --pr N [--parent HEAD] [--seed 1]
                                       [--workload NAME ...]
 
-Checks the parent commit out with ``git worktree add --detach`` under
-``.pdmgbench_out/`` and runs ``python3 pdmgbench/run.py --workload W --seed
-S+i --seconds T --trace 0`` on the parent and on this checkout, one after
-the other, for pair i = 0..9 of every workload, with T the ``run_seconds``
-of ``BENCHMARK.json``; the side that runs first alternates from pair to
-pair.  The last line of each run is its JSON report.  Writes ``BENCH_<pr>.json`` at the root of this checkout: for each
-workload and end-to-end metric of ``BENCHMARK.json``, the parent's and the
-change's median and quartiles, the pairs each side wins (ties count for
-neither) and whether the change's median is worse than the parent's by more
-than the metric's relative bound; per side the checks' verdict, the failed
-and attempted operations and the line count of ``src/pdmg/*.py``; and the
-machine.  The worktree is removed on every exit.  Standard library only.
+Copies the parent commit with ``git archive`` under ``.pdmgbench_out/`` and
+runs ``python3 pdmgbench/run.py --workload W --seed S+i --seconds T --trace
+0`` on the parent and on this checkout, one after the other, for pair i =
+0..9 of every workload, with T the ``run_seconds`` of ``BENCHMARK.json``;
+the side that runs first alternates from pair to pair.  Then it runs each
+workload once more on each side with ``--trace 1`` and seed S.  The last
+line of each run is its JSON report.  Writes ``BENCH_<pr>.json`` at the root
+of this checkout: for each workload and end-to-end metric of
+``BENCHMARK.json``, the parent's and the change's median and quartiles, the
+pairs each side wins (ties count for neither) and whether the change's
+median is worse than the parent's by more than the metric's relative bound;
+per side the checks' verdict, the failed and attempted operations and the
+line count of ``src/pdmg/*.py``; the per-layer figures of the traced runs
+(reported, not gated); and the machine.  The copy is removed on every exit.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import json
 import os
 import platform
 import re
+import shutil
 import signal
 import statistics
 import subprocess
@@ -82,10 +86,26 @@ def summarize(pairs: list, spec: dict) -> dict:
     return {"sides": sides, "metrics": metrics}
 
 
-def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
+def layers(traced: tuple) -> dict:
+    """Per-layer figures of one traced run per side, (parent, change): each
+    metric either report holds, with its unit, both sides' values (None
+    where a side lacks it) and the change relative to the parent."""
+    names = dict.fromkeys(name for report in traced for name in report["metrics"])
+    table = {}
+    for name in names:
+        entry = {"unit": next(r["metrics"][name]["unit"] for r in traced if name in r["metrics"])}
+        for side, report in zip(SIDES, traced):
+            entry[side] = report["metrics"].get(name, {}).get("value")
+        base, new = entry["parent"], entry["change"]
+        entry["relative_change"] = (new - base) / abs(base) if base and new is not None else None
+        table[name] = entry
+    return table
+
+
+def run_once(root: str, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """The JSON report of one benchmark run in the checkout at ``root``, with its src_lines."""
     cmd = [sys.executable, "pdmgbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     run = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = run.stdout.strip().splitlines()
     if run.returncode != 0 or not lines:
@@ -119,8 +139,10 @@ def main(argv=None) -> int:
     tree = os.path.join(ROOT, ".pdmgbench_out", f"parent-{os.getpid()}")
     # a SIGTERM unwinds through the finally below, as Ctrl-C does
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(1))
-    git("worktree", "add", "--detach", tree, parent)
     try:
+        os.makedirs(tree)
+        archive = subprocess.run(["git", "archive", parent], cwd=ROOT, check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
         roots = {"parent": tree, "change": ROOT}
         runs = {w: [] for w in workloads}
         for i in range(PAIRS):
@@ -129,9 +151,11 @@ def main(argv=None) -> int:
                 report = {side: run_once(roots[side], w, args.seed + i, seconds) for side in order}
                 runs[w].append(tuple(report[side] for side in SIDES))
                 print(f"pair {i + 1}/{PAIRS} {w}: done", file=sys.stderr)
+        traced = {w: tuple(run_once(roots[side], w, args.seed, seconds, trace=1) for side in SIDES)
+                  for w in workloads}
+        print("traced runs: done", file=sys.stderr)
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", tree], cwd=ROOT, capture_output=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
+        shutil.rmtree(tree, ignore_errors=True)
     doc = {
         "pr": args.pr,
         "parent": parent,
@@ -143,7 +167,8 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "numpy": importlib.metadata.version("numpy"),
         },
-        "workloads": {w: summarize(pairs, spec) for w, pairs in runs.items()},
+        "trace_seed": args.seed,
+        "workloads": {w: {**summarize(pairs, spec), "layers": layers(traced[w])} for w, pairs in runs.items()},
     }
     path = os.path.join(ROOT, f"BENCH_{args.pr}.json")
     with open(path, "w") as fh:

@@ -55,7 +55,8 @@ from .matrix_game import MatrixGameError, certified, count_locked, solve as solv
 from .model import GameModel, GridFlowStates
 
 FMT = "%.12g"
-# Rows of the solution CSV formatted at a time: bounds the strings held at
+# Rows of the solution CSV formatted at a time (by the numpy formatter,
+# _fmt_fast, or under _WORDS_CUTOVER rows by %): bounds the arrays held at
 # once.
 _CSV_BLOCK = 2048
 # Cell games of the largest chunk of knots a sweep marches at once (the
@@ -1105,42 +1106,192 @@ def _fmt_all(values: list) -> list[str]:
     return (",".join([FMT] * len(values)) % tuple(values)).split(",")
 
 
-def export_solution_csv(model: GameModel, field: ValueField, strategies: StrategyField) -> str:
-    """Combined CSV: t, state, phi, risk_value, mu_0.., nu_0..
+def _words(texts: list, width: int) -> np.ndarray:
+    """Byte strings as rows of ``width`` 64-bit words, each seven bytes of
+    text (NUL-padded) and a NUL: byte 7 of a word is left for a separator."""
+    chunks = (t[i : i + 7].ljust(8, b"\0") for t in texts for i in range(0, 7 * width, 7))
+    return np.frombuffer(b"".join(chunks), np.uint64).reshape(-1, width)
 
-    12 significant digits; strategies are piecewise constant on
-    [t_k, t_{k+1}) and the final row repeats the last slice.  Rows are
-    formatted in blocks of whole knots, each block by one % call.
+
+# _fmt_fast writes a value as five 64-bit words, the planes of its column:
+# the sign and "0.000"; three words of four digits, each digit followed by a
+# slot for the dot; the exponent "e+dd".  Row j of the tables below serves
+# the values of decimal exponent e = 33 - j, row 45 serves zero.
+_E = [*range(33, -12, -1)]
+_FIXED = [-4 <= e < 12 for e in _E]  # the exponents %g prints without "e"
+# 10**(11 - e) as a factor and a divisor, one of them 1.0.  Every power of
+# ten up to 10**22 is an exact double, so that an integer below 2**53 times
+# or over one is one correctly rounded operation (Clinger, PLDI 1990).
+_MUL = np.array([float(10 ** max(11 - e, 0)) for e in _E] + [1.0])
+_DIV = np.array([float(10 ** max(e - 11, 0)) for e in _E] + [1.0])
+# the digit the dot follows: e in fixed notation, 0 in exponential, 11 (the
+# last, so none) where the digits all follow "0."; the dot shows unless the
+# digits after it are all 0, that is unless d / _PLACE is an integer
+_DOT_AT = np.array([(e if e >= 0 else 11) if f else 0 for e, f in zip(_E, _FIXED)] + [11])
+_PLACE = np.array([float(10 ** (11 - p)) for p in _DOT_AT])
+# false where an integer keeps zeros that the digit groups drop: integers of
+# two digits or more, which are left to %
+_INTEGRAL = np.array([not (f and e >= 1) for e, f in zip(_E, _FIXED)] + [True])
+_HEAD = [b"0." + b"0" * (-e - 1) if f and e < 0 else b"" for e, f in zip(_E, _FIXED)] + [b"0"]
+_HEAD = _words(_HEAD + [b"-" + h for h in _HEAD], 1)[:, 0]  # row j + 46: a negative value
+_TAIL = _words([b"" if f else b"e%+03d" % e for e, f in zip(_E, _FIXED)] + [b""], 1)[:, 0]
+# four digits g, each followed by a NUL, as a word (row g), or the same with
+# its trailing zeros dropped (row g + 10000)
+_GROUPS = np.zeros((2, 10000, 8), np.uint8)
+_GROUPS[:, :, ::2] = np.arange(10000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10 + 48
+_GROUPS[1, :, ::2] *= np.arange(10000, dtype=np.uint16)[:, None] % np.array([10000, 1000, 100, 10], np.uint16) != 0
+_GROUPS = _GROUPS.view(np.uint64).ravel()
+# the dot after digit p in the three digit words (row p; row 12: none)
+_DOTS = np.zeros((13, 24), np.uint8)
+_DOTS[np.arange(12), 2 * np.arange(12) + 1] = ord(".")
+_DOTS = _DOTS.view(np.uint64).T.copy()
+# Columns shorter than this are formatted by %: there the formatter's fixed
+# cost is more than % spends on the column.
+_FMT_CUTOVER = 32
+# Blocks of fewer rows than this are formatted by % on a row template, which
+# costs less than assembling words there.
+_WORDS_CUTOVER = 300
+
+
+def _fmt_fast(v: np.ndarray, out: np.ndarray, printed: np.ndarray) -> np.ndarray:
+    """FMT of each value of v as its planes in ``out`` (5, n), and the value
+    its text reads back as in ``printed``; returns the mask of the values
+    left to %, whose entries the caller overwrites.
+
+    A nonzero |v| prints as the digits of an integer d in [1e11, 1e12) and
+    its decimal exponent e.  d is |v| * 10**(11 - e) (e from log10) rounded
+    to an integer; the product's one rounding puts it within half an ulp
+    (6.1e-5) of the exact one.  Left to % are the values whose e lies
+    outside -11..33 (NaN and the infinities among them), whose scaled value
+    lies within 1e-3 of a half-integer (its rounding might differ from the
+    exact value's) or misses [1e11, 1e12) (log10 put a power of ten on the
+    other side), and integers of two digits or more.  d over or times the
+    power of ten is one correctly rounded operation on exact operands, so
+    it is ``float`` of the text.
     """
-    grid = field.grid
-    n, N = model.n_states, grid.n_steps
-    _refuse_bad_phi(field.phi, SolverError, "cannot export a field with nonpositive or non-finite phi")
-    names, shown = _csv_layout(model)
+    a = np.abs(v)
+    with np.errstate(all="ignore"):
+        # NaN and the infinities land on row 0 and fail below; zero and
+        # values below 1e-11 on row 45, where only zero passes
+        j = np.fmin(np.fmax(33.0 - np.floor(np.log10(a)), 0.0), 45.0).astype(np.intp)
+        m, q = _MUL[j], _DIV[j]
+        s = a * m / q
+        d = np.rint(s)
+        fast = (np.abs(s - d) < 0.499) & (d >= 1e11) & (d < 1e12) | (a == 0)
+    d = np.where(fast, d, 0.0)
+    printed[:] = np.copysign(d * q / m, v)
+    x = d / _PLACE[j]
+    point = x != np.floor(x)
+    fast &= point | _INTEGRAL[j]
+    dot = np.where(point, _DOT_AT[j], 12)
+    # d as three groups of four digits, each trimmed of trailing zeros
+    # unless a later group holds a nonzero digit
+    di = d.astype(np.int64)
+    g0 = di // 10**8
+    r = di - g0 * 10**8
+    g1 = r // 10**4
+    g2 = r - g1 * 10**4
+    out[0] = _HEAD[j + 46 * np.signbit(v)]
+    out[1] = _GROUPS[g0 + 10000 * (r == 0)] | _DOTS[0][dot]
+    out[2] = _GROUPS[g1 + 10000 * (g2 == 0)] | _DOTS[1][dot]
+    out[3] = _GROUPS[g2 + 10000] | _DOTS[2][dot]
+    out[4] = _TAIL[j]
+    return ~fast
+
+
+def _fmt_column(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """FMT of every value as the planes (5, n) of its words, and the value
+    each text reads back as (``float(FMT % v)`` bit for bit)."""
+    v = values.ravel()
+    out = np.zeros((5, v.size), np.uint64)
+    printed = np.empty(v.size)
+    slow = np.flatnonzero(_fmt_fast(v, out, printed) if v.size >= _FMT_CUTOVER else np.ones(v.size, bool))
+    if slow.size:
+        texts = _fmt_all(v[slow].tolist())
+        out[:3, slow] = _words([t.encode() for t in texts], 3).T
+        out[3:, slow] = 0
+        printed[slow] = np.fromiter(map(float, texts), float, slow.size)
+    return out, printed
+
+
+def _rows_by_template(
+    times: np.ndarray, phi: np.ndarray, lam: float, entries: np.ndarray, inv: np.ndarray, shown: np.ndarray
+) -> str:
+    """The rows of a block of knots by one % call on a row template; the
+    mixture fields are ``entries[inv]``."""
+    K, n = phi.shape
     # one knot's rows: t, the state, phi, risk, a %s per admissible action
     knot_rows = "".join(
         ",".join(["%s", str(x), "%s", "%s"] + ["%s" if s else "" for s in shown[x]]) + "\n" for x in range(n)
     )
     printed = np.concatenate([np.ones((n, 3), bool), shown], axis=1)
+    cells = np.empty((K, n, printed.shape[1]), dtype=object)
+    cells[:, :, 0] = np.array(_fmt_all(times.tolist()), dtype=object)[:, None]
+    text = _fmt_all(phi.ravel().tolist())
+    risk = np.fromiter(map(math.log, map(float, text)), float, len(text)) / lam
+    cells[:, :, 1] = np.array(text, dtype=object).reshape(K, n)
+    cells[:, :, 2] = np.array(_fmt_all(risk.tolist()), dtype=object).reshape(K, n)
+    cells[:, :, 3:] = np.array(_fmt_all(entries.tolist()), dtype=object)[inv]
+    return (knot_rows * K) % tuple(cells[:, printed].ravel().tolist())
+
+
+def _rows_by_words(
+    times: np.ndarray, phi: np.ndarray, lam: float, entries: np.ndarray, inv: np.ndarray, shown: np.ndarray
+) -> str:
+    """The rows of a block of knots from one matrix of 64-bit words, a row
+    of it a knot and state; the mixture fields are ``entries[inv]``.  A
+    field is the planes of its column that some value uses; the separator
+    goes into byte 7 of its last plane, which no text uses there (a dot in
+    a digit word's byte 7 comes before a digit in the next plane)."""
+    K, n = phi.shape
+    phi_words, printed = _fmt_column(phi)
+    risk = np.fromiter(map(math.log, printed.tolist()), float, printed.size) / lam
+    states = _words([b"%d" % x for x in range(n)], -(-len(b"%d" % (n - 1)) // 7)).T[:, None, :]
+    risk_words = _fmt_column(risk)[0]
+    fields = [_fmt_column(times)[0][:, :, None], states, phi_words.reshape(5, K, n), risk_words.reshape(5, K, n)]
+    fields = [f[f.any(axis=(1, 2))] for f in fields]
+    # padded fields take the last entry, which is empty
+    table = np.concatenate([_fmt_column(entries)[0], np.zeros((5, 1), np.uint64)], axis=1)
+    table = table[table.any(axis=1)]
+    inv = np.where(shown, inv, entries.size)
+    fields += [table[:, inv[:, :, c]] for c in range(shown.shape[1])]
+    comma, newline = np.frombuffer(b"\0" * 7 + b"," + b"\0" * 7 + b"\n", np.uint64)
+    for f in fields:
+        f[-1] |= comma
+    fields[-1][-1] ^= comma ^ newline
+    rows = np.empty((K, n, sum(map(len, fields))), np.uint64)
+    c = 0
+    for f in fields:
+        rows[:, :, c : c + len(f)] = np.moveaxis(f, 0, 2)
+        c += len(f)
+    return rows.tobytes().translate(None, b"\0").decode()
+
+
+def export_solution_csv(model: GameModel, field: ValueField, strategies: StrategyField) -> str:
+    """Combined CSV: t, state, phi, risk_value, mu_0.., nu_0..
+
+    12 significant digits; strategies are piecewise constant on
+    [t_k, t_{k+1}) and the final row repeats the last slice.  Rows are
+    formatted in blocks of whole knots; risk_value is derived from the
+    printed (quantized) phi so that export -> import -> export is
+    byte-identical, by ``math.log``, since the vectorised ``np.log`` may
+    differ in the last ulp.  Each distinct mixture entry is printed once
+    (unique bit patterns keep -0.0 apart from 0.0).
+    """
+    grid = field.grid
+    n, N = model.n_states, grid.n_steps
+    _refuse_bad_phi(field.phi, SolverError, "cannot export a field with nonpositive or non-finite phi")
+    names, shown = _csv_layout(model)
     times = grid.knots()
     per_block = max(1, _CSV_BLOCK // n)
     out = [",".join(names) + "\n"]
     for k0 in range(0, N + 1, per_block):
         k1 = min(k0 + per_block, N + 1)
-        cells = np.empty((k1 - k0, n, printed.shape[1]), dtype=object)
-        cells[:, :, 0] = np.array(_fmt_all(times[k0:k1].tolist()), dtype=object)[:, None]
-        phi = _fmt_all(field.phi[k0:k1].ravel().tolist())
-        # risk value derived from the printed (quantized) phi so that
-        # export -> import -> export is byte-identical; math.log, since the
-        # vectorised np.log may differ in the last ulp
-        risk = np.fromiter(map(math.log, map(float, phi)), float, len(phi)) / model.lam
-        cells[:, :, 1] = np.array(phi, dtype=object).reshape(k1 - k0, n)
-        cells[:, :, 2] = np.array(_fmt_all(risk.tolist()), dtype=object).reshape(k1 - k0, n)
         ks = np.minimum(np.arange(k0, k1), N - 1)
         mix = np.concatenate([strategies.mu[ks], strategies.nu[ks]], axis=2)
-        # each distinct value printed once; unique bit patterns keep -0.0 apart from 0.0
         bits, inv = np.unique(mix.view(np.int64), return_inverse=True)
-        cells[:, :, 3:] = np.array(_fmt_all(bits.view(float).tolist()), dtype=object)[inv.reshape(mix.shape)]
-        out.append((knot_rows * (k1 - k0)) % tuple(cells[:, printed].ravel().tolist()))
+        rows = _rows_by_template if (k1 - k0) * n < _WORDS_CUTOVER else _rows_by_words
+        out.append(rows(times[k0:k1], field.phi[k0:k1], model.lam, bits.view(float), inv.reshape(mix.shape), shown))
     return "".join(out)
 
 

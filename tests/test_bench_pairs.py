@@ -72,3 +72,30 @@ def test_one_failed_check_makes_a_side_incorrect():
     out = bench_pairs.summarize(pairs, SPEC)
     assert out["sides"]["parent"]["correct"] and not out["sides"]["change"]["correct"]
     assert out["metrics"]["ladder_s"]["wins"] == {"parent": 0, "change": 0}
+
+
+def traced(metrics):
+    """A --trace 1 run report: per-layer metrics only."""
+    units = {"s": "s", "self_s": "s", "calls": "count", "overhead": "ratio"}
+    return {
+        "correct": True,
+        "attempted": 30,
+        "failed": 0,
+        "metrics": {k: {"value": v, "unit": units[k.rsplit(".", 1)[1]]} for k, v in metrics.items()},
+        "src_lines": 3600,
+    }
+
+
+def test_layers_of_one_traced_run_per_side():
+    parent = traced({"shapley.export_solution_csv.s": 0.125, "matrix_game.solve.calls": 10, "trace.overhead": 0.5})
+    change = traced({"shapley.export_solution_csv.s": 0.05, "matrix_game.solve.calls": 0, "cli.self_s": 0.01})
+    out = bench_pairs.layers((parent, change))
+    assert list(out) == ["shapley.export_solution_csv.s", "matrix_game.solve.calls", "trace.overhead", "cli.self_s"]
+    assert out["shapley.export_solution_csv.s"] == {
+        "unit": "s", "parent": 0.125, "change": 0.05, "relative_change": pytest.approx(-0.6),
+    }
+    assert out["matrix_game.solve.calls"] == {"unit": "count", "parent": 10, "change": 0, "relative_change": -1.0}
+    # a layer one side lacks, or that reads 0 at the parent, has no relative change
+    assert out["trace.overhead"] == {"unit": "ratio", "parent": 0.5, "change": None, "relative_change": None}
+    assert out["cli.self_s"] == {"unit": "s", "parent": None, "change": 0.01, "relative_change": None}
+    assert bench_pairs.layers((change, change))["matrix_game.solve.calls"]["relative_change"] is None

@@ -1,5 +1,6 @@
 """The solution CSV export against the row-by-row reference and its import
-against the block-wise one, and the checks import makes on every field."""
+against the block-wise one, the column formatter against %, and the checks
+import makes on every field."""
 
 import math
 
@@ -10,16 +11,24 @@ from hypothesis import strategies as st
 
 import block_csv
 import rowwise_csv
+from pdmg import demos
 from pdmg.model import model_from_dict
 from pdmg.shapley import (
     _CSV_BLOCK,
+    _FMT_CUTOVER,
+    FMT,
     SolutionFormatError,
+    SolverConfig,
     SolverError,
     StrategyField,
     TimeGrid,
     ValueField,
+    _fmt_column,
+    backward_solve,
     export_solution_csv,
     import_solution_csv,
+    picard_solve,
+    saddle_from_field,
 )
 
 # values a mixture entry can take besides random simplices: exact 0s and 1s,
@@ -108,6 +117,74 @@ def test_blocks_match_the_row_by_row_reference(case):
     assert same_bits(strategies2.mu, ref_strategies.mu)
     assert same_bits(strategies2.nu, ref_strategies.nu)
     assert export_solution_csv(model, field2, strategies2) == text
+
+
+def power_of_ten_or_neighbour(k, step):
+    """The double nearest 10**k, or the one an ulp below or above it."""
+    x = float(f"1e{k}")
+    return float(np.nextafter(x, step * math.inf)) if step else x
+
+
+SIGNS = st.sampled_from([-1, 1])
+
+
+def log_uniform(low, high):
+    return st.builds(lambda x, sign: sign * math.exp(x), st.floats(math.log(low), math.log(high)), SIGNS)
+
+
+# doubles of every kind: any float (NaN, the infinities, subnormals and
+# -0.0 included), log-uniform magnitudes (over all doubles, and over the
+# exponents the scaling serves), decimals of 1-5 digits, 13 significant
+# digits ending in 5 (a tie of the rounding to 12 digits but for the binary
+# error; about the exponents the scaling serves), powers of ten and their
+# neighbours, and random bit patterns
+DOUBLES = st.one_of(
+    st.floats(),
+    log_uniform(1e-320, 1e308),
+    log_uniform(1e-12, 1e35),
+    st.builds(lambda m, e: float(f"{m}e{e}"), st.integers(-99999, 99999), st.integers(-16, 34)),
+    st.builds(lambda m, e, s: s * float(f"{m}5e{e}"), st.integers(10**11, 10**12 - 1), st.integers(-25, 23), SIGNS),
+    st.builds(power_of_ten_or_neighbour, st.integers(-323, 308), st.sampled_from([-1, 0, 1])),
+    st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64))),
+)
+
+
+@settings(deadline=None)
+@given(st.one_of(
+    st.lists(DOUBLES, min_size=1, max_size=_FMT_CUTOVER - 1),
+    st.lists(DOUBLES, min_size=_FMT_CUTOVER, max_size=4 * _FMT_CUTOVER),
+))
+def test_column_formatter_prints_as_percent(values):
+    # columns shorter than the cut-over go through %, longer ones through
+    # the scaled digits wherever those settle the text
+    planes, printed = _fmt_column(np.array(values))
+    texts = [planes[:, i].tobytes().replace(b"\0", b"").decode() for i in range(len(values))]
+    assert texts == [FMT % v for v in values]
+    assert same_bits(printed, np.array([float(FMT % v) for v in values]))
+
+
+DEMO_SOLVES = [
+    (name, scheme, n_steps)
+    for name in sorted(p.stem for p in demos.MODELS_DIR.glob("*.json"))
+    for scheme, steps in (("backward", (7, 200, 1000, 2000)), ("picard", (7, 200)))
+    for n_steps in steps
+    if (name, scheme, n_steps) != ("nonneg_ladder", "backward", 7)  # fails the CFL check
+]
+
+
+@pytest.mark.parametrize("name, scheme, n_steps", DEMO_SOLVES)
+def test_demo_solutions_match_the_row_by_row_reference(name, scheme, n_steps):
+    # phi near 1, risk values of 0 and mixtures of 0.5, which the random
+    # solutions above rarely hold
+    model = demos.build(name)
+    config = SolverConfig(n_steps=n_steps)
+    if scheme == "picard":
+        field = picard_solve(model, config)
+        strategies = saddle_from_field(model, field)
+    else:
+        field, strategies = backward_solve(model, config)
+    text = export_solution_csv(model, field, strategies)
+    assert text == rowwise_csv.export_solution_csv(model, field, strategies)
 
 
 MIXED = [(2, 2), (1, 3), (3, 1)]
