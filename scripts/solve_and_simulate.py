@@ -24,14 +24,14 @@ def main():
     risk = to_risk_value(field, model.lam)
     print(f"model {name}: {model.n_states} states, lambda={model.lam:g}, T={model.horizon:g}")
     for x in range(min(model.n_states, 6)):
-        print(f"  phi(0, {model.state_name(x)}) = {field.phi[0, x]:.9f}"
+        print(f"  phi(0, {model.state_name(x)}) = {field.at(0, x):.9f}"
               f"   risk value {risk[0, x]:.9f}")
 
     x0 = 0
     est = estimate_J(model, strategies, 0.0, x0, SimConfig(n_paths=paths, rng_seed=7))
     fine, _ = backward_solve(model, SolverConfig(n_steps=2 * n_steps))
-    budget = 3.0 * est.stderr + 3.0 * abs(field.phi[0, x0] - fine.phi[0, x0]) + 1e-9
-    gap = abs(est.mean - field.phi[0, x0])
+    budget = 3.0 * est.stderr + 3.0 * abs(field.at(0, x0) - fine.at(0, x0)) + 1e-9
+    gap = abs(est.mean - field.at(0, x0))
     print(f"Monte Carlo at x0={model.state_name(x0)}: {est.mean:.6f} +- {est.stderr:.6f} "
           f"({paths} paths, exponents in [{est.min_exponent:.3f}, {est.max_exponent:.3f}])")
     print(f"|MC - phi| = {gap:.2e}  vs budget {budget:.2e}  ->  "

@@ -128,8 +128,9 @@ def _shift_error(model: GameModel, n: float, s: float, clipped: ValueField, shif
     grid = clipped.grid
     k, _ = probe_knot(grid, model.n_states, s, 0)
     fac = shift_factor(model.lam, model.horizon, grid.knot(k), n)
-    rel = np.abs(shifted.phi[k] / (clipped.phi[k] * fac) - 1.0)
-    return float(rel.max())
+    xs = range(model.n_states)
+    ratio = np.array([shifted.at(k, x) for x in xs]) / (np.array([clipped.at(k, x) for x in xs]) * fac)
+    return float(np.abs(ratio - 1.0).max())
 
 
 def shift_identity_check(model: GameModel, n: float, s: float, config: SolverConfig) -> float:
@@ -183,12 +184,12 @@ def ladder_run(model: GameModel, n_list, probes, config: SolverConfig, shift_n=N
     shift_rel_err = None if shift_n is None else _shift_error(model, shift_n, 0.0, *fields[len(levels):])
     fields = fields[: len(levels)]
 
-    phi_at_probe = [[float(field.phi[k, x]) for k, x in at] for field in fields]
+    phi_at_probe = [[field.at(k, x) for k, x in at] for field in fields]
 
     violations = []
     for i in range(len(fields) - 1):
         # the worst step against the expected direction, past a slack of 1e-10
-        drop = fields[i].phi - fields[i + 1].phi if nonneg else fields[i + 1].phi - fields[i].phi
+        drop = fields[i] - fields[i + 1] if nonneg else fields[i + 1] - fields[i]
         k, x = np.unravel_index(np.argmax(drop), drop.shape)
         if drop[k, x] > 1e-10:
             violations.append({"levels": [n_list[i], n_list[i + 1]], "knot": int(k), "state": int(x),

@@ -75,6 +75,17 @@ def _write(path: str, text: str) -> str:
     return path
 
 
+def _summary(model: GameModel, csv: str) -> str:
+    """The console lines: phi and risk_value of the first knot's rows, read from the CSV's head."""
+    end = -1
+    for _ in range(model.n_states + 1):
+        end = csv.index("\n", end + 1)
+    return "\n".join(
+        f"phi(0, {model.state_name(x)}) = {row[2]}   risk value {row[3]}"
+        for x, row in enumerate(r.split(",") for r in csv[:end].split("\n")[1:])
+    )
+
+
 def _run(cmd):
     """The frame of a command that writes artifacts.
 
@@ -135,15 +146,7 @@ def cmd_solve(args, model, out):
     else:
         field, strategies = backward_solve(model, config)
     csv = export_solution_csv(model, field, strategies)
-    # phi and risk_value of the first knot's rows, read from the CSV's head
-    end = -1
-    for _ in range(model.n_states + 1):
-        end = csv.index("\n", end + 1)
-    summary = "\n".join(
-        f"phi(0, {model.state_name(x)}) = {row[2]}   risk value {row[3]}"
-        for x, row in enumerate(r.split(",") for r in csv[:end].split("\n")[1:])
-    )
-    return EXIT_OK, [("solution.csv", csv)], {}, summary
+    return EXIT_OK, [("solution.csv", csv)], {}, _summary(model, csv)
 
 
 @_run
@@ -151,7 +154,7 @@ def cmd_evaluate(args, model, out):
     _, strategies = _read_solution(model, args.strategies)
     field = policy_evaluate(model, strategies)
     csv = export_solution_csv(model, field, strategies)
-    return EXIT_OK, [("evaluation.csv", csv)], {}, f"phi(0, .) = {report_numbers(field.phi[0].tolist())}"
+    return EXIT_OK, [("evaluation.csv", csv)], {}, _summary(model, csv)
 
 
 @_run
@@ -160,8 +163,7 @@ def cmd_best_response(args, model, out):
     config = SolverConfig(n_steps=args.steps or strategies.grid.n_steps)
     field = best_response_solve(model, strategies, args.side, config)
     csv = export_solution_csv(model, field, strategies.resample(field.grid))
-    summary = f"best-response phi(0, .) = {report_numbers(field.phi[0].tolist())}"
-    return EXIT_OK, [("best_response.csv", csv)], {}, summary
+    return EXIT_OK, [("best_response.csv", csv)], {}, _summary(model, csv)
 
 
 @_run

@@ -55,6 +55,7 @@ from .matrix_game import MatrixGameError, certified, count_locked, solve as solv
 from .model import GameModel, GridFlowStates
 
 FMT = "%.12g"
+_TINY = np.finfo(float).tiny  # the smallest normal double
 # Rows of the solution CSV formatted at a time (by the numpy formatter,
 # _fmt_fast, or under _WORDS_CUTOVER rows by %): bounds the arrays held at
 # once.
@@ -143,10 +144,43 @@ def probe_knot(grid: TimeGrid, n_states: int, t: float, x: int) -> tuple[int, in
 
 @dataclass
 class ValueField:
-    """phi(t_k, x) on the time x state grid, multiplicative scale (phi > 0)."""
+    """phi(t_k, x) on the time x state grid, multiplicative scale (phi > 0).
+    Only this module reads ``phi``: the others read a field through ``at``,
+    ``on``, ``field - other`` (or ``other - field``) and ``check``."""
 
     grid: TimeGrid
     phi: np.ndarray  # (N+1, n_states)
+
+    __array_ufunc__ = None  # so that numpy leaves array - field to __rsub__
+
+    def at(self, k: int, x: int) -> float:
+        return float(self.phi[k, x])
+
+    def on(self, grid: TimeGrid) -> "ValueField":
+        """The field at the knots of ``grid``, a coarsening of its own (else ValueError)."""
+        r, rest = divmod(self.grid.n_steps, grid.n_steps)
+        if rest or grid.horizon != self.grid.horizon:
+            raise ValueError(f"{grid} is not a coarsening of {self.grid}")
+        return ValueField(grid, self.phi[::r])
+
+    def __sub__(self, other) -> np.ndarray:
+        """phi - other entrywise, ``other`` a field on the same grid or an array."""
+        return self.phi - (other.phi if isinstance(other, ValueField) else other)
+
+    def __rsub__(self, other) -> np.ndarray:
+        return other - self.phi
+
+    def check(self, error: type, text: str, last: bool = False) -> None:
+        """Raise ``error`` at the first (``last``: the last) entry that is not
+        finite and positive or is subnormal, with ``text`` formatted with its
+        knot and state; a subnormal entry's message says so, since a step's
+        product can round back up to it and so be silently wrong."""
+        bad = np.argwhere(~(np.isfinite(self.phi) & (self.phi >= _TINY)))
+        if bad.size:
+            k, x = bad[-1 if last else 0]
+            if 0.0 < self.phi[k, x] < _TINY:
+                text = "phi = {2} at knot {0}, state {1} is below the smallest normal double"
+            raise error(text.format(k, x, FMT % self.phi[k, x]))
 
 
 @dataclass
@@ -235,31 +269,9 @@ def report_numbers(doc):
     return doc
 
 
-_TINY = np.finfo(float).tiny  # the smallest normal double
-
-
-def _bad_entries(phi: np.ndarray) -> np.ndarray:
-    """(knot, state) of every entry of phi that is not finite and positive,
-    or is positive below the smallest normal double: there a step's product
-    can round back up to the same subnormal, so the value is silently wrong."""
-    return np.argwhere(~(np.isfinite(phi) & (phi >= _TINY)))
-
-
-def _refuse_bad_phi(phi: np.ndarray, error: type, text: str, last: bool = False):
-    """Raise ``error`` naming the first (``last``: the last) of the
-    ``_bad_entries`` of phi, if any: ``text`` formatted with its knot and
-    state, or for a subnormal entry a message that says so."""
-    bad = _bad_entries(phi)
-    if bad.size:
-        k, x = bad[-1 if last else 0]
-        if 0.0 < phi[k, x] < _TINY:
-            text = "phi = {2} at knot {0}, state {1} is below the smallest normal double"
-        raise error(text.format(k, x, FMT % phi[k, x]))
-
-
 def to_risk_value(field: ValueField, lam: float) -> np.ndarray:
     """Certainty-equivalent values (1/lambda) * ln phi, entrywise."""
-    _refuse_bad_phi(field.phi, SolverError, "nonpositive or non-finite phi at knot {}, state {}")
+    field.check(SolverError, "nonpositive or non-finite phi at knot {}, state {}")
     return np.log(field.phi) / lam
 
 
@@ -700,7 +712,7 @@ def _sweep(models: list, grid: TimeGrid, reducer: _Reducer) -> list[ValueField]:
         for p, sign in zip(np.moveaxis(phi, 1, 0) if lead else [phi], signs)
     ]
     for field in fields:
-        _refuse_bad_phi(field.phi, PositivityError, "phi is not finite and positive at knot {}, state {}", last=True)
+        field.check(PositivityError, "phi is not finite and positive at knot {}, state {}", last=True)
     return fields
 
 
@@ -1280,7 +1292,7 @@ def export_solution_csv(model: GameModel, field: ValueField, strategies: Strateg
     """
     grid = field.grid
     n, N = model.n_states, grid.n_steps
-    _refuse_bad_phi(field.phi, SolverError, "cannot export a field with nonpositive or non-finite phi")
+    field.check(SolverError, "cannot export a field with nonpositive or non-finite phi")
     names, shown = _csv_layout(model)
     times = grid.knots()
     per_block = max(1, _CSV_BLOCK // n)
@@ -1405,8 +1417,8 @@ def import_solution_csv(model: GameModel, text: str) -> tuple[ValueField, Strate
             f"solution CSV row {r + 1}: t = {FMT % t[r]} is not knot {r // n} of the model's grid "
             f"(t = {FMT % knots[r]})"
         )
-    phi = phi.reshape(N + 1, n)
-    _refuse_bad_phi(phi, SolverError, "solution CSV: nonpositive or non-finite phi at knot {}, state {}")
+    field = ValueField(grid, phi.reshape(N + 1, n))
+    field.check(SolverError, "solution CSV: nonpositive or non-finite phi at knot {}, state {}")
     wa = model.widths[0]
     mu = np.ascontiguousarray(entries[: N * n, :wa]).reshape(N, n, wa)
     nu = np.ascontiguousarray(entries[: N * n, wa:]).reshape(N, n, -1)
@@ -1426,4 +1438,4 @@ def import_solution_csv(model: GameModel, text: str) -> tuple[ValueField, Strate
                 f"solution CSV row {k * n + x + 1}, columns {name}_*: "
                 f"probabilities sum to {float(mix[k, x].sum()):.12g}"
             )
-    return ValueField(grid, phi), StrategyField(grid, mu, nu)
+    return field, StrategyField(grid, mu, nu)

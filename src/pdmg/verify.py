@@ -143,22 +143,18 @@ def check_bounds(field: ValueField, model: GameModel) -> VerificationReport:
         raise ModelValidationError("check_bounds requires lyapunov data")
     ly = model.lyapunov
     T = model.horizon
-    grid = field.grid
-
-    checks = []
-    pos = float(field.phi.min())
-    k, x = np.unravel_index(np.argmin(field.phi), field.phi.shape)
-    checks.append(CheckResult("positivity", pos > 0.0, f"knot {k}, state {x}", pos))
+    phi = field - 0.0  # phi itself: its least entry is the positivity margin
+    k, x = np.unravel_index(np.argmin(phi), phi.shape)
+    pos = float(phi[k, x])
+    checks = [CheckResult("positivity", pos > 0.0, f"knot {k}, state {x}", pos)]
     if pos <= 0.0:
         return VerificationReport(checks)
 
-    knots = grid.knots()
+    knots = field.grid.knots()
     L2 = (ly.M2 * _exp(ly.rho1, T - knots) * (1.0 + ly.b1 / ly.rho1))[:, None]
     vflow = ly.V[np.stack([model.states.flow_map(T - t) for t in knots.tolist()])]  # (N+1, S)
-    up = L2 * vflow - field.phi
-    lo = field.phi - np.exp(-model.lam * L2 * vflow)
-    checks.append(_least("upper_bound", up, 1e-12, "knot {}, state {}".format))
-    checks.append(_least("lower_bound", lo, 1e-12, "knot {}, state {}".format))
+    checks.append(_least("upper_bound", L2 * vflow - field, 1e-12, "knot {}, state {}".format))
+    checks.append(_least("lower_bound", field - np.exp(-model.lam * L2 * vflow), 1e-12, "knot {}, state {}".format))
     return VerificationReport(checks)
 
 
@@ -220,22 +216,11 @@ def oracle_fine_grid(
     at = [probe_knot(grid, model.n_states, t, x) for t, x in probes or ()]
     coarse, _ = backward_solve(model, config)
     fine_cfg = replace(config, n_steps=config.n_steps * refine_factor)
-    fine_b, _ = backward_solve(model, fine_cfg)
-    fine_p = picard_solve(model, fine_cfg)
+    fine_b = backward_solve(model, fine_cfg)[0].on(grid)
+    fine_p = picard_solve(model, fine_cfg).on(grid)
 
-    sub = slice(0, None, refine_factor)
-    dev_b = float(np.abs(coarse.phi - fine_b.phi[sub]).max())
-    dev_p = float(np.abs(coarse.phi - fine_p.phi[sub]).max())
-
-    rows = [
-        (
-            grid.knot(k),
-            int(x),
-            float(coarse.phi[k, x]),
-            float(fine_b.phi[k * refine_factor, x]),
-            float(fine_p.phi[k * refine_factor, x]),
-        )
-        for k, x in at
-    ]
+    dev_b = float(np.abs(coarse - fine_b).max())
+    dev_p = float(np.abs(coarse - fine_p).max())
+    rows = [(grid.knot(k), int(x), coarse.at(k, x), fine_b.at(k, x), fine_p.at(k, x)) for k, x in at]
     return OracleReport(config.n_steps, refine_factor, dev_b, dev_p, rows)
 

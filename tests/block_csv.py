@@ -24,7 +24,6 @@ from pdmg.shapley import (
     StrategyField,
     TimeGrid,
     ValueField,
-    _bad_entries,
 )
 
 _CSV_BLOCK = 2048
@@ -126,7 +125,7 @@ def import_solution_csv(model: GameModel, text: str) -> tuple[ValueField, Strate
             f"(t = {FMT % knots[r]})"
         )
     phi = phi.reshape(N + 1, n)
-    bad = _bad_entries(phi)
+    bad = np.argwhere(~(np.isfinite(phi) & (phi >= np.finfo(float).tiny)))  # subnormals too
     if bad.size:
         k, x = bad[0]
         raise SolverError(f"solution CSV: nonpositive or non-finite phi at knot {k}, state {x}")

@@ -27,7 +27,6 @@ from pdmg.shapley import (
     StrategyField,
     TimeGrid,
     ValueField,
-    _bad_entries,
     _FlowLags,
     _step_coefficients,
     check_cfl,
@@ -64,7 +63,7 @@ def sweep(model: GameModel, grid: TimeGrid, reduce) -> ValueField:
         psi = phi[k + 1][lags.step_table[k]]
         E = cell_entries(diags[knot_seg[k]], jumps[knot_seg[k]], psi, psi)
         phi[k] = reduce(k, E)
-    bad = _bad_entries(phi)
+    bad = np.argwhere(~(np.isfinite(phi) & (phi >= np.finfo(float).tiny)))  # subnormals too
     if bad.size:
         k, x = bad[-1]
         raise PositivityError(f"phi is not finite and positive at knot {k}, state {x}")

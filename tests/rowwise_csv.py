@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import io
 import math
+import sys
 
 from pdmg.model import GameModel
-from pdmg.shapley import FMT, SolverError, StrategyField, ValueField, _bad_entries
+from pdmg.shapley import FMT, SolverError, StrategyField, ValueField
 
 
 def export_solution_csv(model: GameModel, field: ValueField, strategies: StrategyField) -> str:
@@ -23,7 +24,8 @@ def export_solution_csv(model: GameModel, field: ValueField, strategies: Strateg
     wa, wb = model.widths
     grid = field.grid
     n, N = model.n_states, grid.n_steps
-    if _bad_entries(field.phi).size:
+    # subnormal values are refused too
+    if not all(math.isfinite(v) and v >= sys.float_info.min for v in field.phi.ravel().tolist()):
         raise SolverError("cannot export a field with nonpositive or non-finite phi")
     cols = ["t", "state", "phi", "risk_value"]
     cols += [f"mu_{i}" for i in range(wa)] + [f"nu_{i}" for i in range(wb)]

@@ -150,6 +150,26 @@ class TestSolve:
             f"phi(0, {model.state_name(x)}) = {rows[x][2]}   risk value {rows[x][3]}" for x in range(model.n_states)
         ]
 
+    @pytest.mark.parametrize("command, csv, flags", [
+        ("evaluate", "evaluation.csv", []),
+        ("best-response", "best_response.csv", ["--side", "maximize"]),
+        ("best-response", "best_response.csv", ["--side", "minimize", "--steps", "400"]),
+    ])
+    def test_evaluate_and_best_response_print_their_csv_first_knot(self, model_files, tmp_path, capsys,
+                                                                     command, csv, flags):
+        model = demos.build("controlled_two_state")
+        sol = tmp_path / "sol"
+        assert main(["solve", "--model", model_files["controlled_two_state"], "--steps", "200",
+                     "--out", str(sol)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main([command, "--model", model_files["controlled_two_state"], "--strategies",
+                     str(sol / "solution.csv"), *flags, "--out", str(out)]) == 0
+        _, rows = read_csv_rows(out / csv)
+        assert capsys.readouterr().out.splitlines() == [
+            f"phi(0, {model.state_name(x)}) = {rows[x][2]}   risk value {rows[x][3]}" for x in range(model.n_states)
+        ]
+
 
 class TestSimulate:
     def test_deterministic_json(self, model_files, tmp_path):

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -387,6 +389,59 @@ class TestRiskValue:
         field = ValueField(TimeGrid(1, 1.0), np.array([[1.0], [0.0]]))
         with pytest.raises(SolverError, match="nonpositive"):
             to_risk_value(field, 1.0)
+
+
+class TestValueField:
+    """The reads of a field that modules other than shapley make."""
+
+    def test_on_reads_the_coarse_knots(self, controlled):
+        fine, _ = backward_solve(controlled, SolverConfig(n_steps=120))
+        coarse = TimeGrid(40, controlled.horizon)
+        on = fine.on(coarse)
+        assert on.grid == coarse
+        assert all(on.at(k, x) == fine.at(3 * k, x) for k in range(41) for x in range(controlled.n_states))
+        assert fine.on(fine.grid).at(7, 1) == fine.at(7, 1)
+
+    @pytest.mark.parametrize("grid", [TimeGrid(7, 1.0), TimeGrid(40, 2.0), TimeGrid(240, 1.0)])
+    def test_on_refuses_a_grid_that_is_no_coarsening(self, grid):
+        field = ValueField(TimeGrid(120, 1.0), np.ones((121, 2)))
+        with pytest.raises(ValueError, match="is not a coarsening of"):
+            field.on(grid)
+
+    def test_difference_with_a_field_or_an_array(self):
+        grid = TimeGrid(1, 1.0)
+        a = ValueField(grid, np.array([[3.0, 1.0], [2.0, 5.0]]))
+        b = ValueField(grid, np.array([[1.0, 1.0], [4.0, 0.5]]))
+        assert np.array_equal(a - b, [[2.0, 0.0], [-2.0, 4.5]])
+        assert np.array_equal(a - np.full((2, 2), 1.0), [[2.0, 0.0], [1.0, 4.0]])
+        upper = np.full((2, 2), 4.0) - a  # numpy defers to the field
+        assert isinstance(upper, np.ndarray) and np.array_equal(upper, [[1.0, 3.0], [2.0, -1.0]])
+
+    @pytest.mark.parametrize("last, message", [
+        (False, "bad entry at knot 0, state 1"),
+        (True, "phi = 1e-310 at knot 2, state 0 is below the smallest normal double"),
+    ])
+    def test_check_names_the_first_or_last_bad_entry(self, last, message):
+        field = ValueField(TimeGrid(2, 1.0), np.array([[1.0, -1.0], [np.nan, 1.0], [1e-310, 1.0]]))
+        with pytest.raises(SolverError) as err:
+            field.check(SolverError, "bad entry at knot {}, state {}", last=last)
+        assert str(err.value) == message
+        ValueField(TimeGrid(1, 1.0), np.full((2, 2), 2.2250738585072014e-308)).check(SolverError, "{}")
+
+    def test_no_module_but_shapley_reads_phi(self):
+        # a read of a field's phi outside shapley would have to learn how
+        # phi is held; the fields' members are the reads other modules make
+        root = Path(__file__).resolve().parents[1]
+        files = sorted(p for p in (root / "src" / "pdmg").glob("*.py") if p.name != "shapley.py")
+        files += sorted((root / "scripts").glob("*.py"))
+        assert {"verify.py", "approx.py", "cli.py", "convergence_study.py"} <= {p.name for p in files}
+        reads = [
+            f"{p.name}:{node.lineno}"
+            for p in files
+            for node in ast.walk(ast.parse(p.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr == "phi"
+        ]
+        assert reads == []
 
 
 class TestEdiff:
