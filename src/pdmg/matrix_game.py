@@ -3,14 +3,12 @@
 The row player maximises, the column player minimises.  ``solve`` reduces
 one game to a pair of primal/dual linear programs (shift entries positive,
 maximise the column player's scaled mixture) and solves it by a dense
-tableau simplex with Bland's rule, one pivot loop over a tableau of floats
-or of Fractions.  The fast path runs in floats with periodic basis
-reinversion.  The game is re-solved on Fractions, in exact arithmetic, when
-the float duality certificate misses the requested tolerance
-(near-duplicate rows can make the optimal basis arbitrarily
-ill-conditioned) or the float solve gives up: its basis repeats while it
-reinverts after every pivot, it meets a singular basis or it passes its
-pivot cap.
+tableau simplex with Bland's rule: one pass per number type through one
+pivot loop, first in floats under a pivot cap of the game's size.  Bland's
+rule ends only in exact arithmetic, so the duality certificate decides.
+When it misses the requested tolerance (near-duplicate rows can make the
+optimal basis arbitrarily ill-conditioned), or the float pass reaches its
+cap or a singular basis, the exactly shifted game is solved in Fractions.
 
 ``solve_stack`` solves a whole stack of small padded games at once.  A
 masked maximin == minimax test settles the games with a pure saddle; the
@@ -45,7 +43,11 @@ import numpy as np
 # cell game the solvers settle.
 GAME_TOL = 1e-9
 _PIVOT_EPS = 1e-11
-_MAX_PIVOTS = 50_000
+# Pivots a float pass may take per row and column of its game: the most
+# pivot-hungry of 16,000 random and ill-conditioned games took 3.5
+_FLOAT_PIVOTS = 10
+
+_FRACTIONS = np.frompyfunc(Fraction, 1, 1)  # an array's entries as Fractions, exactly
 
 _ROUTES = ("pure_saddle", "equalizer", "simplex", "exact")
 COUNTS = dict.fromkeys(_ROUTES, 0)
@@ -88,10 +90,12 @@ class GameSolution:
 
 
 def _pivot_loop(tab: np.ndarray, basis: list, m: int, n_total: int, cap: int, eps) -> int:
-    """Bland-rule pivots in place, at most ``cap``; returns the count.  Only
-    entries above ``eps`` pivot: ``_PIVOT_EPS`` on floats, 0 on Fractions."""
+    """Bland-rule pivots in place until no cost entry is above ``eps``;
+    returns their count, and raises ``MatrixGameError`` rather than pivot
+    more than ``cap`` times.  Only entries above ``eps`` pivot:
+    ``_PIVOT_EPS`` on floats, 0 on Fractions."""
     pivots = 0
-    for _ in range(cap):
+    while True:
         cost = tab[m, :-1]
         enter = -1
         for j in range(n_total):  # Bland: lowest improving index
@@ -100,6 +104,8 @@ def _pivot_loop(tab: np.ndarray, basis: list, m: int, n_total: int, cap: int, ep
                 break
         if enter < 0:
             return pivots
+        if pivots == cap:
+            raise MatrixGameError(f"simplex reached its cap of {cap} pivots")
         col = tab[:m, enter]
         best, leave = None, -1
         for i in range(m):
@@ -116,13 +122,13 @@ def _pivot_loop(tab: np.ndarray, basis: list, m: int, n_total: int, cap: int, ep
                 tab[i] -= tab[i, enter] * tab[leave]
         basis[leave] = enter
         pivots += 1
-    return pivots
 
 
 def _initial_tableau(A: np.ndarray, b: np.ndarray, c: np.ndarray):
-    """The tableau [A I b; c 0 0] of max c.x s.t. A x <= b, x >= 0, and its slack basis."""
+    """The tableau [A I b; c 0 0] of max c.x s.t. A x <= b, x >= 0, and its
+    slack basis; an object tableau when A holds Fractions."""
     m, n = A.shape
-    tab = np.zeros((m + 1, n + m + 1))
+    tab = np.zeros((m + 1, n + m + 1), dtype=np.result_type(A, b, c))
     tab[:m, :n] = A
     tab[:m, n:-1] = np.eye(m)
     tab[:m, -1] = b
@@ -130,64 +136,21 @@ def _initial_tableau(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     return tab, list(range(n, n + m))
 
 
-def _refreshed_tableau(A_full: np.ndarray, b: np.ndarray, c_full: np.ndarray, basis: list):
-    """Rebuild the tableau at a basis from the original data.
-
-    Recomputing B^-1 against the inputs discards the arithmetic drift that
-    accumulates over degenerate pivot sequences.
-    """
-    m = A_full.shape[0]
-    B = A_full[:, basis]
-    try:
-        inv = np.linalg.inv(B)
-    except np.linalg.LinAlgError as exc:
-        raise MatrixGameError("singular basis during refresh") from exc
-    tab = np.zeros((m + 1, A_full.shape[1] + 1))
-    tab[:m, :-1] = inv @ A_full
-    tab[:m, -1] = inv @ b
-    y = c_full[basis] @ inv
-    tab[m, :-1] = c_full - y @ A_full
-    tab[m, -1] = -float(c_full[basis] @ tab[:m, -1])
-    return tab
-
-
 def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray):
-    """Maximise c.x subject to A x <= b, x >= 0 with b >= 0.
+    """Maximise c.x subject to A x <= b, x >= 0 with b >= 0, in one float pass.
 
-    Returns (x, duals, objective).  The final basis is reinverted against
-    the original data (repeating if that uncovers further improving
-    columns) so the returned vertex is clean to rounding.
+    Returns (x, duals, objective): Bland-rule pivots from the slack basis,
+    at most ``_FLOAT_PIVOTS`` per row and column, then the vertex of the
+    final basis solved against the original data (``_polished_vertex``).
+    Bland's rule ends at the optimum only in exact arithmetic, so nothing
+    here claims one: ``solve``'s duality certificate decides.  Raises
+    ``MatrixGameError`` at the cap, ``np.linalg.LinAlgError`` at a singular
+    final basis.
     """
     m, n = A.shape
     tab, basis = _initial_tableau(A, b, c)
     A_full, c_full = tab[:m, :-1].copy(), tab[m, :-1].copy()
-
-    # Refresh the tableau from the original data every few dozen pivots:
-    # pivot decisions then always see near-exact entries, so degenerate
-    # sequences can neither drift nor walk into a singular basis.  If a
-    # basis repeats across refresh cycles, a drifted comparison inside the
-    # window flipped a choice (near-duplicate rows with tiny splits do
-    # this); fall back to refreshing after every single pivot, where the
-    # Bland argument applies verbatim.  There each basis, in its order,
-    # fixes the next one, so a basis that repeats there cycles for good:
-    # the float solve gives up at once and ``solve`` re-solves exactly.
-    window = max(50, 2 * (m + n))
-    total = 0
-    seen = set()
-    while True:
-        total += _pivot_loop(tab, basis, m, n + m, window, _PIVOT_EPS)
-        if total > _MAX_PIVOTS:
-            raise MatrixGameError("simplex iteration cap exceeded (rescale the game)")
-        tab = _refreshed_tableau(A_full, b, c_full, basis)
-        if not np.any(tab[m, :-1] > _PIVOT_EPS):
-            break
-        key = tuple(sorted(basis)) if window > 1 else tuple(basis)
-        if key in seen:
-            if window == 1:
-                raise MatrixGameError("simplex cycles under per-pivot refresh")
-            window, seen = 1, set()
-        seen.add(key)
-
+    _pivot_loop(tab, basis, m, n + m, _FLOAT_PIVOTS * (m + n), _PIVOT_EPS)
     x_b, duals = _polished_vertex(A_full, b, c_full, basis)
     x = np.zeros(n + m)
     x[basis] = x_b
@@ -231,19 +194,31 @@ def certified(payoffs: np.ndarray, value, row_mix, col_mix, mask=None):
 
 
 def _exact_simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray):
-    """The same LP in exact rational arithmetic: the float tableau's entries
-    as Fractions (every float is a dyadic rational) through the same Bland
-    pivot loop, which cannot cycle there and ends at the exact optimum.
-    Fallback path for conditioning-pathological games."""
+    """The same LP in exact rational arithmetic: the tableau's entries as
+    Fractions (every float is a dyadic rational; A may hold Fractions)
+    through the same Bland pivot loop, which cannot cycle there and ends at
+    the exact optimum.  Returns (x, duals, objective) as Fractions."""
     m, n = A.shape
     tab, basis = _initial_tableau(A, b, c)
-    tab = np.array([[Fraction(v) for v in row] for row in tab.tolist()], dtype=object)
-    if _pivot_loop(tab, basis, m, n + m, 1_000_000, 0) == 1_000_000:
-        raise MatrixGameError("exact simplex failed to terminate")
+    tab = _FRACTIONS(tab)
+    _pivot_loop(tab, basis, m, n + m, 1_000_000, 0)
     x = [Fraction(0)] * (n + m)
     for i, bi in enumerate(basis):
         x[bi] = tab[i, -1]
     return x[:n], list(-tab[m, n:-1]), -tab[m, -1]
+
+
+def _settled(p: np.ndarray, shift, w, duals, obj) -> GameSolution:
+    """The solution of game ``p`` read from the LP optimum (w, duals, obj) of
+    ``p + shift``, in floats or in Fractions, with its duality gap."""
+    # a float vertex can carry O(1e-14) negative dust
+    w, duals = np.clip(w, 0, None), np.clip(duals, 0, None)
+    if not (obj > 0 and w.sum() > 0 and duals.sum() > 0):
+        raise MatrixGameError("degenerate game after the simplex")
+    col_mix = (w / w.sum()).astype(float)
+    row_mix = (duals / duals.sum()).astype(float)
+    value = float(1 / obj - shift)
+    return GameSolution(value, row_mix, col_mix, _certificate(p, value, row_mix, col_mix))
 
 
 def solve(game: MatrixGame, tol: float = GAME_TOL) -> GameSolution:
@@ -266,40 +241,29 @@ def solve(game: MatrixGame, tol: float = GAME_TOL) -> GameSolution:
         row[i] = 1.0
         return GameSolution(value, row, np.ones(1), _certificate(p, value, row, np.ones(1)))
 
+    # column player: maximise 1.w subject to (p + shift).w <= 1, w >= 0 with
+    # every entry of p + shift >= 1; the game value is 1/max - shift.  One
+    # float pass first (none when p + shift overflows) and, unless its
+    # certificate holds, the exactly shifted game in Fractions.  Non-finite
+    # float arithmetic fails the certificate, so it warns of nothing.
+    ones = np.ones(m), np.ones(n)
     shift = 1.0 - float(p.min())
-    shifted = p + shift  # all entries >= 1 so the game value is positive
-
-    # column player: maximise 1.w subject to shifted.w <= 1, w >= 0
-    COUNTS["simplex"] += 1
-    try:
-        w, duals, obj = _simplex_max(shifted, np.ones(m), np.ones(n))
-        if obj > 0.0 and duals.sum() > 0.0:
-            # reinverted bases can leave O(1e-14) negative dust on a vertex
-            col_mix = np.clip(w, 0.0, None)
-            col_mix = col_mix / col_mix.sum()
-            row_mix = np.clip(duals, 0.0, None)
-            row_mix = row_mix / row_mix.sum()
-            value = 1.0 / obj - shift
-            gap = _certificate(p, value, row_mix, col_mix)
-            if gap <= tol:
-                return GameSolution(value, row_mix, col_mix, gap)
-    except MatrixGameError:
-        pass
-
-    # conditioning-pathological game: re-solve exactly in rationals
-    COUNTS["exact"] += 1
-    w, duals, obj = _exact_simplex_max(shifted, np.ones(m), np.ones(n))
-    wsum = sum(w, Fraction(0))
-    dsum = sum(duals, Fraction(0))
-    if wsum <= 0 or dsum <= 0 or obj <= 0:
-        raise MatrixGameError("degenerate game after exact solve")
-    col_mix = np.array([float(v / wsum) for v in w])
-    row_mix = np.array([float(v / dsum) for v in duals])
-    value = float(1 / obj - Fraction(shift))
-    gap = _certificate(p, value, row_mix, col_mix)
-    if gap > tol:
-        raise MatrixGameError(f"duality gap {gap:.3e} exceeds tolerance {tol:.3e}")
-    return GameSolution(value, row_mix, col_mix, gap)
+    with np.errstate(all="ignore"):
+        shifted = p + shift
+        if np.isfinite(shifted).all():
+            COUNTS["simplex"] += 1
+            try:
+                sol = _settled(p, shift, *_simplex_max(shifted, *ones))
+                if sol.gap <= tol:
+                    return sol
+            except (MatrixGameError, np.linalg.LinAlgError):
+                pass
+        COUNTS["exact"] += 1
+        shift = 1 - Fraction(p.min())
+        sol = _settled(p, shift, *_exact_simplex_max(_FRACTIONS(p) + shift, *ones))
+    if not sol.gap <= tol:
+        raise MatrixGameError(f"duality gap {sol.gap:.3e} exceeds tolerance {tol:.3e}")
+    return sol
 
 
 def _equalizers(Q: np.ndarray):

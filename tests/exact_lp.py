@@ -18,18 +18,19 @@ from pdmg.matrix_game import MatrixGameError
 
 def exact_simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     """Maximise c.x subject to A x <= b, x >= 0 with b >= 0, in exact
-    rational arithmetic (floats are dyadic rationals), Bland's rule
-    throughout.  Returns (x, duals, objective) as Fractions."""
+    rational arithmetic (floats are dyadic rationals; the entries may be
+    Fractions), Bland's rule throughout.  Returns (x, duals, objective) as
+    Fractions."""
     m, n = A.shape
     width = n + m + 1
     tab = [[Fraction(0)] * width for _ in range(m + 1)]
     for i in range(m):
         for j in range(n):
-            tab[i][j] = Fraction(float(A[i, j]))
+            tab[i][j] = Fraction(A[i, j])
         tab[i][n + i] = Fraction(1)
-        tab[i][-1] = Fraction(float(b[i]))
+        tab[i][-1] = Fraction(b[i])
     for j in range(n):
-        tab[m][j] = Fraction(float(c[j]))
+        tab[m][j] = Fraction(c[j])
     basis = list(range(n, n + m))
 
     for _ in range(1_000_000):

@@ -781,6 +781,22 @@ class TestGameCommand:
         assert main(["game", "--matrix", str(f)]) == 1
         assert "payoff matrix contains non-finite entries" in capsys.readouterr().err
 
+    # games whose float shift overflows or rounds away an entry: the exact
+    # re-solve works on the exactly shifted game
+    @pytest.mark.parametrize("text, lines", [
+        ("1e308,-1e308\n-1e308,1e308\n", ["value 0  gap 0", "row mix: 0.5,0.5", "col mix: 0.5,0.5"]),
+        ("1e300,1\n2,-1e300\n", ["value 1  gap 0", "row mix: 1,0", "col mix: 0,1"]),
+        ("1e307,-1e307,5\n-1e307,1e307,-5\n3,2,1e-300\n", ["value 1.000001e-300  gap 1.000001e-300"]),
+    ])
+    def test_extreme_entries_are_solved_on_the_exact_shift(self, tmp_path, capsys, text, lines):
+        f = tmp_path / "m.csv"
+        f.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["game", "--matrix", str(f)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[: len(lines)] == lines
+
 
 class TestEnvironment:
     def test_out_dir_override(self, model_files, tmp_path, monkeypatch):

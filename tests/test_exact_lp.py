@@ -1,23 +1,31 @@
-"""The exact re-solve of ill-conditioned games.
+"""The float pass and the exact re-solve of ill-conditioned games.
 
 The float simplex cannot certify every game whose rows or columns nearly
 repeat, or whose entries span many orders of magnitude; ``solve`` then
-re-solves the game in Fractions on the same Bland pivot loop.  These tests
-pin a game whose float solve cycles, and check over four families of such
-games that every game is certified and that the exact solve returns the
-Fractions of the list-based reference in ``exact_lp.py``.
+re-solves the exactly shifted game in Fractions on the same Bland pivot
+loop.  These tests pin a game whose float basis used to repeat, send a game
+to the exact re-solve by each way a float pass can fail, check over four
+families of such games that every game is certified and that the exact
+solve returns the Fractions of the list-based reference in ``exact_lp.py``,
+and check that games with entries near the float limits are certified or
+refused without a warning.
 """
+
+import warnings
+from fractions import Fraction
 
 import exact_lp
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import pdmg.matrix_game as mg
-from pdmg.matrix_game import COUNTS, GAME_TOL, MatrixGame, reset_counts, solve
+from pdmg.matrix_game import COUNTS, GAME_TOL, MatrixGame, MatrixGameError, reset_counts, solve
 
-# the float basis of this game repeats while the simplex reinverts after
-# every pivot; the float solve used to spin to its pivot cap first
+# the float basis of this game repeated while the simplex of earlier
+# versions refreshed its tableau after every pivot
 CYCLING = [
     [-0.15811774746926824, 1.0, 5.513937869237579e-05, -1.7900255650991989e-06, -2.2576321290653247e-05],
     [-3.5460662656151566e-06, 2.0298816504095187e-08, -2.0485849503775953e-05, 4.122445464318418e-07,
@@ -27,7 +35,20 @@ CYCLING = [
 ]
 
 
-def test_cycling_float_solve_goes_exact_at_once(monkeypatch):
+def exact_shifted(payoffs):
+    """The LP data ``solve`` re-solves exactly, and the shift of the game."""
+    payoffs = np.asarray(payoffs)
+    shift = 1 - Fraction(payoffs.min())
+    m, n = payoffs.shape
+    return (mg._FRACTIONS(payoffs) + shift, np.ones(m), np.ones(n)), shift
+
+
+def exact_value(payoffs):
+    args, shift = exact_shifted(payoffs)
+    return 1 / mg._exact_simplex_max(*args)[2] - shift
+
+
+def test_cycling_game_is_certified_in_one_float_pass(monkeypatch):
     pivots, loop = [], mg._pivot_loop
 
     def spy(*args):
@@ -37,10 +58,39 @@ def test_cycling_float_solve_goes_exact_at_once(monkeypatch):
     monkeypatch.setattr(mg, "_pivot_loop", spy)
     reset_counts()
     sol = solve(MatrixGame(np.array(CYCLING)))
-    assert sol.value == -9.841013678848576e-07
+    assert sol.gap <= GAME_TOL
+    assert abs(Fraction(sol.value) - exact_value(CYCLING)) <= sol.gap
+    assert COUNTS["simplex"] == 1 and COUNTS["exact"] == 0
+    assert sum(pivots) < 100
+
+
+def test_float_pass_runs_under_a_cap_of_its_size(monkeypatch):
+    caps, loop = [], mg._pivot_loop
+
+    def spy(tab, basis, m, n_total, cap, eps):
+        caps.append((cap, eps))
+        return loop(tab, basis, m, n_total, cap, eps)
+
+    monkeypatch.setattr(mg, "_pivot_loop", spy)
+    solve(MatrixGame(np.array(CYCLING)))
+    assert caps == [(mg._FLOAT_PIVOTS * (3 + 5), mg._PIVOT_EPS)]
+
+
+def _singular(*args):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@pytest.mark.parametrize("failure", ["singular final basis", "pivot cap reached"])
+def test_failed_float_pass_is_re_solved_exactly(monkeypatch, failure):
+    if failure == "singular final basis":
+        monkeypatch.setattr(mg, "_polished_vertex", _singular)
+    else:
+        monkeypatch.setattr(mg, "_FLOAT_PIVOTS", 0)  # a cap of no pivots
+    reset_counts()
+    sol = solve(MatrixGame(np.array(CYCLING)))
+    assert sol.value == float(exact_value(CYCLING))
     assert sol.gap <= GAME_TOL
     assert COUNTS["simplex"] == 1 and COUNTS["exact"] == 1
-    assert sum(pivots) < 100
 
 
 @st.composite
@@ -72,7 +122,26 @@ def ill_conditioned_games(draw):
 def test_ill_conditioned_games_are_certified_and_solved_exactly(payoffs):
     sol = solve(MatrixGame(payoffs))
     assert sol.gap <= GAME_TOL
-    shifted = payoffs + (1.0 - float(payoffs.min()))
-    m, n = payoffs.shape
-    args = shifted, np.ones(m), np.ones(n)
+    args, _ = exact_shifted(payoffs)
     assert mg._exact_simplex_max(*args) == exact_lp.exact_simplex_max(*args)
+
+
+# 0 or +-10**U(-300, 300): entries that overflow the float shift, or span
+# six hundred orders of magnitude
+extreme_entries = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]), st.floats(-300.0, 300.0)),
+)
+
+
+@settings(deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6)), elements=extreme_entries))
+@example(np.array([[1e308, -1e308], [-1e308, 1e308]]))  # the float shift overflows
+def test_extreme_games_are_certified_or_refused_without_warnings(payoffs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            sol = solve(MatrixGame(payoffs))
+        except MatrixGameError:
+            return
+    assert sol.gap <= GAME_TOL
