@@ -17,12 +17,14 @@ solve (Shapley and Snow, *Basic solutions of discrete games*, 1950: an
 extreme optimal pair comes from a square nonsingular submatrix, here the
 full one); a game is accepted only when both mixtures are nonnegative and
 ``certified`` holds on it.  Every other game goes through ``solve`` one at
-a time.
+a time, scaled by a power of two to a largest |entry| in [1, 2).
 
 ``certified`` is the one test of a settled game: the duality gap of a
-mixture pair at a value is at most ``GAME_TOL``.  The equalizers of
-``solve_stack`` and the carried saddles of the backward stepper pass it;
-``solve`` alone compares the gap with a ``tol`` of its own.
+mixture pair at a value is at most ``GAME_TOL`` times the game's largest
+|entry|, so that the test keeps its meaning for entries of any scale.  The
+equalizers of ``solve_stack`` and the carried saddles of the backward
+stepper pass it; ``solve`` alone compares the gap with an absolute ``tol``
+of its own, for a game a user hands it.
 
 ``COUNTS`` tallies the route that settled each game since the last
 ``reset_counts()``: pure saddles and equalizers of ``solve_stack``, float
@@ -39,8 +41,9 @@ from fractions import Fraction
 
 import numpy as np
 
-# Largest duality gap a settled game may carry: the certificate of every
-# cell game the solvers settle.
+# Largest duality gap a settled game may carry, relative to its largest
+# |entry|: the certificate of every cell game the solvers settle, and the
+# default absolute tolerance of ``solve``.
 GAME_TOL = 1e-9
 _PIVOT_EPS = 1e-11
 # Pivots a float pass may take per row and column of its game: the most
@@ -188,9 +191,12 @@ def _certificate(payoffs: np.ndarray, value, row_mix, col_mix, mask=None):
 
 
 def certified(payoffs: np.ndarray, value, row_mix, col_mix, mask=None):
-    """Whether the duality gap of ``_certificate`` is <= ``GAME_TOL``: of one
-    game, or of each game of a stack.  False for a non-finite value."""
-    return _certificate(payoffs, value, row_mix, col_mix, mask) <= GAME_TOL
+    """Whether the duality gap of ``_certificate`` is at most ``GAME_TOL``
+    times the game's largest |entry| (padded entries are 0): of one game, or
+    of each game of a stack.  False for a non-finite value or gap."""
+    gap = _certificate(payoffs, value, row_mix, col_mix, mask)
+    # an infinite entry makes the tolerance infinite, and inf <= inf
+    return (gap <= GAME_TOL * np.abs(payoffs).max(axis=(-2, -1))) & (gap < np.inf)
 
 
 def _exact_simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray):
@@ -307,7 +313,8 @@ def solve_stack(payoffs, mask, fallback=solve):
     mixtures (..., A) and (..., B), zero past each game's m and n.  Pure
     saddles (exact) and certified full-support equalizers of square games
     are settled in batch; every other game goes through ``fallback``
-    (``solve`` by default), so every answer has a certified gap <= GAME_TOL.
+    (``solve`` by default), so every answer has a certified gap <= GAME_TOL
+    times its largest |entry|.
     A stack of 1x1 games is all pure saddles: each value is its entry.
     """
     P = np.asarray(payoffs, dtype=float)
@@ -351,10 +358,14 @@ def solve_stack(payoffs, mask, fallback=solve):
             left[idx] = False
             COUNTS["equalizer"] += len(idx)
 
-    # 4. the rest, one at a time
+    # 4. the rest, one at a time, each divided by the power of two 2^e at
+    #    or below its largest |entry| (exact but for entries below 2^-1022
+    #    of it), so that the fallback's absolute tolerance is relative to
+    #    the game's scale; the value is multiplied back
     for c in np.flatnonzero(left).tolist():
-        sol = fallback(MatrixGame(P[c, : m[c], : n[c]]))
-        value[c] = sol.value
+        e = int(np.frexp(np.abs(P[c]).max())[1]) - 1
+        sol = fallback(MatrixGame(np.ldexp(P[c, : m[c], : n[c]], -e)))
+        value[c] = np.ldexp(sol.value, e)
         row_mix[c, : m[c]] = sol.row_mix
         col_mix[c, : n[c]] = sol.col_mix
     return value.reshape(lead), row_mix.reshape(lead + (A,)), col_mix.reshape(lead + (B,))

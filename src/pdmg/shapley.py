@@ -574,56 +574,37 @@ class _PairAndResponses(_Reducer):
 
     A knot's entries are one flat row, each member's (S, W) entries in turn
     (W = 1 for the pair), and its slices are one ``np.maximum.reduceat``
-    over the padded row: the pair's runs are one entry long.  The members
-    are grouped by the width of their step tables, so that each keeps the
-    BLAS call of its own sweep (the bits of a matrix product depend on its
-    column count): the pair's np.dot, one np.matmul for both sides when
-    A == B, else each side's np.dot, each written into its part of the row.
-    A knot's tables are the row of diagonal coefficients and a tuple with
-    each group's JT.
+    over the padded row: the pair's runs are one entry long.  Each member
+    marches on its own step tables and writes its part of the row with the
+    np.dot of its own sweep, so its bits are that sweep's.  A knot's tables
+    are the row of diagonal coefficients and a tuple with each member's JT.
     """
 
     def __init__(self, model: GameModel, fixed: StrategyField, slices: np.ndarray):
         S = model.n_states
         A, B = model.widths
         sides = [_BestResponse(model, fixed, slices, side) for side, w in (("maximize", A), ("minimize", B)) if w > 1]
-        members = [_Reducer(model, slices, fixed.mu, fixed.nu)] + sides
-        self.signs = tuple(m.signs[0] for m in members)
+        self.members = [_Reducer(model, slices, fixed.mu, fixed.nu)] + sides
+        self.signs = tuple(m.signs[0] for m in self.members)
         self.contracts = True  # the pair holds an axis wider than 1
-        widths = [m.width for m in members]
+        widths = [m.width for m in self.members]
         ends = np.cumsum([S * w for w in widths]).tolist()
-        starts = [0] + ends[:-1]
         self.row = np.empty(ends[-1])
         self.width = ends[-1]  # a knot's entries: the whole row
+        self.outs = [self.row[a:b] for a, b in zip([0] + ends[:-1], ends)]
         # entry -> the member slice psi it multiplies, and the runs folded into one value
-        self.spread = np.repeat(np.arange(len(members) * S), np.repeat(widths, S))
+        self.spread = np.repeat(np.arange(len(self.members) * S), np.repeat(widths, S))
         self.runs = np.concatenate([[0], np.cumsum(np.repeat(widths, S))[:-1]])
         self.pad = np.concatenate([np.zeros(S)] + [side.pad.ravel() for side in sides])
-        self.groups, self.calls = [], []
-        for g in [[0], [1, 2]] if A == B else [[m] for m in range(len(members))]:
-            out = self.row[starts[g[0]] : ends[g[-1]]]
-            if len(g) > 1:
-                self.calls.append((np.matmul, (slice(g[0], g[-1] + 1), None), out.reshape(len(g), 1, -1)))
-            else:
-                self.calls.append((np.dot, g[0], out))
-            self.groups.append([members[m] for m in g])
 
     def tables(self, diags: list, jumps: list, segs: np.ndarray, k_lo: int):
-        Ds, JTs = [], []
-        for group in self.groups:
-            parts = [member.tables(diags, jumps, segs, k_lo) for member in group]
-            Ds += [np.asarray(D)[rows].reshape(len(segs), -1) for D, _, rows in parts]
-            JT, rows = parts[0][1:]
-            if len(parts) > 1:
-                # both sides contract, so rows is range(K); each member's JT
-                # stays the transposed view of its (S*W, S) table
-                JT = np.stack([p[1].swapaxes(-1, -2) for p in parts], axis=1).swapaxes(-1, -2)
-            JTs.append([JT[i] for i in rows])
-        return np.concatenate(Ds, axis=1), list(zip(*JTs)), range(len(segs))
+        parts = [member.tables(diags, jumps, segs, k_lo) for member in self.members]
+        D = np.concatenate([np.asarray(D)[rows].reshape(len(segs), -1) for D, _, rows in parts], axis=1)
+        return D, list(zip(*([JT[i] for i in rows] for _, JT, rows in parts))), range(len(segs))
 
     def entries(self, D: np.ndarray, JT: tuple, psi: np.ndarray) -> np.ndarray:
-        for (product, at, out), jt in zip(self.calls, JT):
-            product(psi[at], jt, out=out)
+        for m, jt in enumerate(JT):  # indexing psi: cheaper than iterating over it
+            np.dot(psi[m], jt, out=self.outs[m])
         return D * psi.take(self.spread) + self.row
 
     def fold(self, k: int, entries: np.ndarray) -> np.ndarray:
@@ -910,11 +891,11 @@ def backward_solve(model: GameModel, config: SolverConfig) -> tuple[ValueField, 
 
     Returns the value field (phi > 0 everywhere, terminal slice bit-exact)
     and the per-cell saddle mixtures.  Every cell game is settled with a
-    certified duality gap <= ``GAME_TOL``: on the support carried
-    from the knot above, or by ``solve_stack`` (see :class:`_CarriedSaddles`).
-    When no player has a choice every game is 1x1, valued by its entry
-    with no certificate (see :func:`_sweep`).  This is the one-member case
-    of :func:`backward_solve_batch`.
+    certified duality gap <= ``GAME_TOL`` times its largest |entry|: on the
+    support carried from the knot above, or by ``solve_stack`` (see
+    :class:`_CarriedSaddles`).  When no player has a choice every game is
+    1x1, valued by its entry with no certificate (see :func:`_sweep`).
+    This is the one-member case of :func:`backward_solve_batch`.
     """
     return backward_solve_batch([model], config)[0]
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdmg.approx import truncate_general
+from pdmg.approx import _rebuild, truncate_general
 from pdmg.matrix_game import COUNTS, MatrixGameError, reset_counts
 from pdmg.model import GameModel, model_from_dict
 from pdmg.shapley import (
@@ -178,11 +178,15 @@ class TestBatchErrors:
         backward_solve(one_state(1.0), SolverConfig(n_steps=2000))
 
     def test_failed_cell_game_of_a_later_member(self, controlled):
-        # the +20 shifted member fails its certificate as it does alone
-        clipped, shifted = truncate_general(controlled, 20)
-        expected = self.own_error(shifted, 200)
+        # every cost raised by 1500 (CFL load 0.38 at N = 2000): the member's
+        # cell games overflow, as they do alone
+        hot = _rebuild(controlled, controlled.costs + 1500.0, controlled.terminal)
+        expected = self.own_error(hot, 2000)
+        assert expected.type is MatrixGameError
+        assert str(expected.value) == "payoff matrix contains non-finite entries"
+        clipped = truncate_general(controlled, 1)[0]
         with pytest.raises(expected.type) as exc:
-            backward_solve_batch([controlled, clipped, shifted], SolverConfig(n_steps=200))
+            backward_solve_batch([controlled, clipped, hot], SolverConfig(n_steps=2000))
         assert str(exc.value) == str(expected.value)
 
 

@@ -12,6 +12,7 @@ from pdmg.matrix_game import (
     MatrixGame,
     MatrixGameError,
     _certificate,
+    certified,
     reset_counts,
     solve,
     solve_stack,
@@ -148,6 +149,37 @@ class TestCraftedGames:
         assert COUNTS["simplex"] == 1 and COUNTS["exact"] == 1
 
 
+class TestCertificate:
+    def test_infinite_gap_fails(self):
+        # an infinite entry makes the tolerance relative to it infinite too
+        game = np.array([[1.0, np.inf], [0.5, 2.0]])
+        assert not certified(game, 1.0, np.array([1.0, 0.0]), np.array([0.5, 0.5]))
+
+    def test_tolerance_is_relative_to_the_largest_entry(self):
+        # matching pennies, off its saddle value by 5e-10: within GAME_TOL of
+        # entries of size 1, past it for entries of size 1/4, and within it
+        # again for the same game scaled by 2**40
+        game, mix = np.array([[1.0, -1.0], [-1.0, 1.0]]), np.array([0.5, 0.5])
+        assert certified(game, 5e-10, mix, mix)
+        assert not certified(game / 4.0, 5e-10, mix, mix)
+        assert certified(game * 2.0**40, 5e-10 * 2.0**40, mix, mix)
+
+    def test_fallback_sees_the_game_scaled_by_a_power_of_two(self):
+        seen = []
+
+        def spy(game):
+            seen.append(game.payoffs)
+            return solve(game)
+
+        # no pure saddle and not square: the fallback solves it
+        game = np.array([[3.0, -1.0, 2.0], [-2.0, 1.5, 0.0]]) * 1e6
+        value, row, col = solve_stack(game[None], np.ones((1, 2, 3), dtype=bool), fallback=spy)
+        assert len(seen) == 1 and np.array_equal(seen[0], game / 2.0**21)
+        ref = solve(MatrixGame(game / 2.0**21))
+        assert value[0] == ref.value * 2.0**21
+        assert np.array_equal(row[0], ref.row_mix) and np.array_equal(col[0], ref.col_mix)
+
+
 class TestSolverUse:
     def test_controlled_backward_solve_needs_no_simplex(self, controlled, monkeypatch):
         calls = []
@@ -161,12 +193,13 @@ class TestSolverUse:
         assert calls == []
         assert np.all(field.phi > 0.0)
 
-    def test_cost_shift_beyond_float_spacing_still_fails(self):
-        # known fault: with every cost and the terminal cost raised by 20,
-        # phi passes ~1e7 and the absolute game_tol of 1e-9 falls below the
-        # float spacing of the cell entries; the simplex fallback then
-        # reports the gap it cannot certify
+    def test_cost_shift_beyond_float_spacing_meets_the_shift_identity(self):
+        # with every cost and the terminal cost raised by 20, phi passes ~1e7
+        # and an absolute gap of 1e-9 falls below the float spacing of the
+        # cell entries; certified relative to each game's scale, the solve
+        # succeeds and phi(0) is the base phi(0) times exp(lam*(T+1)*20)
         doc = demos.doc("controlled_two_state")
+        base = backward_solve(model_from_dict(doc), SolverConfig(n_steps=200))[0]
         n_states = len(doc["states"]["finite"])
         p1, p2 = doc["actions"]["p1"], doc["actions"]["p2"]
         p1 = p1 * n_states if len(p1) == 1 else p1
@@ -181,5 +214,7 @@ class TestSolverUse:
         g = {e["state"]: e["value"] for e in doc.get("terminal", [])}
         doc["terminal"] = [{"state": x, "value": g.get(x, 0.0) + 20.0} for x in range(n_states)]
         doc.pop("lyapunov", None)
-        with pytest.raises(MatrixGameError, match="exceeds tolerance"):
-            backward_solve(model_from_dict(doc), SolverConfig(n_steps=200))
+        shifted = backward_solve(model_from_dict(doc), SolverConfig(n_steps=200))[0]
+        factor = np.exp(doc["lambda"] * (doc["horizon"] + 1.0) * 20.0)
+        for x in range(n_states):
+            assert shifted.at(0, x) == pytest.approx(base.at(0, x) * factor, rel=1e-10)
