@@ -67,6 +67,13 @@ _CHUNK_GAMES = 4096
 # Coefficients of the largest table a reducer contracts its fixed mixtures
 # into for one chunk of knots: bounds the tables held at once.
 _CHUNK_COEFFS = 1 << 15
+# Largest batch (R*S cells) whose carried supports are valued with Python
+# floats.  Per fold call, with the write of its slice, the numpy form costs
+# 5.3-5.6 us from 2 to 48 cells; Python floats cost about 2.1 us + 0.22 us
+# per cell for one model, and about 1 us more in a batch (R > 1), whose
+# values become an (R, S) array (2 vCPU, CPython 3.11, numpy 2.4).  They
+# break even near 15 cells for one model and near 12 in a batch.
+_FLOAT_CELLS = 12
 # Largest CFL load Delta*(lambda*max|c| + 2*max q*) a backward solve accepts.
 CFL_SAFETY = 0.5
 # Picard sweeps run before giving up on the tolerance.
@@ -725,6 +732,13 @@ class _CarriedSaddles(_Reducer):
     column j0 (Shapley and Snow, 1950); a 1x1 support takes its entry a.
     Unshifted, a + d - b - c is small against the entries and the
     subtraction cancels digits.
+
+    The values of a knot on which every member is held come in one of two
+    forms, the same doubles: up to ``_FLOAT_CELLS`` cells they are Python
+    floats, above it numpy arrays, whose fixed cost per call is larger.  Both
+    take the same correctly rounded operations in the same order, with no
+    fused multiply-add.  A zero denominator, which raises in Python, sends
+    the knot to the numpy form and its inf or nan.
     """
 
     def __init__(self, model: GameModel, n_steps: int, members: int = 1):
@@ -746,6 +760,9 @@ class _CarriedSaddles(_Reducer):
         self.unpaired = np.ones((R, S))
         # views of the supports shaped like a knot's values, [R,] S
         self.corners, self.pad = self.take.reshape((4,) + lead + (S,)), self.unpaired.reshape(lead + (S,))
+        # the Python form's corner indices (a's, then b's, c's, d's) and pads
+        self.floats = R * S <= _FLOAT_CELLS
+        self.flat, self.pads = self.take.reshape(-1), self.unpaired.reshape(-1).tolist()
         self.held = np.zeros(R, dtype=bool)  # members marching on carried supports
         self.all_held = False
         self.phi = None  # the sweep's slices, once a certificate has failed
@@ -768,10 +785,21 @@ class _CarriedSaddles(_Reducer):
             self.unpaired[r] = ~paired
         else:
             self.take[:, r], self.unpaired[r] = self.idle[r], 1.0
+        self.pads = self.unpaired.reshape(-1).tolist()
         self.held[r] = held
         self.all_held = bool(self.held.all())
 
-    def fold(self, k: int, entries: np.ndarray) -> np.ndarray:
+    def fold(self, k: int, entries: np.ndarray):
+        if self.all_held and self.floats:
+            w, n = entries.take(self.flat).tolist(), len(self.pads)
+            try:
+                v = [a - (b := b0 - a) * (c := c0 - a) / (d0 - a - b - c + pad)
+                     for a, b0, c0, d0, pad in zip(w[:n], w[n : 2 * n], w[2 * n : 3 * n], w[3 * n :], self.pads)]
+            except ZeroDivisionError:
+                pass  # the numpy form's inf or nan
+            else:
+                self.flags[k] = False
+                return v if self.pad.ndim == 1 else np.array(v).reshape(self.pad.shape)
         a, b, c, d = entries.reshape(-1)[self.corners]
         b, c, d = b - a, c - a, d - a
         v = a - b * c / (d - b - c + self.pad)
@@ -1029,10 +1057,13 @@ def picard_solve(
 ):
     """Fixed point of the integral operator by Picard iteration.
 
-    Sweeps until the sup-norm change is <= config.tol; raises after
+    Sweeps until the change is <= config.tol at every knot k relative to
+    sigma_k = min(1, 2^(e-1)), where the largest |phi| at k lies in
+    [2^(e-1), 2^e): where phi < 1 the stop is relative to phi's scale, so a
+    small phi is not settled by a change as large as itself; raises after
     ``MAX_PICARD_SWEEPS`` sweeps, reporting the last residual, and at the
     first residual that is not finite.  With ``collect_info=True`` also
-    returns residuals and the cumulative contraction ratios
+    returns these scaled residuals and the cumulative contraction ratios
     residual_l / residual_0 together with the factorial bound
     ((2*||q|| + ||c||)*T)^l / l!.
     """
@@ -1045,7 +1076,12 @@ def picard_solve(
         # an overflow surfaces as the residual that is not finite, named below
         with np.errstate(over="ignore", invalid="ignore"):
             nxt = gamma_apply(model, u, grid, lags)
-            res = float(np.max(np.abs(nxt - u)))
+            res = np.abs(nxt - u)
+            # sigma_k = 1 at every knot unless some phi is below 1; the row
+            # maxima of a narrow field cost 3-5x the rest of this check
+            if u.min() < 1.0:
+                res /= np.minimum(1.0, np.ldexp(1.0, np.frexp(np.abs(u).max(axis=1))[1] - 1))[:, None]
+            res = float(res.max())
         if not math.isfinite(res):
             raise SolverError(f"Picard sweep {sweep + 1} has residual {res}; rescale the model")
         residuals.append(res)

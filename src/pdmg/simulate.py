@@ -327,6 +327,8 @@ class _Walker:
         """The next candidate of paths ``sub``: its time and uniforms (none
         while q_bar = 0)."""
         sub = sub[p.qbar[sub] > 0.0]
+        if not sub.size:
+            return
         u = philox_uniforms(philox_raw(self.seed, p.pid[sub], p.counter[sub]))
         p.counter[sub] += np.uint64(1)
         p.tau[sub] = p.t[sub] - np.log1p(-u[:, 0]) / p.qbar[sub]

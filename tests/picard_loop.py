@@ -8,7 +8,9 @@ bracket games, and accumulates the suffix knot by knot through each step
 map, the identity included.  ``FlowLags`` builds those lookups as they were
 built then, one cached map per displacement, here from the scalar boundary
 rule of ``perstate.apply_boundary``.  ``picard_solve`` and
-``saddle_from_field`` are the loops of that time around it.  The loop and
+``saddle_from_field`` are the loops of that time around it; ``picard_solve``
+stops on the package's rule, each knot's change relative to its scale,
+written knot by knot with ``math.frexp``.  The loop and
 the lookups are copies, so no reference runs the code it checks.
 ``test_picard_tables.py`` checks the operator against these.
 ``contraction_check`` is the empirical m-sweep contraction of the operator
@@ -118,7 +120,8 @@ def picard_solve(model: GameModel, config: SolverConfig, collect_info: bool = Fa
     residuals = []
     for sweep in range(shapley.MAX_PICARD_SWEEPS):
         nxt = gamma_apply(model, u, grid, lags)
-        res = float(np.max(np.abs(nxt - u)))
+        scale = [min(1.0, math.ldexp(1.0, math.frexp(float(np.abs(row).max()))[1] - 1)) for row in u]
+        res = float(np.max([np.abs(nxt[k] - u[k]).max() / scale[k] for k in range(len(u))]))
         if not math.isfinite(res):
             raise SolverError(f"Picard sweep {sweep + 1} has residual {res}; rescale the model")
         residuals.append(res)

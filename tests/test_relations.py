@@ -5,6 +5,7 @@ Cost shift: adding s to every running cost, with the terminal cost kept,
 multiplies phi(t, x) by exp(lambda*s*(T - t)), whatever the strategies, so
 the saddle value shifts by the same factor."""
 
+import json
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdmg.approx import _rebuild
+from pdmg.cli import main
 from pdmg.model import model_from_dict
 from pdmg.shapley import SolverConfig, backward_solve
 from test_carried_supports import random_finite_doc
@@ -59,3 +61,19 @@ def test_cost_shift_of_a_model_with_mixed_saddles(s):
     # the +20 shift raised "duality gap 2.980e-08 exceeds tolerance 1.000e-09"
     model = model_from_dict(random_finite_doc(642159816, [(2, 2), (3, 3)], 2))
     assert shift_error(model, s, 400) <= 1e-9
+
+
+def test_picard_stop_of_a_model_with_small_phi(tmp_path):
+    # shifted by -20, phi(0) is near 3e-13 at N = 100: under a stop absolute
+    # in phi's units (a change of at most 1e-9) the iteration stopped after 64
+    # sweeps, not 73, at phi(0) = [-1.2e-10, 1.0e-10], and the export
+    # refused the field
+    doc = random_finite_doc(642159816, [(2, 2), (3, 3)], 2)
+    for cost in doc["costs"] + [c for seg in doc["segments"] for c in seg["costs"]]:
+        cost["value"] -= 20.0
+    path = tmp_path / "shifted.json"
+    path.write_text(json.dumps(doc))
+    argv = ["solve", "--model", str(path), "--steps", "100", "--scheme", "picard", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    phi = np.loadtxt(tmp_path / "solution.csv", delimiter=",", skiprows=1, usecols=2)
+    assert np.all(phi > 0.0)

@@ -268,6 +268,33 @@ class TestOneWalk:
                 checked += 1
         assert checked > 10
 
+    def test_no_draw_for_no_path(self, two_state, monkeypatch):
+        # two_state's state 1 absorbs (q_bar = 0): when every candidate of a
+        # round jumps there, as the fifth round does under seed 0, no path is
+        # left to draw for
+        sizes = []
+
+        def spy(seed, paths, counters):
+            sizes.append(len(paths))
+            return philox_raw(seed, paths, counters)
+
+        def draw_always(self, p, sub):  # the draw before empty ones were skipped
+            sub = sub[p.qbar[sub] > 0.0]
+            u = philox_uniforms(simulate.philox_raw(self.seed, p.pid[sub], p.counter[sub]))
+            p.counter[sub] += np.uint64(1)
+            p.tau[sub] = p.t[sub] - np.log1p(-u[:, 0]) / p.qbar[sub]
+            p.u_accept[sub] = u[:, 1]
+            p.u_target[sub] = u[:, 2]
+
+        monkeypatch.setattr(simulate, "philox_raw", spy)
+        strategies, config = singleton_strategies(two_state), SimConfig(n_paths=6000, rng_seed=0)
+        est = estimate_J(two_state, strategies, 0.0, 0, config, record=6000)
+        assert sizes and min(sizes) > 0
+        sizes.clear()
+        monkeypatch.setattr(simulate._Walker, "_draw", draw_always)
+        assert estimate_J(two_state, strategies, 0.0, 0, config, record=6000) == est
+        assert 0 in sizes
+
     def test_estimate_averages_the_recorded_walks(self, saddles):
         for model, strategies, x0 in saddles:
             est = estimate_J(model, strategies, 0.0, x0, SimConfig(n_paths=50, rng_seed=9), record=50)
