@@ -4,21 +4,26 @@
 Usage: python3 scripts/bench_pairs.py --pr N [--parent HEAD] [--seed 1]
                                       [--workload NAME ...]
 
-Copies the parent commit with ``git archive`` under ``.pdmgbench_out/`` and
-runs ``python3 pdmgbench/run.py --workload W --seed S+i --seconds T --trace
-0`` on the parent and on this checkout, one after the other, for pair i =
-0..9 of every workload, with T the ``run_seconds`` of ``BENCHMARK.json``;
-the side that runs first alternates from pair to pair.  Then it runs each
-workload once more on each side with ``--trace 1`` and seed S.  The last
-line of each run is its JSON report.  Writes ``BENCH_<pr>.json`` at the root
-of this checkout: for each workload and end-to-end metric of
-``BENCHMARK.json``, the parent's and the change's median and quartiles, the
-pairs each side wins (ties count for neither) and whether the change's
-median is worse than the parent's by more than the metric's relative bound;
-per side the checks' verdict, the failed and attempted operations and the
-line count of ``src/pdmg/*.py``; the per-layer figures of the traced runs
-(reported, not gated); and the machine.  The copy is removed on every exit.
-Standard library only.
+Both sides run from copies made the same way, by ``git archive``, at paths
+of the same length under ``.pdmgbench_out/``: ``parent-<pid>`` holds the
+parent commit, ``change-<pid>`` the tracked files of this checkout as they
+stand (``git stash create``, which touches neither the files nor the refs;
+HEAD on a clean tree).  Untracked files are left out, so ``git add`` a new
+file first.  It runs ``python3 pdmgbench/run.py --workload W --seed S+i
+--seconds T --trace 0`` on the parent and on the change, one after the
+other, for pair i = 0..9 of every workload, with T the ``run_seconds`` of
+``BENCHMARK.json``; the side that runs first alternates from pair to pair.
+Then it runs each workload three more times on each side with ``--trace 1``
+and seeds S..S+2, alternated the same way.  The last line of each run is
+its JSON report.  Writes ``BENCH_<pr>.json`` at the root of this checkout:
+for each workload and end-to-end metric of ``BENCHMARK.json``, the parent's
+and the change's median and quartiles, the pairs each side wins (ties count
+for neither) and whether the change's median is worse than the parent's by
+more than the metric's relative bound; per side the checks' verdict, the
+failed and attempted operations and the line count of ``src/pdmg/*.py``;
+the per-layer figures, each side's median and range over its traced runs
+(reported, not gated); and the machine.  The copies are removed on every
+exit.  Standard library only.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
 PAIRS = 10
+TRACED = 3  # traced runs per side and workload
 
 
 def quartiles(values: list) -> dict:
@@ -87,17 +93,23 @@ def summarize(pairs: list, spec: dict) -> dict:
 
 
 def layers(traced: tuple) -> dict:
-    """Per-layer figures of one traced run per side, (parent, change): each
-    metric either report holds, with its unit, both sides' values (None
-    where a side lacks it) and the change relative to the parent."""
-    names = dict.fromkeys(name for report in traced for name in report["metrics"])
+    """Per-layer figures of the traced runs of each side, (parent runs,
+    change runs): each metric some report holds, with its unit, each side's
+    median over its runs and their range [min, max] (None where no run of a
+    side holds it), and the change of the medians relative to the parent's."""
+    reports = [r for runs in traced for r in runs]
+    names = dict.fromkeys(name for report in reports for name in report["metrics"])
     table = {}
     for name in names:
-        entry = {"unit": next(r["metrics"][name]["unit"] for r in traced if name in r["metrics"])}
-        for side, report in zip(SIDES, traced):
-            entry[side] = report["metrics"].get(name, {}).get("value")
+        entry = {"unit": next(r["metrics"][name]["unit"] for r in reports if name in r["metrics"])}
+        spread = {}
+        for side, runs in zip(SIDES, traced):
+            values = [r["metrics"][name]["value"] for r in runs if name in r["metrics"]]
+            entry[side] = statistics.median(values) if values else None
+            spread[side] = [min(values), max(values)] if values else None
         base, new = entry["parent"], entry["change"]
         entry["relative_change"] = (new - base) / abs(base) if base and new is not None else None
+        entry["range"] = spread
         table[name] = entry
     return table
 
@@ -120,6 +132,19 @@ def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
 
 
+def copy_roots(tag: int) -> dict:
+    """Where each side's copy goes: ``.pdmgbench_out/<side>-<tag>``, paths of
+    one length, as "parent" and "change" are names of one length."""
+    return {side: os.path.join(ROOT, ".pdmgbench_out", f"{side}-{tag}") for side in SIDES}
+
+
+def archive(rev: str, dest: str) -> None:
+    """The files of commit ``rev`` in the new directory ``dest``."""
+    os.makedirs(dest)
+    files = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", dest], input=files, check=True)
+
+
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--pr", type=int, required=True, help="number in the name of BENCH_<pr>.json")
@@ -136,14 +161,13 @@ def main(argv=None) -> int:
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
     parent = git("rev-parse", args.parent)
-    tree = os.path.join(ROOT, ".pdmgbench_out", f"parent-{os.getpid()}")
+    change = git("stash", "create") or git("rev-parse", "HEAD")
+    roots = copy_roots(os.getpid())
     # a SIGTERM unwinds through the finally below, as Ctrl-C does
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(1))
     try:
-        os.makedirs(tree)
-        archive = subprocess.run(["git", "archive", parent], cwd=ROOT, check=True, capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
-        roots = {"parent": tree, "change": ROOT}
+        for side, rev in zip(SIDES, (parent, change)):
+            archive(rev, roots[side])
         runs = {w: [] for w in workloads}
         for i in range(PAIRS):
             for w in workloads:
@@ -151,14 +175,19 @@ def main(argv=None) -> int:
                 report = {side: run_once(roots[side], w, args.seed + i, seconds) for side in order}
                 runs[w].append(tuple(report[side] for side in SIDES))
                 print(f"pair {i + 1}/{PAIRS} {w}: done", file=sys.stderr)
-        traced = {w: tuple(run_once(roots[side], w, args.seed, seconds, trace=1) for side in SIDES)
-                  for w in workloads}
+        traced = {w: ([], []) for w in workloads}
+        for i in range(TRACED):
+            for w in workloads:
+                for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                    traced[w][SIDES.index(side)].append(run_once(roots[side], w, args.seed + i, seconds, trace=1))
         print("traced runs: done", file=sys.stderr)
     finally:
-        shutil.rmtree(tree, ignore_errors=True)
+        for root in roots.values():
+            shutil.rmtree(root, ignore_errors=True)
     doc = {
         "pr": args.pr,
         "parent": parent,
+        "change": change,
         "pairs": PAIRS,
         "seconds": seconds,
         "seeds": [args.seed + i for i in range(PAIRS)],
@@ -167,7 +196,7 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "numpy": importlib.metadata.version("numpy"),
         },
-        "trace_seed": args.seed,
+        "trace_seeds": [args.seed + i for i in range(TRACED)],
         "workloads": {w: {**summarize(pairs, spec), "layers": layers(traced[w])} for w, pairs in runs.items()},
     }
     path = os.path.join(ROOT, f"BENCH_{args.pr}.json")

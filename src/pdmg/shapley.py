@@ -29,9 +29,10 @@ almost always carries over), certifies whole chunks of knots at once and
 re-solves a knot by ``solve_stack`` only where a certificate fails.
 Evaluations and best responses run the same backward sweep with the fixed
 mixtures contracted into the step tables, so that a knot costs a few small
-array operations.  ``backward_solve_batch`` marches several models on one
-grid (the levels of a truncation ladder, say) in that one sweep, a member
-axis leading every slice, so their knots cost one loop.
+array operations on buffers allocated once.  ``backward_solve_batch``
+marches several models on one grid (the levels of a truncation ladder,
+say) in that one sweep, a member axis leading every slice, so their knots
+cost one loop.
 ``evaluate_and_respond`` marches one model's pair evaluation and both best
 responses (the three solves of exploitability) as the members of one
 sweep, on one build of the step tables.
@@ -297,24 +298,28 @@ def knot_segments(model: GameModel, grid: TimeGrid) -> np.ndarray:
     return np.searchsorted(starts, np.arange(grid.n_steps + 1), side="right") - 1
 
 
-def _cell_entries(D: np.ndarray, JT: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _cell_entries(D: np.ndarray, JT: np.ndarray, v: np.ndarray, out=None, dot=None, prod=None) -> np.ndarray:
     """Cell-game entries D*v(x) + sum_y J[(x, w), y]*v(y) of every state x and
     free action w.
 
     ``D`` (S, W) and ``J`` (S*W, S) are step tables, W the actions left free
     (A*B for whole games: ``diag.reshape(S, -1)`` and ``jump.reshape(-1, S)``
     of (S, A, B) and (S, A, B, S) tables), and ``JT`` is ``J.T``; ``v`` is one
-    slice (S,) or a stack of slices (K, S).  Returns (..., S, W).
+    slice (S,) or a stack of slices (K, S).  Returns (..., S, W), into
+    ``out`` if given; for one slice ``dot`` (S*W,) and ``prod`` (S, W) may
+    take the terms.  The bits are those of D*v[..., None] + v @ JT.
     """
-    # np.dot: the BLAS call of v @ JT, with less overhead on small arrays
-    return D * v[..., None] + np.dot(v, JT).reshape(v.shape + D.shape[1:])
+    # np.dot: v @ JT's BLAS call, with less overhead; no ufunc writes into an input (2x the cost on one element)
+    products = np.multiply(D, v[..., None], out=prod)
+    return np.add(products, np.dot(v, JT, out=dot).reshape(products.shape), out=out)
 
 
-def _member_entries(D: np.ndarray, JT: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _member_entries(D: np.ndarray, JT: np.ndarray, v: np.ndarray, out=None, dot=None, prod=None) -> np.ndarray:
     """:func:`_cell_entries` of R members at once: ``D`` (R, S, W), ``JT``
-    (R, S, S*W) and ``v`` (R, S) give (R, S, W).  One np.matmul over the
-    members, bit for bit the np.dot of each member alone."""
-    return D * v[..., None] + np.matmul(v[:, None], JT).reshape(D.shape)
+    (R, S, S*W) and ``v`` (R, S) give (R, S, W), ``dot`` (R, 1, S*W).  One
+    np.matmul over the members, bit for bit the np.dot of each member alone."""
+    products = np.multiply(D, v[..., None], out=prod)
+    return np.add(products, np.matmul(v[:, None], JT, out=dot).reshape(D.shape), out=out)
 
 
 def _ediff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -514,8 +519,9 @@ class _Reducer:
     with both players held to a pair.
 
     ``signs`` holds one sign per slice a model marches: a slice signed -1
-    is marched as -phi.  ``entries``, when set, replaces the sweep's entry
-    builder for a reducer whose tables are not one (S, W) pair per knot.
+    is marched as -phi.  ``entries(D, JT, psi, out, dot, prod)``, when set,
+    replaces the sweep's entry builder for a reducer whose tables are not
+    one (S, W) pair per knot: it writes a flat row of ``width`` into ``out``.
     """
 
     certify = None
@@ -609,10 +615,11 @@ class _PairAndResponses(_Reducer):
         D = np.concatenate([np.asarray(D)[rows].reshape(len(segs), -1) for D, _, rows in parts], axis=1)
         return D, list(zip(*([JT[i] for i in rows] for _, JT, rows in parts))), range(len(segs))
 
-    def entries(self, D: np.ndarray, JT: tuple, psi: np.ndarray) -> np.ndarray:
+    def entries(self, D: np.ndarray, JT: tuple, psi: np.ndarray, out: np.ndarray, dot, prod: np.ndarray):
+        # dot is None: each member's product with J goes to its part of self.row
         for m, jt in enumerate(JT):  # indexing psi: cheaper than iterating over it
             np.dot(psi[m], jt, out=self.outs[m])
-        return D * psi.take(self.spread) + self.row
+        return np.add(np.multiply(D, psi.take(self.spread), out=prod), self.row, out=out)
 
     def fold(self, k: int, entries: np.ndarray) -> np.ndarray:
         return np.maximum.reduceat(entries + self.pad, self.runs).reshape(len(self.signs), -1)
@@ -633,7 +640,10 @@ def _sweep(models: list, grid: TimeGrid, reducer: _Reducer) -> list[ValueField]:
     ``D*psi[:, None] + (psi @ J.T).reshape(S, W)`` and
     ``reducer.fold(k, entries)`` is slice k.  The sweep alone values a knot
     where the reducer's W is 1: no player has a choice there, each entry is
-    the value of its 1x1 game, and there is no certificate to run.  In a
+    the value of its 1x1 game, and there is no certificate to run.  Entries
+    allocate no array (psi on a grid flow aside): a knot writes them into
+    slice k where W is 1, else into its chunk slot where a certificate will
+    read them, else into one scratch buffer, and their terms into two more.  In a
     batch, slice k is (R, S), the tables (R, S, W) and (R, S, S*W), and the
     entries (R, S, W) of all members come from one np.matmul
     (:func:`_member_entries`), bit for bit the np.dot each member's own
@@ -669,30 +679,33 @@ def _sweep(models: list, grid: TimeGrid, reducer: _Reducer) -> list[ValueField]:
         # no table a contraction makes is larger than (K, S, A, B, S)
         A, B = model.widths
         cap = max(1, min(cap, _CHUNK_COEFFS // (S * A * B * S)))
-    if reducer.width == 1:
-        certify, fold = None, lambda k, entries: entries[..., 0]
-    else:
-        certify, fold = reducer.certify, reducer.fold
+    W = reducer.width
+    knot = (W,) if reducer.entries else lead + (S, W)
+    build = reducer.entries or (_member_entries if lead else _cell_entries)
+    dot = None if reducer.entries else np.empty(lead + (1,) * len(lead) + (S * W,))
+    prod, scratch = np.empty(knot), np.empty(knot)
+    # views taken once: slice k+1 is knot k's psi; where W = 1, knot k's entries are slice k
+    slices, values = list(phi), (list(phi[..., None]) if W == 1 else None)
+    certify, fold = (None, None) if W == 1 else (reducer.certify, reducer.fold)
     flows = lags.flows
-    steps = lags.step_table if flows else None
-    entries_of = reducer.entries or (_member_entries if lead else _cell_entries)
+    steps = list(lags.step_table) if flows else None
     k_hi, length = N, (1 if certify else cap)
     while k_hi > 0:
         k_lo = max(k_hi - length, 0)
         D, JT, rows = reducer.tables(diags, jumps, knot_seg[k_lo:k_hi], k_lo)
-        chunk = np.empty((k_hi - k_lo,) + lead + (S, reducer.width)) if certify else None
+        chunk = np.empty((k_hi - k_lo,) + knot) if certify else None
         for k in range(k_hi - 1, k_lo - 1, -1):
             if not flows:
-                psi = phi[k + 1]
+                psi = slices[k + 1]
             elif lead:  # along the state axis of (R, S)
-                psi = phi[k + 1].take(steps[k], axis=-1)
-            else:  # plain indexing: cheaper than take on (S,)
-                psi = phi[k + 1][steps[k]]
+                psi = slices[k + 1].take(steps[k], axis=-1)
+            else:  # plain indexing: cheaper than take on (S,), with or without out=
+                psi = slices[k + 1][steps[k]]
             i = rows[k - k_lo]
-            entries = entries_of(D[i], JT[i], psi)
-            if certify:
-                chunk[k - k_lo] = entries
-            phi[k] = fold(k, entries)
+            if fold is None:
+                build(D[i], JT[i], psi, values[k], dot, prod)
+            else:
+                phi[k] = fold(k, build(D[i], JT[i], psi, chunk[k - k_lo] if certify else scratch, dot, prod))
         resume = certify(k_lo, chunk, phi) if certify else None
         k_hi, length = (k_lo, min(2 * length, cap)) if resume is None else (resume + 1, 1)
     fields = [
@@ -1228,15 +1241,16 @@ def _fmt_fast(v: np.ndarray, out: np.ndarray, printed: np.ndarray) -> np.ndarray
     return ~fast
 
 
-def _fmt_column(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _fmt_column(values: np.ndarray, exact=None) -> tuple[np.ndarray, np.ndarray]:
     """FMT of every value as the planes (5, n) of its words, and the value
-    each text reads back as (``float(FMT % v)`` bit for bit)."""
+    each text reads back as (``float(FMT % v)`` bit for bit).  ``exact``, if
+    given, maps the indices of the values left to % to the values % prints."""
     v = values.ravel()
     out = np.zeros((5, v.size), np.uint64)
     printed = np.empty(v.size)
     slow = np.flatnonzero(_fmt_fast(v, out, printed) if v.size >= _FMT_CUTOVER else np.ones(v.size, bool))
     if slow.size:
-        texts = _fmt_all(v[slow].tolist())
+        texts = _fmt_all(v[slow].tolist() if exact is None else exact(slow))
         out[:3, slow] = _words([t.encode() for t in texts], 3).T
         out[3:, slow] = 0
         printed[slow] = np.fromiter(map(float, texts), float, slow.size)
@@ -1274,9 +1288,10 @@ def _rows_by_words(
     a digit word's byte 7 comes before a digit in the next plane)."""
     K, n = phi.shape
     phi_words, printed = _fmt_column(phi)
-    risk = np.fromiter(map(math.log, printed.tolist()), float, printed.size) / lam
+    # np.log is within 2 ulps of math.log: the digits serve values 8 ulps from a tie, % takes math.log of the rest
+    risk = np.log(printed) / lam
     states = _words([b"%d" % x for x in range(n)], -(-len(b"%d" % (n - 1)) // 7)).T[:, None, :]
-    risk_words = _fmt_column(risk)[0]
+    risk_words = _fmt_column(risk, lambda slow: [math.log(p) / lam for p in printed[slow].tolist()])[0]
     fields = [_fmt_column(times)[0][:, :, None], states, phi_words.reshape(5, K, n), risk_words.reshape(5, K, n)]
     fields = [f[f.any(axis=(1, 2))] for f in fields]
     # padded fields take the last entry, which is empty
@@ -1303,8 +1318,8 @@ def export_solution_csv(model: GameModel, field: ValueField, strategies: Strateg
     [t_k, t_{k+1}) and the final row repeats the last slice.  Rows are
     formatted in blocks of whole knots; risk_value is derived from the
     printed (quantized) phi so that export -> import -> export is
-    byte-identical, by ``math.log``, since the vectorised ``np.log`` may
-    differ in the last ulp.  Each distinct mixture entry is printed once
+    byte-identical, and prints as ``math.log`` of it would (the vectorised
+    ``np.log`` may differ in the last ulp).  Each distinct mixture entry is printed once
     (unique bit patterns keep -0.0 apart from 0.0).
     """
     grid = field.grid

@@ -86,16 +86,44 @@ def traced(metrics):
     }
 
 
-def test_layers_of_one_traced_run_per_side():
-    parent = traced({"shapley.export_solution_csv.s": 0.125, "matrix_game.solve.calls": 10, "trace.overhead": 0.5})
-    change = traced({"shapley.export_solution_csv.s": 0.05, "matrix_game.solve.calls": 0, "cli.self_s": 0.01})
+def test_layers_are_medians_of_each_sides_traced_runs():
+    parent = [traced({"shapley.export_solution_csv.s": v, "matrix_game.solve.calls": 10, "trace.overhead": 0.5})
+              for v in (0.125, 0.5, 0.1)]
+    change = [traced({"shapley.export_solution_csv.s": v, "matrix_game.solve.calls": 0}) for v in (0.05, 0.04, 0.06)]
+    change[1]["metrics"]["cli.self_s"] = {"value": 0.01, "unit": "s"}  # a layer one run alone holds
     out = bench_pairs.layers((parent, change))
     assert list(out) == ["shapley.export_solution_csv.s", "matrix_game.solve.calls", "trace.overhead", "cli.self_s"]
+    # one disturbed run (0.5) moves neither the median nor the relative change
     assert out["shapley.export_solution_csv.s"] == {
         "unit": "s", "parent": 0.125, "change": 0.05, "relative_change": pytest.approx(-0.6),
+        "range": {"parent": [0.1, 0.5], "change": [0.04, 0.06]},
     }
-    assert out["matrix_game.solve.calls"] == {"unit": "count", "parent": 10, "change": 0, "relative_change": -1.0}
-    # a layer one side lacks, or that reads 0 at the parent, has no relative change
-    assert out["trace.overhead"] == {"unit": "ratio", "parent": 0.5, "change": None, "relative_change": None}
-    assert out["cli.self_s"] == {"unit": "s", "parent": None, "change": 0.01, "relative_change": None}
+    assert out["matrix_game.solve.calls"] == {
+        "unit": "count", "parent": 10, "change": 0, "relative_change": -1.0,
+        "range": {"parent": [10, 10], "change": [0, 0]},
+    }
+    # a layer no run of one side holds, or that reads 0 at the parent, has no relative change
+    assert out["trace.overhead"] == {
+        "unit": "ratio", "parent": 0.5, "change": None, "relative_change": None,
+        "range": {"parent": [0.5, 0.5], "change": None},
+    }
+    assert out["cli.self_s"] == {
+        "unit": "s", "parent": None, "change": 0.01, "relative_change": None,
+        "range": {"parent": None, "change": [0.01, 0.01]},
+    }
     assert bench_pairs.layers((change, change))["matrix_game.solve.calls"]["relative_change"] is None
+
+
+def test_one_traced_run_a_side_is_its_own_median():
+    out = bench_pairs.layers(([traced({"cli.self_s": 0.02})], [traced({"cli.self_s": 0.01})]))
+    assert out["cli.self_s"] == {
+        "unit": "s", "parent": 0.02, "change": 0.01, "relative_change": pytest.approx(-0.5),
+        "range": {"parent": [0.02, 0.02], "change": [0.01, 0.01]},
+    }
+
+
+def test_both_sides_run_from_copies_at_paths_of_one_length():
+    roots = bench_pairs.copy_roots(4321)
+    assert list(roots) == ["parent", "change"]
+    assert len(roots["parent"]) == len(roots["change"])
+    assert all(Path(r).parent == ROOT / ".pdmgbench_out" for r in roots.values())

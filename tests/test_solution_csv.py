@@ -119,6 +119,51 @@ def test_blocks_match_the_row_by_row_reference(case):
     assert export_solution_csv(model, field2, strategies2) == text
 
 
+def test_np_log_is_within_two_ulps_of_math_log():
+    # the premise of export's risk_value: np.log may round otherwise than
+    # libm's log, but by no more than the formatter's margin can absorb
+    rng = np.random.default_rng(0)
+    x = np.concatenate([
+        1.0 + np.arange(-10**5, 10**5) * 2.0**-52,  # every double next to 1
+        1.0 + rng.uniform(-1e-3, 1e-3, 10**5),
+        rng.uniform(0.5, 2.0, 10**5),
+        np.exp(rng.uniform(-708.0, 709.0, 10**5)),
+        2.0 ** rng.uniform(-1022.0, 1023.0, 10**5),
+    ])
+    logs = np.fromiter(map(math.log, x.tolist()), float, x.size)
+    assert np.all(np.sign(np.log(x)) == np.sign(logs))
+    assert np.abs(np.log(x).view(np.int64) - logs.view(np.int64)).max() <= 2
+
+
+def printed_phis_whose_logs_differ(rng, size, lam):
+    """Printed phi values near 1 whose risk values by np.log and by math.log
+    are different doubles (about 1% of them)."""
+    found = []
+    while len(found) < size:
+        printed = np.array([float(FMT % v) for v in (1.0 + rng.uniform(-0.3, 0.3, 4096)).tolist()])
+        exact = np.fromiter((math.log(p) / lam for p in printed.tolist()), float, printed.size)
+        found += printed[np.log(printed) / lam != exact].tolist()
+    return np.array(found[:size])
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    S=st.integers(1, 3),
+    n_steps=st.integers(300, 700),
+    lam=st.floats(0.01, 1.0, allow_nan=False),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_risk_values_of_np_log_print_as_math_log(S, n_steps, lam, seed):
+    # blocks of 300 rows or more print risk_value from np.log of the printed phi
+    rng = np.random.default_rng(seed)
+    model = finite_model([(1, 1)] * S, lam=lam)
+    grid = TimeGrid(n_steps, model.horizon)
+    phi = printed_phis_whose_logs_differ(rng, (n_steps + 1) * S, lam).reshape(n_steps + 1, S)
+    ones = np.ones((n_steps, S, 1))
+    field, strategies = ValueField(grid, phi), StrategyField(grid, ones, ones)
+    assert export_solution_csv(model, field, strategies) == rowwise_csv.export_solution_csv(model, field, strategies)
+
+
 def power_of_ten_or_neighbour(k, step):
     """The double nearest 10**k, or the one an ulp below or above it."""
     x = float(f"1e{k}")
