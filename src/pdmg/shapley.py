@@ -61,13 +61,10 @@ _TINY = np.finfo(float).tiny  # the smallest normal double
 # _fmt_fast, or under _WORDS_CUTOVER rows by %): bounds the arrays held at
 # once.
 _CSV_BLOCK = 2048
-# Cell games of the largest chunk of knots a sweep marches at once (the
-# backward stepper on carried supports before certifying them): bounds the
-# entries held at once.
-_CHUNK_GAMES = 4096
-# Coefficients of the largest table a reducer contracts its fixed mixtures
-# into for one chunk of knots: bounds the tables held at once.
-_CHUNK_COEFFS = 1 << 15
+# Floats of the largest chunk of knots a sweep marches at once: its
+# entries (the backward stepper certifies them a chunk at a time), or the
+# coefficients of the tables a reducer contracts its fixed mixtures into.
+_CHUNK_FLOATS = 1 << 15
 # Largest batch (R*S cells) whose carried supports are valued with Python
 # floats.  Per fold call, with the write of its slice, the numpy form costs
 # 5.3-5.6 us from 2 to 48 cells; Python floats cost about 2.1 us + 0.22 us
@@ -516,7 +513,9 @@ class _Reducer:
     contraction (its simplex is [1]), so a reducer that fixes no wider axis
     marches on the segment tables themselves.  A reducer with W = 1 needs
     no ``fold``: :func:`_sweep` values each of its knots by the entry, as
-    with both players held to a pair.
+    with both players held to a pair.  With one player held, the fold is
+    the other's best response: its best admissible (``free``, (S, W)) pure
+    action, a max for player 1 and a min for player 2.
 
     ``signs`` holds one sign per slice a model marches: a slice signed -1
     is marched as -phi.  ``entries(D, JT, psi, out, dot, prod)``, when set,
@@ -535,6 +534,12 @@ class _Reducer:
         self.held_mu = mu if A > 1 else None
         self.held_nu = nu if B > 1 else None
         self.contracts = self.held_mu is not None or self.held_nu is not None
+        if (mu is None) != (nu is None):
+            self.free = model.cells[:, :, 0] if mu is None else model.cells[:, 0, :]
+            self.best, self.worst = (np.maximum, -np.inf) if mu is None else (np.minimum, np.inf)
+
+    def fold(self, k: int, entries: np.ndarray) -> np.ndarray:
+        return self.best.reduce(entries, axis=-1, where=self.free, initial=self.worst)
 
     def tables(self, diags: list, jumps: list, segs: np.ndarray, k_lo: int):
         """Step tables (D, JT, rows) of the knots k_lo, k_lo+1, .. lying in
@@ -560,45 +565,29 @@ class _Reducer:
         return D, J.reshape(K, S * W, S).transpose(0, 2, 1), range(K)
 
 
-class _BestResponse(_Reducer):
-    """One player held to its half of ``fixed``, the other free: the value is
-    the best admissible pure action, a max for player 1 and a min for
-    player 2, with the padding masked by an additive -inf pad.  Player 2's
-    side marches on -phi, so that its min is the max of the negated
-    entries; negation is exact, so the bits are those of the min."""
-
-    def __init__(self, model: GameModel, fixed: StrategyField, slices: np.ndarray, side: str):
-        if side == "maximize":
-            super().__init__(model, slices, nu=fixed.nu)
-            self.pad = np.where(model.cells[:, :, 0], 0.0, -np.inf)
-        else:
-            super().__init__(model, slices, mu=fixed.mu)
-            self.pad = np.where(model.cells[:, 0, :], 0.0, -np.inf)
-            self.signs = (-1.0,)
-
-    def fold(self, k: int, entries: np.ndarray) -> np.ndarray:
-        return np.maximum.reduce(entries + self.pad, axis=-1)
-
-
 class _PairAndResponses(_Reducer):
     """The pair evaluation of ``fixed`` and the best response of each side
     with more than one action, marched as the members of one sweep: the
-    pair, then player 1's side, then player 2's (on -phi).
+    pair, then player 1's side, then player 2's.
 
     A knot's entries are one flat row, each member's (S, W) entries in turn
     (W = 1 for the pair), and its slices are one ``np.maximum.reduceat``
-    over the padded row: the pair's runs are one entry long.  Each member
-    marches on its own step tables and writes its part of the row with the
-    np.dot of its own sweep, so its bits are that sweep's.  A knot's tables
-    are the row of diagonal coefficients and a tuple with each member's JT.
+    over the row: the pair's runs are one entry long.  For that one max,
+    player 2's side marches on -phi (negation is exact), and a padded
+    action's diagonal coefficient in a chunk's row is -inf times its sign.
+    Each member marches on its own step tables and writes its part of the
+    row with the np.dot of its own sweep, so its bits are that sweep's.  A
+    knot's tables are the row of diagonal coefficients and a tuple with
+    each member's JT.
     """
 
     def __init__(self, model: GameModel, fixed: StrategyField, slices: np.ndarray):
         S = model.n_states
         A, B = model.widths
-        sides = [_BestResponse(model, fixed, slices, side) for side, w in (("maximize", A), ("minimize", B)) if w > 1]
-        self.members = [_Reducer(model, slices, fixed.mu, fixed.nu)] + sides
-        self.signs = tuple(m.signs[0] for m in self.members)
+        sides = [(sign, _Reducer(model, slices, **held))
+                 for sign, held, w in ((1.0, {"nu": fixed.nu}, A), (-1.0, {"mu": fixed.mu}, B)) if w > 1]
+        self.members = [_Reducer(model, slices, fixed.mu, fixed.nu)] + [side for _, side in sides]
+        self.signs = (1.0,) + tuple(sign for sign, _ in sides)
         self.contracts = True  # the pair holds an axis wider than 1
         widths = [m.width for m in self.members]
         ends = np.cumsum([S * w for w in widths]).tolist()
@@ -608,11 +597,14 @@ class _PairAndResponses(_Reducer):
         # entry -> the member slice psi it multiplies, and the runs folded into one value
         self.spread = np.repeat(np.arange(len(self.members) * S), np.repeat(widths, S))
         self.runs = np.concatenate([[0], np.cumsum(np.repeat(widths, S))[:-1]])
-        self.pad = np.concatenate([np.zeros(S)] + [side.pad.ravel() for side in sides])
+        free = np.concatenate([np.ones(S, dtype=bool)] + [side.free.ravel() for _, side in sides])
+        self.padded = np.flatnonzero(~free)
+        self.walls = -np.inf * np.array(self.signs)[self.spread[self.padded] // S]
 
     def tables(self, diags: list, jumps: list, segs: np.ndarray, k_lo: int):
         parts = [member.tables(diags, jumps, segs, k_lo) for member in self.members]
         D = np.concatenate([np.asarray(D)[rows].reshape(len(segs), -1) for D, _, rows in parts], axis=1)
+        D[:, self.padded] = self.walls
         return D, list(zip(*([JT[i] for i in rows] for _, JT, rows in parts))), range(len(segs))
 
     def entries(self, D: np.ndarray, JT: tuple, psi: np.ndarray, out: np.ndarray, dot, prod: np.ndarray):
@@ -622,7 +614,7 @@ class _PairAndResponses(_Reducer):
         return np.add(np.multiply(D, psi.take(self.spread), out=prod), self.row, out=out)
 
     def fold(self, k: int, entries: np.ndarray) -> np.ndarray:
-        return np.maximum.reduceat(entries + self.pad, self.runs).reshape(len(self.signs), -1)
+        return np.maximum.reduceat(entries, self.runs).reshape(len(self.signs), -1)
 
 
 # overflowing entries, and a carried 2x2 support whose entries come to
@@ -651,10 +643,10 @@ def _sweep(models: list, grid: TimeGrid, reducer: _Reducer) -> list[ValueField]:
     of one model on its own tables and builds their entries with
     ``reducer.entries``; a slice signed -1 holds -phi from the terminal
     slice down and is negated back at the end.  A chunk holds at most
-    ``_CHUNK_GAMES`` games, and at most ``_CHUNK_COEFFS`` coefficients where
-    the reducer contracts mixtures (one model only).  With
-    ``reducer.certify``, ``certify(k_lo, chunk, phi)`` sees the entries
-    (K, [R,] S, W) of knots k_lo..k_lo+K-1 once the chunk is done and
+    ``_CHUNK_FLOATS`` entries, or table coefficients where the reducer
+    contracts mixtures (one model only).  With ``reducer.certify``,
+    ``certify(k_lo, chunk, phi)`` sees the entries (K, [R,] S, W) of knots
+    k_lo..k_lo+K-1 once the chunk is done and
     returns None to accept it, or a knot to resume from: every slice from
     that knot down is computed again.  After a rejection the next chunk is
     one knot long, after an accepted chunk twice as long.  Returns each
@@ -674,12 +666,10 @@ def _sweep(models: list, grid: TimeGrid, reducer: _Reducer) -> list[ValueField]:
     N, S = grid.n_steps, model.n_states
     phi = np.empty((N + 1,) + lead + (S,))
     phi[N] = np.reshape([sign * terminal_field(m) for m in models for sign in reducer.signs], lead + (S,))
-    cap = max(1, _CHUNK_GAMES // (len(models) * S))
-    if reducer.contracts:
-        # no table a contraction makes is larger than (K, S, A, B, S)
-        A, B = model.widths
-        cap = max(1, min(cap, _CHUNK_COEFFS // (S * A * B * S)))
+    A, B = model.widths
     W = reducer.width
+    # no table a contraction makes is larger than (K, S, A, B, S)
+    cap = max(1, _CHUNK_FLOATS // (S * A * B * S if reducer.contracts else len(models) * S * W))
     knot = (W,) if reducer.entries else lead + (S, W)
     build = reducer.entries or (_member_entries if lead else _cell_entries)
     dot = None if reducer.entries else np.empty(lead + (1,) * len(lead) + (S * W,))
@@ -772,10 +762,10 @@ class _CarriedSaddles(_Reducer):
         self.take = np.repeat(self.idle[None], 4, axis=0)
         self.unpaired = np.ones((R, S))
         # views of the supports shaped like a knot's values, [R,] S
-        self.corners, self.pad = self.take.reshape((4,) + lead + (S,)), self.unpaired.reshape(lead + (S,))
-        # the Python form's corner indices (a's, then b's, c's, d's) and pads
+        self.corners, self.single = self.take.reshape((4,) + lead + (S,)), self.unpaired.reshape(lead + (S,))
+        # the Python form's corner indices (a's, then b's, c's, d's) and flags
         self.floats = R * S <= _FLOAT_CELLS
-        self.flat, self.pads = self.take.reshape(-1), self.unpaired.reshape(-1).tolist()
+        self.flat, self.singles = self.take.reshape(-1), self.unpaired.reshape(-1).tolist()
         self.held = np.zeros(R, dtype=bool)  # members marching on carried supports
         self.all_held = False
         self.phi = None  # the sweep's slices, once a certificate has failed
@@ -798,24 +788,24 @@ class _CarriedSaddles(_Reducer):
             self.unpaired[r] = ~paired
         else:
             self.take[:, r], self.unpaired[r] = self.idle[r], 1.0
-        self.pads = self.unpaired.reshape(-1).tolist()
+        self.singles = self.unpaired.reshape(-1).tolist()
         self.held[r] = held
         self.all_held = bool(self.held.all())
 
     def fold(self, k: int, entries: np.ndarray):
         if self.all_held and self.floats:
-            w, n = entries.take(self.flat).tolist(), len(self.pads)
+            w, n = entries.take(self.flat).tolist(), len(self.singles)
             try:
-                v = [a - (b := b0 - a) * (c := c0 - a) / (d0 - a - b - c + pad)
-                     for a, b0, c0, d0, pad in zip(w[:n], w[n : 2 * n], w[2 * n : 3 * n], w[3 * n :], self.pads)]
+                v = [a - (b := b0 - a) * (c := c0 - a) / (d0 - a - b - c + single)
+                     for a, b0, c0, d0, single in zip(w[:n], w[n : 2 * n], w[2 * n : 3 * n], w[3 * n :], self.singles)]
             except ZeroDivisionError:
                 pass  # the numpy form's inf or nan
             else:
                 self.flags[k] = False
-                return v if self.pad.ndim == 1 else np.array(v).reshape(self.pad.shape)
+                return v if self.single.ndim == 1 else np.array(v).reshape(self.single.shape)
         a, b, c, d = entries.reshape(-1)[self.corners]
         b, c, d = b - a, c - a, d - a
-        v = a - b * c / (d - b - c + self.pad)
+        v = a - b * c / (d - b - c + self.single)
         if self.all_held:
             self.flags[k] = False
             return v
@@ -965,13 +955,15 @@ def best_response_solve(
 
     side="maximize": player 1 optimises against the nu half of ``fixed``;
     side="minimize": player 2 optimises against the mu half.  The inner
-    problem is linear over the free simplex, attained at a pure action.
+    problem is linear over the free simplex, attained at a pure action
+    (:class:`_Reducer`'s masked max or min, on +phi for either side).
     The solve may run on a finer grid than ``fixed`` (time lookup).
     """
     if side not in ("maximize", "minimize"):
         raise ValueError("side must be 'maximize' or 'minimize'")
     grid = TimeGrid(config.n_steps, model.horizon)
-    return _sweep([model], grid, _BestResponse(model, fixed, fixed.slices_at(grid), side))[0]
+    held = dict(nu=fixed.nu) if side == "maximize" else dict(mu=fixed.mu)
+    return _sweep([model], grid, _Reducer(model, fixed.slices_at(grid), **held))[0]
 
 
 def evaluate_and_respond(

@@ -65,6 +65,7 @@ def pick_steps(models, n):
 BUDGET = settings(deadline=None, max_examples=settings.default.max_examples // 4)
 
 
+@pytest.mark.property
 class TestBatchIdentity:
     @BUDGET
     @given(

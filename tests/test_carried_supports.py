@@ -165,6 +165,7 @@ def check_against_reference(model, field, strategies, counts, reference):
     assert counts.get("discarded", 0) <= 2 * N * S
 
 
+@pytest.mark.property
 class TestAgainstPerKnotSweep:
     @settings(max_examples=max(40, settings.default.max_examples // 4), deadline=None)
     @given(

@@ -23,6 +23,8 @@ from hypothesis import strategies as st
 from pdmg import demos
 from pdmg.cli import main
 
+pytestmark = pytest.mark.property
+
 MODEL = str(demos.MODELS_DIR / "two_state.json")
 
 # a small valid text of each numeric flag

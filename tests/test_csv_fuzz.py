@@ -9,11 +9,14 @@ field with a digit-group underscore is the one documented difference:
 """
 
 import block_csv
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_solution_csv import same_bits, solutions
 
 from pdmg.shapley import SolutionFormatError, _csv_layout, export_solution_csv, import_solution_csv
+
+pytestmark = pytest.mark.property
 
 VALUES = ["", "abc", "#", "0.5#x", " 0.5 ", "+1", "1_0", "nan", "-inf"]
 

@@ -3,6 +3,7 @@ per-state loops they replaced (``perstate.py``), bit for bit, on random
 finite and grid-flow models."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -84,6 +85,7 @@ def read_only(model) -> bool:
 
 
 # 60 examples in tier-1, 500 under `pytest --hypothesis-profile=ci`
+@pytest.mark.property
 @given(seeds, st.sampled_from([1.0, 2.5, 9.0, 40.0]))
 @settings(max_examples=max(60, settings.default.max_examples // 4), deadline=None)
 def test_truncations_match_per_state_loop(seed, level):

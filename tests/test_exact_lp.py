@@ -24,6 +24,8 @@ from hypothesis.extra import numpy as hnp
 import pdmg.matrix_game as mg
 from pdmg.matrix_game import COUNTS, GAME_TOL, MatrixGame, MatrixGameError, reset_counts, solve
 
+pytestmark = pytest.mark.property
+
 # the float basis of this game repeated while the simplex of earlier
 # versions refreshed its tableau after every pivot
 CYCLING = [

@@ -6,6 +6,7 @@ included."""
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +27,7 @@ def solve_in_form(cutover, models, n):
 
 # a quarter of the active profile's examples: 25 in tier-1, 500 under
 # `pytest --hypothesis-profile=ci`
+@pytest.mark.property
 @settings(deadline=None, max_examples=settings.default.max_examples // 4)
 @given(
     widths=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3),

@@ -26,6 +26,8 @@ from test_carried_supports import grid_doc, random_finite_doc, steps_for
 from test_exploitability_batch import assert_same_bits as assert_sweep_is_three_sweeps
 from test_reduced_tables import admissible_steps, draw_model, random_doc, random_strategies, sweeps
 
+pytestmark = pytest.mark.property
+
 # a quarter of the active profile's examples: 25 in tier-1, 500 under
 # `pytest --hypothesis-profile=ci`
 BUDGET = settings(deadline=None, max_examples=settings.default.max_examples // 4)
@@ -53,7 +55,7 @@ def assert_chunks_change_nothing(model, n):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(shapley._CarriedSaddles, "certify", spy)
         field, strategies, counts = solve_counted(model, n)
-        mp.setattr(shapley, "_CHUNK_GAMES", 1)
+        mp.setattr(shapley, "_CHUNK_FLOATS", 1)
         one, one_strategies, one_counts = solve_counted(model, n)
     assert np.array_equal(field.phi, one.phi)
     assert np.array_equal(strategies.mu, one_strategies.mu) and np.array_equal(strategies.nu, one_strategies.nu)

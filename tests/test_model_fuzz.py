@@ -17,11 +17,14 @@ import os
 import tempfile
 import warnings
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdmg import demos
 from pdmg.cli import main
+
+pytestmark = pytest.mark.property
 
 DEMOS = sorted(p.stem for p in demos.MODELS_DIR.glob("*.json"))
 VALUES = [None, "", "x", "1", 0.5, -0.5, 1e308, -1e308, 1e-320, True, False, [], [1.0], {}, {"value": 1.0}, 2**63]

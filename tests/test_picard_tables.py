@@ -129,6 +129,7 @@ BUDGET = settings(deadline=None, max_examples=settings.default.max_examples // 4
 
 
 class TestAgainstThePerKnotLoop:
+    @pytest.mark.property
     @BUDGET
     @given(case=picard_cases(), seed=st.integers(0, 2**32 - 1))
     def test_random_models(self, case, seed):

@@ -173,6 +173,7 @@ class TestAgainstPerKnotReducers:
                 assert np.abs(phi - ref).max() <= 1e-12 * np.abs(ref).max()
 
     # 40 examples in tier-1, 400 under `pytest --hypothesis-profile=ci`
+    @pytest.mark.property
     @settings(max_examples=max(40, settings.default.max_examples // 5), deadline=None)
     @given(n=st.integers(1, 300), n_cells=st.integers(1, 6), **model_kinds)
     def test_singleton_models_agree_bit_for_bit(self, n_segments, grid, seed, n, n_cells):
@@ -193,7 +194,7 @@ def test_chunk_boundaries_change_no_value(demo, name, monkeypatch):
     model = demo(name)
     field, strategies = backward_solve(model, SolverConfig(n_steps=300))
     whole = list(sweeps(model, strategies, 600))
-    monkeypatch.setattr(shapley, "_CHUNK_COEFFS", 1)
+    monkeypatch.setattr(shapley, "_CHUNK_FLOATS", 1)
     for (phi, ref), (one, _) in zip(whole, sweeps(model, strategies, 600)):
         assert np.array_equal(phi, one)
         assert np.abs(phi - ref).max() <= 1e-12 * ref.max()
@@ -214,7 +215,7 @@ def test_contracted_tables_stay_within_the_chunk_bound(monkeypatch):
     n = admissible_steps(model, 200)
     for phi, ref in sweeps(model, random_strategies(model, n, 5, one_hot=False), n):
         assert np.abs(phi - ref).max() <= 1e-12 * ref.max()
-    assert max(sizes) <= shapley._CHUNK_COEFFS < n * 16 * 16  # so the bound splits the sweeps
+    assert max(sizes) <= shapley._CHUNK_FLOATS < n * 16 * 16  # so the bound splits the sweeps
     # no axis wider than 1: every sweep marches on the segment tables
     sizes.clear()
     singleton = draw_model([(1, 1)] * 8, 1, True, 5)

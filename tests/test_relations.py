@@ -3,7 +3,12 @@ effect on phi is known exactly, checked at every knot.
 
 Cost shift: adding s to every running cost, with the terminal cost kept,
 multiplies phi(t, x) by exp(lambda*s*(T - t)), whatever the strategies, so
-the saddle value shifts by the same factor."""
+the saddle value shifts by the same factor.
+
+Sandwich: against a fixed pair of strategies, player 1's best response is
+at least the pair's value and player 2's at most, at every knot and state:
+a best response ranges over pure actions, of which the held player's
+mixture is an average."""
 
 import json
 import math
@@ -16,13 +21,17 @@ from hypothesis import strategies as st
 from pdmg.approx import _rebuild
 from pdmg.cli import main
 from pdmg.model import model_from_dict
-from pdmg.shapley import SolverConfig, backward_solve
+from pdmg.shapley import SolverConfig, backward_solve, evaluate_and_respond
 from test_carried_supports import random_finite_doc
+from test_reduced_tables import admissible_steps, draw_model, model_shapes, random_strategies
 
 N = 200
 # 100x the worst relative error measured (5.4e-14) over random models of
 # this kind, wide ones included, at every shift below
 SHIFT_RTOL = 5e-12
+# 100x the worst relative violation measured (2.0e-16, one ulp) over
+# 3,800 random models with padded actions, mixed and one-hot strategies
+SANDWICH_RTOL = 2e-14
 
 
 def shift_error(model, s, n_steps):
@@ -38,6 +47,7 @@ def shift_error(model, s, n_steps):
     return float(np.abs((shifted - expected) / expected).max())
 
 
+@pytest.mark.property
 @settings(max_examples=max(25, settings.default.max_examples // 4), deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -77,3 +87,19 @@ def test_picard_stop_of_a_model_with_small_phi(tmp_path):
     assert main(argv) == 0
     phi = np.loadtxt(tmp_path / "solution.csv", delimiter=",", skiprows=1, usecols=2)
     assert np.all(phi > 0.0)
+
+
+def sandwich_error(model, strategies, refine):
+    """Worst relative amount by which the pair's value leaves the interval of
+    the two best responses, over every knot and state (<= 0 inside it)."""
+    pair, high, low = evaluate_and_respond(model, strategies, SolverConfig(n_steps=strategies.grid.n_steps * refine))
+    return float((np.maximum(pair - high, low - pair) / pair.phi).max())
+
+
+@pytest.mark.property
+@settings(max_examples=max(25, settings.default.max_examples // 4), deadline=None)
+@given(n=st.integers(1, 40), refine=st.integers(1, 3), one_hot=st.booleans(), **model_shapes)
+def test_best_responses_sandwich_the_pair(widths, n_segments, grid, seed, n, refine, one_hot):
+    model = draw_model(widths, n_segments, grid, seed)
+    strategies = random_strategies(model, admissible_steps(model, n), seed, one_hot)
+    assert sandwich_error(model, strategies, refine) <= SANDWICH_RTOL

@@ -105,6 +105,7 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+@pytest.mark.property
 @settings(max_examples=30, deadline=None)
 @given(solutions())
 def test_blocks_match_the_row_by_row_reference(case):
@@ -146,6 +147,7 @@ def printed_phis_whose_logs_differ(rng, size, lam):
     return np.array(found[:size])
 
 
+@pytest.mark.property
 @settings(max_examples=10, deadline=None)
 @given(
     S=st.integers(1, 3),
@@ -194,6 +196,7 @@ DOUBLES = st.one_of(
 )
 
 
+@pytest.mark.property
 @settings(deadline=None)
 @given(st.one_of(
     st.lists(DOUBLES, min_size=1, max_size=_FMT_CUTOVER - 1),

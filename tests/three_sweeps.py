@@ -4,10 +4,12 @@
 pair evaluation and both best responses marched as one sweep: the pair
 evaluation, then player 1's best response, then player 2's, each a sweep of
 its own that builds its own step tables.  ``best_response_solve`` is the
-one-sided solve as it was then: player 2's side folds its entries with a
-min over a +inf pad, where ``pdmg.shapley`` now marches it on -phi and
-takes a max.  ``test_exploitability_batch.py`` checks the batched fields,
-the gap and the errors against these.
+one-sided solve as it was then: each side folds its entries over an
+additive pad, -inf for player 1's max and +inf for player 2's min.
+``pdmg.shapley`` now masks the padded actions out of the reduction, and
+its one sweep marches player 2 on -phi, with padded actions priced at
+-inf, and takes a max.  ``test_exploitability_batch.py`` checks the
+batched fields, the gap and the errors against these.
 """
 
 from __future__ import annotations
