@@ -15,6 +15,7 @@ from pdmg.approx import (
 from pdmg.model import ModelValidationError, model_from_dict
 from pdmg.shapley import SolverConfig, backward_solve
 from pdmg.verify import check_bounds
+from support import one_state_doc
 
 
 class TestTruncateNonneg:
@@ -54,26 +55,12 @@ class TestTruncateNonneg:
 
 class TestTruncateGeneral:
     def test_deep_negative_clips_and_shifts_to_zero(self):
-        doc = {
-            "lambda": 1.0,
-            "horizon": 1.0,
-            "states": {"finite": ["a"]},
-            "actions": {"p1": [[0]], "p2": [[0]]},
-            "costs": [{"state": 0, "a": 0, "b": 0, "value": -7.0}],
-        }
-        clipped, shifted = truncate_general(model_from_dict(doc), 3)
+        clipped, shifted = truncate_general(model_from_dict(one_state_doc(-7.0)), 3)
         assert clipped.costs[0, 0, 0, 0] == -3.0
         assert shifted.costs[0, 0, 0, 0] == 0.0
 
     def test_mild_cost_only_shifts(self):
-        doc = {
-            "lambda": 1.0,
-            "horizon": 1.0,
-            "states": {"finite": ["a"]},
-            "actions": {"p1": [[0]], "p2": [[0]]},
-            "costs": [{"state": 0, "a": 0, "b": 0, "value": 2.0}],
-        }
-        clipped, shifted = truncate_general(model_from_dict(doc), 3)
+        clipped, shifted = truncate_general(model_from_dict(one_state_doc(2.0)), 3)
         assert clipped.costs[0, 0, 0, 0] == 2.0
         assert shifted.costs[0, 0, 0, 0] == 5.0
 
@@ -85,14 +72,7 @@ class TestTruncateGeneral:
             assert np.array_equal(clipped.terminal, first.terminal)
 
     def test_terminal_clip(self):
-        doc = {
-            "lambda": 1.0,
-            "horizon": 1.0,
-            "states": {"finite": ["a"]},
-            "actions": {"p1": [[0]], "p2": [[0]]},
-            "terminal": [{"state": 0, "value": -1.0}],
-        }
-        clipped, shifted = truncate_general(model_from_dict(doc), 5)
+        clipped, shifted = truncate_general(model_from_dict(one_state_doc(terminal_cost=-1.0)), 5)
         assert clipped.terminal[0] == -1.0
         assert shifted.terminal[0] == 4.0
         assert np.all(shifted.terminal >= 0.0)

@@ -4,11 +4,11 @@ counts apart from ``discarded``."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from pdmg.approx import _rebuild, truncate_general
-from pdmg.matrix_game import COUNTS, MatrixGameError, reset_counts
+from pdmg.matrix_game import MatrixGameError
 from pdmg.model import GameModel, model_from_dict
 from pdmg.shapley import (
     CFLError,
@@ -18,51 +18,15 @@ from pdmg.shapley import (
     backward_solve,
     backward_solve_batch,
 )
-from test_carried_supports import grid_doc, random_finite_doc, steps_for
-
-
-def finite_members(seeds, widths, n_segments):
-    """Models of random_finite_doc, one per seed, on the first seed's horizon
-    and time breaks."""
-    docs = [random_finite_doc(seed, widths, n_segments) for seed in seeds]
-    for doc in docs[1:]:
-        doc["horizon"] = docs[0]["horizon"]
-        for seg, first in zip(doc["segments"], docs[0]["segments"]):
-            seg["t_start"] = first["t_start"]
-    return [model_from_dict(doc) for doc in docs]
-
-
-def solve_each_way(models, n, refs=None):
-    """(batch, own solves, batch counts, summed own counts) at n steps; the
-    own solves are of ``refs`` if given, else of the members."""
-    config = SolverConfig(n_steps=n)
-    reset_counts()
-    batch = backward_solve_batch(models, config)
-    batch_counts = dict(COUNTS)
-    reset_counts()
-    own = [backward_solve(m, config) for m in refs or models]
-    return batch, own, batch_counts, dict(COUNTS)
-
-
-def assert_same_bits(models, n, refs=None):
-    batch, own, batch_counts, own_counts = solve_each_way(models, n, refs)
-    assert len(batch) == len(models)
-    for (field, strategies), (ref, ref_strategies) in zip(batch, own):
-        assert np.array_equal(field.phi, ref.phi)
-        assert np.array_equal(strategies.mu, ref_strategies.mu)
-        assert np.array_equal(strategies.nu, ref_strategies.nu)
-    # the members share one chunk schedule, which moves only `discarded`
-    assert {**batch_counts, "discarded": 0} == {**own_counts, "discarded": 0}
-    return batch_counts
-
-
-def pick_steps(models, n):
-    return max(steps_for(m, n) for m in models)
-
-
-# a quarter of the active profile's examples: 25 in tier-1, 500 under
-# `pytest --hypothesis-profile=ci`
-BUDGET = settings(deadline=None, max_examples=settings.default.max_examples // 4)
+from support import (
+    BUDGET,
+    assert_batch_is_own_solves,
+    finite_members,
+    grid_doc,
+    one_state_doc,
+    pick_steps,
+    random_finite_doc,
+)
 
 
 @pytest.mark.property
@@ -77,7 +41,7 @@ class TestBatchIdentity:
     )
     def test_random_finite_members(self, widths, n_segments, members, n, seed):
         models = finite_members(range(seed, seed + members), widths, n_segments)
-        assert_same_bits(models, pick_steps(models, n))
+        assert_batch_is_own_solves(models, pick_steps(models, n))
 
     @BUDGET
     @given(
@@ -90,16 +54,16 @@ class TestBatchIdentity:
         # each seed moves the knots at which the cells' supports switch, so
         # the members' certificates fail at different knots
         models = [model_from_dict(grid_doc(cells, s)) for s in range(seed, seed + members)]
-        assert_same_bits(models, pick_steps(models, n))
+        assert_batch_is_own_solves(models, pick_steps(models, n))
 
     @pytest.mark.parametrize("width", [1, 2, 3])
     def test_square_widths(self, width):
         models = finite_members(range(10, 13), [(width, width)] * 2, 2)
-        assert_same_bits(models, pick_steps(models, 60))
+        assert_batch_is_own_solves(models, pick_steps(models, 60))
 
     def test_members_failing_at_different_knots(self):
         models = [model_from_dict(grid_doc())] + [model_from_dict(grid_doc(8, s)) for s in (1, 2, 3)]
-        assert assert_same_bits(models, 200)["discarded"] > 0
+        assert assert_batch_is_own_solves(models, 200)["discarded"] > 0
 
     def test_member_settled_afresh_below_another_members_failure(self):
         # member 0 plays a 3x3 game with a full-support saddle, so every knot
@@ -119,7 +83,7 @@ class TestBatchIdentity:
         pennies = [[1, 0, 2], [0, 1, 2], [-1, -1, 3]]
         pure = [[0.1, 0.3, 0.9], [0.6, 0.8, 0.9], [0.0, 0.0, 0.9]]
         models = [model_from_dict(doc(rps, rps)), model_from_dict(doc(pennies, pure))]
-        counts = assert_same_bits(models, 200)
+        counts = assert_batch_is_own_solves(models, 200)
         # every knot of member 0 and the two knots heading member 1's supports
         assert counts["pure_saddle"] + counts["equalizer"] + counts["simplex"] == 2 * 2 + 200 + 2
         assert counts["locked"] == 200 - 2
@@ -130,22 +94,13 @@ class TestBatchIdentity:
             # the references run members the validating constructor builds, not the overlays
             refs = [GameModel(m.states, m.actions_p1, m.actions_p2, m.time_breaks, m.rates, m.costs, m.terminal,
                               m.lam, m.horizon, m.lyapunov) for m in models]
-            assert_same_bits(models, 200, refs)
+            assert_batch_is_own_solves(models, 200, refs)
 
     def test_single_member_is_backward_solve(self, controlled):
         config = SolverConfig(n_steps=100)
         [(field, strategies)] = backward_solve_batch([controlled], config)
         ref, ref_strategies = backward_solve(controlled, config)
         assert np.array_equal(field.phi, ref.phi) and np.array_equal(strategies.mu, ref_strategies.mu)
-
-
-def one_state(cost=0.0, terminal=0.0, horizon=1.0):
-    return model_from_dict({
-        "lambda": 1.0, "horizon": horizon, "states": {"finite": ["a"]},
-        "actions": {"p1": [[0]], "p2": [[0]]},
-        "costs": [{"state": 0, "a": 0, "b": 0, "value": cost}],
-        "terminal": [{"state": 0, "value": terminal}],
-    })
 
 
 # the overflowing member stops with an error, alone or in a batch, and warns of nothing
@@ -165,18 +120,19 @@ class TestBatchErrors:
         (("ok", "ok", "overflow"), "overflow"),
     ])
     def test_first_failing_member_raises_its_own_error(self, order, first_bad):
-        kinds = {"ok": one_state(1.0), "cfl": one_state(2000.0), "terminal": one_state(terminal=800.0),
-                 "overflow": one_state(1000.0)}
+        docs = {"ok": one_state_doc(1.0), "cfl": one_state_doc(2000.0), "terminal": one_state_doc(terminal_cost=800.0),
+                "overflow": one_state_doc(1000.0)}
+        kinds = {kind: model_from_dict(doc) for kind, doc in docs.items()}
         expected = self.own_error(kinds[first_bad], 2000)
         with pytest.raises(expected.type) as exc:
             backward_solve_batch([kinds[k] for k in order], SolverConfig(n_steps=2000))
         assert str(exc.value) == str(expected.value)
 
     def test_kinds_of_error(self):
-        assert self.own_error(one_state(2000.0), 2000).type is CFLError
-        assert "lambda*g exceeds 700" in str(self.own_error(one_state(terminal=800.0), 2000).value)
-        assert self.own_error(one_state(1000.0), 2000).type is PositivityError
-        backward_solve(one_state(1.0), SolverConfig(n_steps=2000))
+        assert self.own_error(model_from_dict(one_state_doc(2000.0)), 2000).type is CFLError
+        assert "lambda*g exceeds 700" in str(self.own_error(model_from_dict(one_state_doc(terminal_cost=800.0)), 2000).value)
+        assert self.own_error(model_from_dict(one_state_doc(1000.0)), 2000).type is PositivityError
+        backward_solve(model_from_dict(one_state_doc(1.0)), SolverConfig(n_steps=2000))
 
     def test_failed_cell_game_of_a_later_member(self, controlled):
         # every cost raised by 1500 (CFL load 0.38 at N = 2000): the member's
@@ -211,4 +167,4 @@ class TestBatchShape:
     def test_members_may_differ_in_lambda(self):
         doc = random_finite_doc(3, [(2, 2)] * 2, 2)
         models = [model_from_dict(doc), model_from_dict({**doc, "lambda": doc["lambda"] / 3.0})]
-        assert_same_bits(models, 100)
+        assert_batch_is_own_solves(models, 100)

@@ -11,85 +11,15 @@ import perknot
 from pdmg.matrix_game import COUNTS, GAME_TOL, _certificate, reset_counts
 from pdmg.model import model_from_dict
 from pdmg.shapley import (
-    CFLError,
     SolverConfig,
     StrategyField,
     TimeGrid,
     _FlowLags,
     _step_coefficients,
     backward_solve,
-    check_cfl,
     knot_segments,
 )
-
-
-def random_finite_doc(seed, widths, n_segments):
-    """Finite model with (A_x, B_x) actions per state, jumps between all
-    states and n_segments time segments, each with its own costs and rates."""
-    rng = np.random.default_rng(seed)
-    S = len(widths)
-
-    def tables():
-        costs, rates = [], []
-        for x, (m, n) in enumerate(widths):
-            for a in range(m):
-                for b in range(n):
-                    costs.append({"state": x, "a": a, "b": b, "value": float(rng.uniform(-1.0, 1.0))})
-                    for y in range(S):
-                        if y != x and rng.uniform() < 0.8:
-                            rates.append({"from": x, "a": a, "b": b, "to": y, "rate": float(rng.uniform(0.0, 2.0))})
-        return costs, rates
-
-    horizon = float(rng.uniform(0.5, 2.0))
-    costs, rates = tables()
-    starts = np.sort(rng.uniform(0.05, 0.95, n_segments - 1)) * horizon
-    segments = []
-    for t0 in starts:
-        c, r = tables()
-        segments.append({"t_start": float(t0), "costs": c, "rates": r})
-    return {
-        "lambda": float(rng.uniform(0.1, 1.0)),
-        "horizon": horizon,
-        "states": {"finite": [f"s{x}" for x in range(S)]},
-        "actions": {"p1": [list(range(m)) for m, _ in widths], "p2": [list(range(n)) for _, n in widths]},
-        "rates": rates,
-        "costs": costs,
-        "segments": segments,
-        "terminal": [{"state": x, "value": float(rng.uniform(-1.0, 1.0))} for x in range(S)],
-    }
-
-
-def grid_doc(cells=8, seed=None):
-    """Two-mode grid flow with 2x2 actions in every cell.  In mode 0 the cell
-    game is lam*c = [[0, 1], [1, 0]]/2 plus a jump to mode 1 on (0, 0), whose
-    worth grows along the grid through the terminal cost: each cell's saddle
-    is pure while mode 1 is worth far more than mode 0 and mixed after, and
-    the cells cross over at different knots.  A seed perturbs the numbers."""
-    rng = np.random.default_rng(seed)
-    jitter = (lambda: 1.0) if seed is None else (lambda: float(rng.uniform(0.7, 1.3)))
-    rates, costs, terminal = [], [], []
-    for i in range(cells):
-        pos = (i + 0.5) / cells
-        rates.append({"from": i, "a": 0, "b": 0, "to": cells + i, "rate": 2.0 * jitter()})
-        costs.append({"state": i, "a": 0, "b": 1, "value": jitter()})
-        costs.append({"state": i, "a": 1, "b": 0, "value": jitter()})
-        costs.append({"state": cells + i, "a": 0, "b": 0, "value": 0.1 * jitter()})
-        terminal.append({"state": cells + i, "value": 0.5 + 3.0 * pos * jitter()})
-    return {
-        "lambda": 0.5,
-        "horizon": 1.0,
-        "states": {
-            "grid_flow": {
-                "modes": [{"name": "up", "drift": 0.3}, {"name": "down", "drift": -0.2}],
-                "grid": {"min": 0.0, "max": 1.0, "cells": cells},
-                "boundary": "clamp",
-            }
-        },
-        "actions": {"p1": [[0, 1]], "p2": [[0, 1]]},
-        "rates": rates,
-        "costs": costs,
-        "terminal": terminal,
-    }
+from support import admissible_steps, grid_doc, random_finite_doc
 
 
 def switching_doc():
@@ -115,15 +45,6 @@ def switching_doc():
         "segments": [{"t_start": 0.5, "costs": costs(pure)}],
         "terminal": [],
     }
-
-
-def steps_for(model, n):
-    """n, or twice the least CFL-admissible step count if that is larger."""
-    try:
-        check_cfl(model, TimeGrid(n, model.horizon))
-        return n
-    except CFLError as exc:
-        return max(n, 2 * exc.required_n)
 
 
 def solve_both(model, n):
@@ -176,13 +97,13 @@ class TestAgainstPerKnotSweep:
     )
     def test_random_finite_models(self, widths, n_segments, n, seed):
         model = model_from_dict(random_finite_doc(seed, widths, n_segments))
-        check_against_reference(model, *solve_both(model, steps_for(model, n)))
+        check_against_reference(model, *solve_both(model, admissible_steps(model, n)))
 
     @settings(max_examples=max(10, settings.default.max_examples // 20), deadline=None)
     @given(cells=st.integers(2, 8), n=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
     def test_random_grid_flows(self, cells, n, seed):
         model = model_from_dict(grid_doc(cells, seed))
-        check_against_reference(model, *solve_both(model, steps_for(model, n)))
+        check_against_reference(model, *solve_both(model, admissible_steps(model, n)))
 
 
 @pytest.mark.parametrize("name", ["controlled_two_state", "signed_cost", "matching_pennies"])

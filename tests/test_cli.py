@@ -18,6 +18,7 @@ from pdmg.shapley import (
     json_text,
 )
 from pdmg.simulate import SimConfig, estimate_J
+from support import one_state_doc
 
 
 @pytest.fixture(scope="module")
@@ -851,13 +852,7 @@ class TestNonFiniteValues:
     def test_overflowing_solve_exits_one_without_csv(self, tmp_path, capsys):
         # lambda*c*T = 800: phi overflows past the largest float, and the
         # march says where without a numpy warning
-        doc = {
-            "lambda": 1.0,
-            "horizon": 1.0,
-            "states": {"finite": ["a"]},
-            "actions": {"p1": [[0]], "p2": [[0]]},
-            "costs": [{"state": 0, "a": 0, "b": 0, "value": 800.0}],
-        }
+        doc = one_state_doc(800.0)
         model = tmp_path / "hot.json"
         model.write_text(json.dumps(doc))
         out = tmp_path / "run"
@@ -872,13 +867,7 @@ class TestNonFiniteValues:
         # lambda*c*T = -800: phi falls below the smallest normal double, where
         # a step's product rounds back up to the same subnormal; the march
         # stops at the first such knot instead of printing phi(0) = 4.9e-324
-        doc = {
-            "lambda": 1.0,
-            "horizon": 1.0,
-            "states": {"finite": ["a"]},
-            "actions": {"p1": [[0]], "p2": [[0]]},
-            "costs": [{"state": 0, "a": 0, "b": 0, "value": -800.0}],
-        }
+        doc = one_state_doc(-800.0)
         out = tmp_path / "run"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -892,12 +881,7 @@ class TestNonFiniteValues:
     def test_horizon_times_steps_past_the_float_range_exits_one(self, tmp_path, capsys):
         # with no costs nothing else bounds the step: the knots k*T/N of
         # T = 1e308 were written as t = inf from knot 2 on
-        doc = {
-            "lambda": 1.0,
-            "horizon": 1e308,
-            "states": {"finite": ["a"]},
-            "actions": {"p1": [[0]], "p2": [[0]]},
-        }
+        doc = one_state_doc(horizon=1e308)
         out = tmp_path / "run"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -968,13 +952,7 @@ class TestNonFiniteValues:
     def test_picard_overflowing_quadrature_exits_one_without_a_warning(self, tmp_path, capsys):
         # Delta*lambda*c = 1e308 per knot: the quadrature's sum passes the
         # largest float, and the residual check names it
-        doc = {
-            "lambda": 1.0,
-            "horizon": 1000.0,
-            "states": {"finite": ["a"]},
-            "actions": {"p1": [[0]], "p2": [[0]]},
-            "costs": [{"state": 0, "a": 0, "b": 0, "value": 1e306}],
-        }
+        doc = one_state_doc(1e306, horizon=1000.0)
         out = tmp_path / "run"
         rc = main(["solve", "--model", self._write(tmp_path, doc), "--steps", "10", "--scheme", "picard",
                    "--out", str(out)])

@@ -17,6 +17,7 @@ from pdmg.simulate import SimConfig, estimate_J, simulate_path
 from pdmg.verify import exploitability
 
 from conftest import singleton_strategies
+from support import one_state_doc
 
 
 def controlled_grid_doc(cells=8):
@@ -164,13 +165,10 @@ class TestMidHorizonStart:
 class TestTruncationClipExample:
     def test_cost_five_clips_to_level_three(self):
         # x inside S_n with c = 5, level n = 3, Lyapunov cap above 3
-        doc = {
-            "lambda": 0.5,
-            "horizon": 1.0,
-            "states": {"finite": ["a"]},
-            "actions": {"p1": [[0]], "p2": [[0]]},
-            "costs": [{"state": 0, "a": 0, "b": 0, "value": 5.0}],
-            "lyapunov": {
+        doc = one_state_doc(
+            5.0,
+            lam=0.5,
+            lyapunov={
                 "V": [2.0],
                 "V1": [4.0],
                 "rho1": 1.0,
@@ -182,7 +180,7 @@ class TestTruncationClipExample:
                 "M3": 1.0,
                 "b2": 1.0,
             },
-        }
+        )
         m = model_from_dict(doc)
         out = truncate_nonneg(m, 3)
         assert out.costs[0, 0, 0, 0] == 3.0

@@ -12,7 +12,7 @@ import block_csv
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_solution_csv import same_bits, solutions
+from support import same_bits, solutions
 
 from pdmg.shapley import SolutionFormatError, _csv_layout, export_solution_csv, import_solution_csv
 

@@ -12,6 +12,7 @@ from pdmg.approx import truncate_general, truncate_nonneg
 from pdmg.model import GameModel, model_from_dict
 from pdmg.shapley import TimeGrid, ValueField
 from pdmg.verify import check_assumptions, check_bounds
+from support import same_bits
 
 
 def random_doc(seed: int) -> dict:
@@ -56,12 +57,6 @@ def random_doc(seed: int) -> dict:
                            "rho1": 1.5, "b1": 0.3, "M1": 1.0, "M2": float(10.0 ** rng.uniform(0.0, 4.0)), "kappa": 2.0,
                            "rho2": 1.0, "M3": 50.0, "b2": 1.0}
     return doc
-
-
-def same_bits(a, b) -> bool:
-    """Equal shape, dtype and bytes: tells 0.0 from -0.0."""
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)

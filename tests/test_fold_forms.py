@@ -7,13 +7,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from pdmg import demos, shapley
 from pdmg.matrix_game import COUNTS, reset_counts
 from pdmg.shapley import SolverConfig, _CarriedSaddles, backward_solve_batch
-from test_batch import finite_members, pick_steps
+from support import BUDGET, finite_members, pick_steps
 
 NUMPY, FLOATS = 0, 1 << 30  # values of _FLOAT_CELLS that force each form
 
@@ -25,10 +25,8 @@ def solve_in_form(cutover, models, n):
     return solved, dict(COUNTS)
 
 
-# a quarter of the active profile's examples: 25 in tier-1, 500 under
-# `pytest --hypothesis-profile=ci`
 @pytest.mark.property
-@settings(deadline=None, max_examples=settings.default.max_examples // 4)
+@BUDGET
 @given(
     widths=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3),
     n_segments=st.integers(1, 3),

@@ -12,7 +12,7 @@ exploitability's one sweep with a player who has one action (against
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import perknot
@@ -20,17 +20,22 @@ from pdmg import shapley
 from pdmg.matrix_game import COUNTS, reset_counts
 from pdmg.model import model_from_dict
 from pdmg.shapley import SolverConfig, backward_solve
-from test_batch import assert_same_bits as assert_batch_is_own_solves
-from test_batch import finite_members
-from test_carried_supports import grid_doc, random_finite_doc, steps_for
-from test_exploitability_batch import assert_same_bits as assert_sweep_is_three_sweeps
-from test_reduced_tables import admissible_steps, draw_model, random_doc, random_strategies, sweeps
+from support import (
+    BUDGET,
+    admissible_steps,
+    assert_batch_is_own_solves,
+    assert_sweep_is_three_sweeps,
+    draw_model,
+    finite_members,
+    grid_doc,
+    pick_steps,
+    random_doc,
+    random_finite_doc,
+    random_strategies,
+    sweeps,
+)
 
 pytestmark = pytest.mark.property
-
-# a quarter of the active profile's examples: 25 in tier-1, 500 under
-# `pytest --hypothesis-profile=ci`
-BUDGET = settings(deadline=None, max_examples=settings.default.max_examples // 4)
 
 
 def solve_counted(model, n):
@@ -84,7 +89,7 @@ class TestRejectedCertificates:
     @given(cells=st.integers(2, 8), n=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
     def test_random_grid_flows(self, cells, n, seed):
         model = model_from_dict(grid_doc(cells, seed))
-        assert_chunks_change_nothing(model, steps_for(model, n))
+        assert_chunks_change_nothing(model, admissible_steps(model, n))
 
     @BUDGET
     @given(
@@ -95,7 +100,7 @@ class TestRejectedCertificates:
     )
     def test_random_finite_models(self, widths, n_segments, n, seed):
         model = model_from_dict(random_finite_doc(seed, widths, n_segments))
-        assert_chunks_change_nothing(model, steps_for(model, n))
+        assert_chunks_change_nothing(model, admissible_steps(model, n))
 
 
 class TestGridFlowBatches:
@@ -112,7 +117,7 @@ class TestGridFlowBatches:
         # no player has a choice: each knot's entries are written into phi
         widths = [(1, 1)] * (2 * cells)  # two modes
         models = aligned([random_doc(s, widths, n_segments, True) for s in range(seed, seed + members)])
-        assert_batch_is_own_solves(models, max(steps_for(m, n) for m in models))
+        assert_batch_is_own_solves(models, pick_steps(models, n))
 
 
 class TestOneState:
@@ -137,7 +142,7 @@ class TestOneState:
         assert_sweep_is_three_sweeps(model, random_strategies(model, n, seed, one_hot=False), 2)
         assert_chunks_change_nothing(model, n)
         members = finite_members(range(seed, seed + 3), [(a, b)], n_segments)
-        assert_batch_is_own_solves(members, max(admissible_steps(m, n) for m in members))
+        assert_batch_is_own_solves(members, pick_steps(members, n))
 
 
 class TestOneActionSide:

@@ -20,28 +20,16 @@ from pdmg.shapley import StrategyField, TimeGrid, knot_segments
 from pdmg.simulate import _Tables
 
 import perstate
-
-
-def trivial_doc(**overrides):
-    doc = {
-        "lambda": 1.0,
-        "horizon": 1.0,
-        "states": {"finite": ["a"]},
-        "actions": {"p1": [[0]], "p2": [[0]]},
-        "rates": [],
-        "costs": [],
-    }
-    doc.update(overrides)
-    return doc
+from support import one_state_doc
 
 
 def _grid_doc(drift=0.5, lo=0.0, hi=1.0, modes=None):
     modes = [{"name": "m", "drift": drift}] if modes is None else modes
-    return trivial_doc(states={"grid_flow": {"modes": modes, "grid": {"min": lo, "max": hi, "cells": 4}}})
+    return one_state_doc(states={"grid_flow": {"modes": modes, "grid": {"min": lo, "max": hi, "cells": 4}}})
 
 
 def _lyapunov_doc(key, value):
-    doc = trivial_doc()
+    doc = one_state_doc()
     doc["lyapunov"] = {"V": [1.0], "V1": [1.0], "rho1": 1.0, "b1": 0.1, "M1": 1.0, "M2": 1.0,
                        "kappa": 1.0, "rho2": 1.0, "M3": 1.0, "b2": 1.0}
     if key == "V":
@@ -54,19 +42,19 @@ def _lyapunov_doc(key, value):
 # field kind -> (document with the given value in that field, the field's
 # path, a value that loads)
 FLOAT_FIELDS = {
-    "lambda": (lambda v: trivial_doc(**{"lambda": v}), "$.lambda", 0.5),
-    "horizon": (lambda v: trivial_doc(horizon=v), "$.horizon", 0.5),
-    "rate": (lambda v: trivial_doc(states={"finite": ["a", "b"]},
+    "lambda": (lambda v: one_state_doc(**{"lambda": v}), "$.lambda", 0.5),
+    "horizon": (lambda v: one_state_doc(horizon=v), "$.horizon", 0.5),
+    "rate": (lambda v: one_state_doc(states={"finite": ["a", "b"]},
                                    rates=[{"from": 0, "a": 0, "b": 0, "to": 1, "rate": v}]),
              "$.rates(seg 0)[0].rate", 0.5),
-    "cost value": (lambda v: trivial_doc(costs=[{"state": 0, "a": 0, "b": 0, "value": v}]),
+    "cost value": (lambda v: one_state_doc(costs=[{"state": 0, "a": 0, "b": 0, "value": v}]),
                    "$.costs(seg 0)[0].value", 0.5),
-    "terminal value": (lambda v: trivial_doc(terminal=[{"state": 0, "value": v}]),
+    "terminal value": (lambda v: one_state_doc(terminal=[{"state": 0, "value": v}]),
                        "$.terminal[0].value", 0.5),
     "drift": (lambda v: _grid_doc(drift=v), "$.states.grid_flow.modes[0].drift", 0.5),
     "grid min": (lambda v: _grid_doc(lo=v), "$.states.grid_flow.grid.min", 0.5),
     "grid max": (lambda v: _grid_doc(hi=v), "$.states.grid_flow.grid.max", 0.5),
-    "t_start": (lambda v: trivial_doc(segments=[{"t_start": v, "costs": []}]),
+    "t_start": (lambda v: one_state_doc(segments=[{"t_start": v, "costs": []}]),
                 "$.segments[0].t_start", 0.5),
     "lyapunov scalar": (lambda v: _lyapunov_doc("b1", v), "$.lyapunov.b1", 0.5),
     "lyapunov entry": (lambda v: _lyapunov_doc("V", v), "$.lyapunov.V[0]", 1.5),
@@ -74,7 +62,7 @@ FLOAT_FIELDS = {
 
 
 def test_load_trivial_model_has_zero_kernel():
-    m = model_from_dict(trivial_doc())
+    m = model_from_dict(one_state_doc())
     assert m.n_states == 1
     assert m.q_star_max() == 0.0
     assert m.max_abs_cost() == 0.0
@@ -82,7 +70,7 @@ def test_load_trivial_model_has_zero_kernel():
 
 
 def test_negative_off_diagonal_rate_rejected():
-    doc = trivial_doc(
+    doc = one_state_doc(
         states={"finite": ["a", "b"]},
         actions={"p1": [[0], [0]], "p2": [[0], [0]]},
         rates=[{"from": 0, "a": 0, "b": 0, "to": 1, "rate": -0.5}],
@@ -92,7 +80,7 @@ def test_negative_off_diagonal_rate_rejected():
 
 
 def test_conservativity_forces_diagonal():
-    doc = trivial_doc(
+    doc = one_state_doc(
         states={"finite": ["a", "b"]},
         actions={"p1": [[0], [0]], "p2": [[0], [0]]},
         rates=[{"from": 0, "a": 0, "b": 0, "to": 1, "rate": 1.0}],
@@ -105,7 +93,7 @@ def test_conservativity_forces_diagonal():
 
 
 def test_constructor_ignores_padding_and_diagonal():
-    doc = trivial_doc(
+    doc = one_state_doc(
         states={"finite": ["a", "b"]},
         actions={"p1": [[0, 1], [0]], "p2": [[0], [0, 1]]},
         rates=[{"from": 0, "a": 1, "b": 0, "to": 1, "rate": 2.0}],
@@ -126,20 +114,20 @@ def test_constructor_ignores_padding_and_diagonal():
 
 
 def test_constructor_rejects_misshapen_tables():
-    m = model_from_dict(trivial_doc(states={"finite": ["a", "b"]}))
+    m = model_from_dict(one_state_doc(states={"finite": ["a", "b"]}))
     with pytest.raises(ModelValidationError, match="expected shapes"):
         GameModel(m.states, m.actions_p1, m.actions_p2, m.time_breaks, m.rates[:, :1], m.costs,
                   m.terminal, m.lam, m.horizon)
 
 
 def test_self_rate_entry_rejected():
-    doc = trivial_doc(rates=[{"from": 0, "a": 0, "b": 0, "to": 0, "rate": 1.0}])
+    doc = one_state_doc(rates=[{"from": 0, "a": 0, "b": 0, "to": 0, "rate": 1.0}])
     with pytest.raises(ModelFormatError, match="implied by conservativity"):
         model_from_dict(doc)
 
 
 def test_rate_rows_sum_to_zero_across_segments():
-    doc = trivial_doc(
+    doc = one_state_doc(
         states={"finite": ["a", "b"]},
         actions={"p1": [[0], [0]], "p2": [[0], [0]]},
         rates=[{"from": 0, "a": 0, "b": 0, "to": 1, "rate": 0.3}],
@@ -158,7 +146,7 @@ def test_rate_rows_sum_to_zero_across_segments():
 class TestFlow:
     def test_finite_identity(self):
         m = model_from_dict(
-            trivial_doc(states={"finite": list("abcd")}, actions={"p1": [[0]], "p2": [[0]]})
+            one_state_doc(states={"finite": list("abcd")}, actions={"p1": [[0]], "p2": [[0]]})
         )
         assert m.states.flow_map(0.7).tolist() == [0, 1, 2, 3]
 
@@ -270,7 +258,7 @@ class TestMixedKernels:
 
     @pytest.fixture()
     def model(self):
-        doc = trivial_doc(
+        doc = one_state_doc(
             states={"finite": ["a", "b"]},
             actions={"p1": [[0, 1], [0]], "p2": [[0, 1], [0]]},
             rates=[
@@ -299,11 +287,11 @@ class TestMixedKernels:
         assert abs(_mixed(model, [0.5, 0.5], [0.5, 0.5])[0]) <= 1e-15
 
     def test_zero_kernel_gives_zero_row(self):
-        m = model_from_dict(trivial_doc())
+        m = model_from_dict(one_state_doc())
         assert _mixed(m, [1.0], [1.0]) == (0.0, 0.0)
 
     def test_constant_cost_any_mixture(self):
-        doc = trivial_doc(
+        doc = one_state_doc(
             actions={"p1": [[0, 1]], "p2": [[0, 1]]},
             costs=[
                 {"state": 0, "a": a, "b": b, "value": 7.25}
@@ -334,20 +322,20 @@ class TestMixedKernels:
 class TestValidation:
     def test_lambda_range(self):
         with pytest.raises(ModelValidationError, match="lambda"):
-            model_from_dict(trivial_doc(**{"lambda": 0.0}))
+            model_from_dict(one_state_doc(**{"lambda": 0.0}))
         with pytest.raises(ModelValidationError, match="lambda"):
-            model_from_dict(trivial_doc(**{"lambda": 1.5}))
+            model_from_dict(one_state_doc(**{"lambda": 1.5}))
 
     def test_horizon_positive(self):
         with pytest.raises(ModelValidationError, match="horizon"):
-            model_from_dict(trivial_doc(horizon=0.0))
+            model_from_dict(one_state_doc(horizon=0.0))
 
     def test_empty_action_list_rejected(self):
         with pytest.raises(ModelValidationError, match="nonempty"):
-            model_from_dict(trivial_doc(actions={"p1": [[]], "p2": [[0]]}))
+            model_from_dict(one_state_doc(actions={"p1": [[]], "p2": [[0]]}))
 
     def test_grid_bounds(self):
-        doc = trivial_doc(
+        doc = one_state_doc(
             states={
                 "grid_flow": {
                     "modes": [{"name": "m", "drift": 1.0}],
@@ -360,7 +348,7 @@ class TestValidation:
             model_from_dict(doc)
 
     def test_lyapunov_needs_unit_floor(self):
-        doc = trivial_doc(
+        doc = one_state_doc(
             lyapunov={
                 "V": [0.5],
                 "V1": [1.0],
@@ -378,7 +366,7 @@ class TestValidation:
             model_from_dict(doc)
 
     def test_rho1_strictly_positive(self):
-        doc = trivial_doc(
+        doc = one_state_doc(
             lyapunov={
                 "V": [1.0],
                 "V1": [1.0],
@@ -406,7 +394,7 @@ class TestParsing:
             load_model(json.dumps({"lambda": 1.0}))
 
     def test_rate_entry_path_in_error(self):
-        doc = trivial_doc(rates=[{"from": 0, "a": 0, "b": 0, "to": 5, "rate": 1.0}])
+        doc = one_state_doc(rates=[{"from": 0, "a": 0, "b": 0, "to": 5, "rate": 1.0}])
         with pytest.raises(ModelFormatError, match=r"rates\(seg 0\)\[0\]"):
             model_from_dict(doc)
 
@@ -414,16 +402,16 @@ class TestParsing:
     @pytest.mark.parametrize("value", [None, "x"])
     def test_bad_rate_index_names_its_field(self, field, value):
         entry = {"from": 0, "a": 0, "b": 0, "to": 1, "rate": 1.0, field: value}
-        doc = trivial_doc(states={"finite": ["a", "b"]}, rates=[entry])
+        doc = one_state_doc(states={"finite": ["a", "b"]}, rates=[entry])
         with pytest.raises(ModelFormatError, match=rf"rates\(seg 0\)\[0\]\.{field}: expected an integer"):
             model_from_dict(doc)
 
     @pytest.mark.parametrize("value", [None, "x"])
     def test_bad_cost_and_terminal_state_name_their_field(self, value):
-        doc = trivial_doc(costs=[{"state": value, "a": 0, "b": 0, "value": 1.0}])
+        doc = one_state_doc(costs=[{"state": value, "a": 0, "b": 0, "value": 1.0}])
         with pytest.raises(ModelFormatError, match=r"costs\(seg 0\)\[0\]\.state: expected an integer"):
             model_from_dict(doc)
-        doc = trivial_doc(terminal=[{"state": value, "value": 1.0}])
+        doc = one_state_doc(terminal=[{"state": value, "value": 1.0}])
         with pytest.raises(ModelFormatError, match=r"terminal\[0\]\.state: expected an integer"):
             model_from_dict(doc)
 
@@ -436,11 +424,11 @@ class TestParsing:
         model_from_dict(build(good))
 
     @pytest.mark.parametrize("build, path", [
-        (lambda: trivial_doc(rates=[5]), r"\$\.rates\(seg 0\)\[0\]: expected an object"),
-        (lambda: trivial_doc(rates=5), r"\$\.rates\(seg 0\): expected a list"),
-        (lambda: trivial_doc(terminal=[None]), r"\$\.terminal\[0\]: expected an object"),
-        (lambda: trivial_doc(segments=[3]), r"\$\.segments\[0\]: expected an object"),
-        (lambda: trivial_doc(segments=3), r"\$\.segments: expected a list"),
+        (lambda: one_state_doc(rates=[5]), r"\$\.rates\(seg 0\)\[0\]: expected an object"),
+        (lambda: one_state_doc(rates=5), r"\$\.rates\(seg 0\): expected a list"),
+        (lambda: one_state_doc(terminal=[None]), r"\$\.terminal\[0\]: expected an object"),
+        (lambda: one_state_doc(segments=[3]), r"\$\.segments\[0\]: expected an object"),
+        (lambda: one_state_doc(segments=3), r"\$\.segments: expected a list"),
         (lambda: _grid_doc(modes=[None]), r"\$\.states\.grid_flow\.modes\[0\]: expected an object"),
         (lambda: _grid_doc(modes=1), r"\$\.states\.grid_flow\.modes: expected a list"),
     ])
@@ -449,15 +437,15 @@ class TestParsing:
             model_from_dict(build())
 
     def test_bad_action_label_names_its_field(self):
-        doc = trivial_doc(actions={"p1": [[0, None]], "p2": [[0]]})
+        doc = one_state_doc(actions={"p1": [[0, None]], "p2": [[0]]})
         with pytest.raises(ModelFormatError, match=r"actions\.p1\[0\]\[1\]: expected an integer"):
             model_from_dict(doc)
-        doc = trivial_doc(actions={"p1": [None], "p2": [[0]]})
+        doc = one_state_doc(actions={"p1": [None], "p2": [[0]]})
         with pytest.raises(ModelFormatError, match=r"actions\.p1\[0\]: expected a list"):
             model_from_dict(doc)
 
     def test_duplicate_rate_entry_rejected(self):
-        doc = trivial_doc(
+        doc = one_state_doc(
             states={"finite": ["a", "b"]},
             actions={"p1": [[0], [0]], "p2": [[0], [0]]},
             rates=[
@@ -469,7 +457,7 @@ class TestParsing:
             model_from_dict(doc)
 
     def test_action_broadcast_shorthand(self):
-        doc = trivial_doc(
+        doc = one_state_doc(
             states={"finite": ["a", "b", "c"]},
             actions={"p1": [[0, 1]], "p2": [[0]]},
         )
@@ -477,6 +465,6 @@ class TestParsing:
         assert m.actions_p1 == ((0, 1), (0, 1), (0, 1))
 
     def test_load_model_round_trip(self):
-        m = load_model(json.dumps(trivial_doc()))
+        m = load_model(json.dumps(one_state_doc()))
         assert isinstance(m.states, FiniteStates)
         assert m.lam == 1.0

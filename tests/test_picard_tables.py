@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import picard_loop
@@ -23,6 +23,7 @@ from pdmg.shapley import (
     picard_solve,
     saddle_from_field,
 )
+from support import BUDGET, one_state_doc
 
 # per-state (A_x, B_x) of a model's states, or None for a random mix of
 # widths up to 3x3, so that some state's actions are padded
@@ -123,11 +124,6 @@ def assert_same_operator(model, n, seed):
     assert np.array_equal(twice, picard_loop.gamma_apply(model, once, grid, ref_lags))
 
 
-# a quarter of the active profile's examples: 25 in tier-1, 500 under
-# `pytest --hypothesis-profile=ci`
-BUDGET = settings(deadline=None, max_examples=settings.default.max_examples // 4)
-
-
 class TestAgainstThePerKnotLoop:
     @pytest.mark.property
     @BUDGET
@@ -147,31 +143,22 @@ class TestAgainstThePerKnotLoop:
         assert_same_fixed_point(model, n)
 
 
-def one_state(cost, terminal=0.0, horizon=1.0):
-    return model_from_dict({
-        "lambda": 1.0, "horizon": horizon, "states": {"finite": ["a"]},
-        "actions": {"p1": [[0]], "p2": [[0]]},
-        "costs": [{"state": 0, "a": 0, "b": 0, "value": cost}],
-        "terminal": [{"state": 0, "value": terminal}],
-    })
-
-
-def flowing(cost, terminal=0.0, horizon=1.0):
+def flowing(cost, terminal_cost=0.0, horizon=1.0):
     """Two cells of one mode drifting right, clamped, with the given cost and terminal cost."""
-    return model_from_dict({
+    return {
         "lambda": 1.0, "horizon": horizon,
         "states": {"grid_flow": {"modes": [{"name": "m", "drift": 1.0}], "grid": {"min": 0.0, "max": 1.0, "cells": 2},
                                  "boundary": "clamp"}},
         "actions": {"p1": [[0], [0]], "p2": [[0], [0]]},
         "costs": [{"state": x, "a": 0, "b": 0, "value": cost} for x in (0, 1)],
-        "terminal": [{"state": x, "value": terminal} for x in (0, 1)],
-    })
+        "terminal": [{"state": x, "value": terminal_cost} for x in (0, 1)],
+    }
 
 
 class TestErrors:
-    @pytest.mark.parametrize("build", [one_state, flowing], ids=["finite", "grid_flow"])
+    @pytest.mark.parametrize("build", [one_state_doc, flowing], ids=["finite", "grid_flow"])
     def test_terminal_overflow(self, build):
-        model = build(0.0, terminal=701.0)
+        model = model_from_dict(build(0.0, terminal_cost=701.0))
         config, grid, u = SolverConfig(n_steps=10), TimeGrid(10, 1.0), np.ones((11, model.n_states))
         message = "lambda*g exceeds 700; rescale the model before solving"
         assert outcome(picard_solve, model, config) == outcome(picard_loop.picard_solve, model, config)
@@ -180,9 +167,9 @@ class TestErrors:
         assert outcome(gamma_apply, model, u, grid) == (SolverError, message, None)
 
     # finite entries of 1e306 sum past the largest float over ten steps of 100
-    @pytest.mark.parametrize("build", [one_state, flowing], ids=["finite", "grid_flow"])
+    @pytest.mark.parametrize("build", [one_state_doc, flowing], ids=["finite", "grid_flow"])
     def test_non_finite_residual(self, build):
-        model = build(1e306, horizon=1000.0)
+        model = model_from_dict(build(1e306, horizon=1000.0))
         with np.errstate(over="ignore", invalid="ignore"):
             got = outcome(picard_solve, model, SolverConfig(n_steps=10))
             want = outcome(picard_loop.picard_solve, model, SolverConfig(n_steps=10))

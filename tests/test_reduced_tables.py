@@ -21,91 +21,8 @@ from hypothesis import strategies as st
 
 import perknot
 from pdmg import shapley
-from pdmg.model import model_from_dict
-from pdmg.shapley import (
-    CFLError,
-    SolverConfig,
-    StrategyField,
-    TimeGrid,
-    backward_solve,
-    best_response_solve,
-    check_cfl,
-    policy_evaluate,
-)
-
-SIDES = ("maximize", "minimize")
-
-
-def random_doc(seed, widths, n_segments, grid):
-    """A model with (A_x, B_x) actions at state x, random jumps and 1-2 time
-    segments; ``grid`` makes it a two-mode grid flow of len(widths)/2 cells,
-    else a finite state space."""
-    rng = np.random.default_rng(seed)
-    S = len(widths)
-
-    def tables():
-        costs, rates = [], []
-        for x, (m, n) in enumerate(widths):
-            for a in range(m):
-                for b in range(n):
-                    costs.append({"state": x, "a": a, "b": b, "value": float(rng.uniform(-1.0, 1.0))})
-                    for y in range(S):
-                        if y != x and rng.uniform() < 0.6:
-                            rates.append({"from": x, "a": a, "b": b, "to": y, "rate": float(rng.uniform(0.0, 2.0))})
-        return costs, rates
-
-    if grid:
-        states = {
-            "grid_flow": {
-                "modes": [{"name": "up", "drift": float(rng.uniform(0.1, 0.6))},
-                          {"name": "down", "drift": -float(rng.uniform(0.1, 0.6))}],
-                "grid": {"min": 0.0, "max": 1.0, "cells": S // 2},
-                "boundary": "clamp" if rng.uniform() < 0.5 else "reflect",
-            }
-        }
-    else:
-        states = {"finite": [f"s{x}" for x in range(S)]}
-    horizon = float(rng.uniform(0.5, 2.0))
-    costs, rates = tables()
-    segments = []
-    for t0 in np.sort(rng.uniform(0.05, 0.95, n_segments - 1)) * horizon:
-        c, r = tables()
-        segments.append({"t_start": float(t0), "costs": c, "rates": r})
-    return {
-        "lambda": float(rng.uniform(0.1, 1.0)),
-        "horizon": horizon,
-        "states": states,
-        "actions": {"p1": [list(range(m)) for m, _ in widths], "p2": [list(range(n)) for _, n in widths]},
-        "rates": rates,
-        "costs": costs,
-        "segments": segments,
-        "terminal": [{"state": x, "value": float(rng.uniform(-1.0, 1.0))} for x in range(S)],
-    }
-
-
-def random_strategies(model, n, seed, one_hot):
-    """Mixtures on each state's admissible actions, zero past them; one-hot
-    mixtures put all weight on one admissible action."""
-    rng = np.random.default_rng(seed)
-    halves = []
-    for admissible in (model.cells[:, :, 0], model.cells[:, 0, :]):
-        if one_hot:
-            weights = rng.uniform(size=(n,) + admissible.shape) * admissible
-            mix = (weights == weights.max(axis=2, keepdims=True)).astype(float)
-        else:
-            mix = rng.uniform(0.05, 1.0, (n,) + admissible.shape) * admissible
-            mix /= mix.sum(axis=2, keepdims=True)
-        halves.append(mix)
-    return StrategyField(TimeGrid(n, model.horizon), *halves)
-
-
-def admissible_steps(model, n):
-    """n, or twice the least CFL-admissible step count if that is larger."""
-    try:
-        check_cfl(model, TimeGrid(n, model.horizon))
-        return n
-    except CFLError as exc:
-        return max(n, 2 * exc.required_n)
+from pdmg.shapley import SolverConfig, backward_solve
+from support import admissible_steps, draw_model, model_kinds, model_shapes, random_strategies, sweeps
 
 
 @cache
@@ -122,30 +39,6 @@ def rows_round_alike(S: int) -> bool:
                 if not np.array_equal(np.dot(psi, J[i : i + m].T), whole[i : i + m]):
                     return False
     return True
-
-
-def sweeps(model, strategies, m):
-    """The evaluation and both best responses (on m steps), each with its reference."""
-    config = SolverConfig(n_steps=m)
-    yield policy_evaluate(model, strategies).phi, perknot.policy_evaluate(model, strategies).phi
-    for side in SIDES:
-        yield (best_response_solve(model, strategies, side, config).phi,
-               perknot.best_response_solve(model, strategies, side, config).phi)
-
-
-model_kinds = dict(n_segments=st.integers(1, 2), grid=st.booleans(), seed=st.integers(0, 2**32 - 1))
-model_shapes = dict(widths=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=5),
-                    **model_kinds)
-
-
-def draw_model(widths, n_segments, grid, seed):
-    """A finite model with one state per entry of ``widths``, or a grid flow
-    with one cell per entry (at least two)."""
-    if grid:
-        widths = widths * 2  # two modes over len(widths) cells
-        if len(widths) < 4:
-            widths = widths * 2
-    return model_from_dict(random_doc(seed, widths, n_segments, grid))
 
 
 class TestAgainstPerKnotReducers:

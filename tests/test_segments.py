@@ -10,20 +10,12 @@ from pdmg.shapley import SolverConfig, backward_solve
 from pdmg.simulate import SimConfig, estimate_J
 
 from conftest import singleton_strategies
+from support import one_state_doc
 
 
 def segmented_cost_doc():
     # c = 1 on [0, 0.5), c = 3 on [0.5, 1): integral 2, phi(0) = e^{0.5*2} = e
-    return {
-        "lambda": 0.5,
-        "horizon": 1.0,
-        "states": {"finite": ["a"]},
-        "actions": {"p1": [[0]], "p2": [[0]]},
-        "costs": [{"state": 0, "a": 0, "b": 0, "value": 1.0}],
-        "segments": [
-            {"t_start": 0.5, "costs": [{"state": 0, "a": 0, "b": 0, "value": 3.0}]}
-        ],
-    }
+    return one_state_doc(1.0, lam=0.5, segments=[{"t_start": 0.5, "costs": [{"state": 0, "a": 0, "b": 0, "value": 3.0}]}])
 
 
 def segmented_rate_doc():
@@ -100,14 +92,8 @@ def test_reflect_boundary_solve_converges():
 def test_break_on_a_knot_starts_its_segment():
     # knot 3 of T = 0.7, N = 7 is 0.29999999999999993, one ulp below the
     # break at 0.3: the cost-1 segment covers knots 3..6, so J = e^{0.5*0.4}
-    doc = {
-        "lambda": 0.5,
-        "horizon": 0.7,
-        "states": {"finite": ["a"]},
-        "actions": {"p1": [[0]], "p2": [[0]]},
-        "segments": [{"t_start": 0.3, "costs": [{"state": 0, "a": 0, "b": 0, "value": 1.0}]}],
-    }
-    m = model_from_dict(doc)
+    segments = [{"t_start": 0.3, "costs": [{"state": 0, "a": 0, "b": 0, "value": 1.0}]}]
+    m = model_from_dict(one_state_doc(lam=0.5, horizon=0.7, segments=segments))
     field, _ = backward_solve(m, SolverConfig(n_steps=7))
     assert field.phi[0, 0] == pytest.approx(math.exp(0.2), abs=1e-12)
     est = estimate_J(m, singleton_strategies(m, 7), 0.0, 0, SimConfig(n_paths=3, rng_seed=0))

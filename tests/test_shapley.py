@@ -37,6 +37,7 @@ from pdmg.shapley import (
 from pdmg.simulate import SimConfig, estimate_J
 
 from conftest import singleton_strategies
+from support import one_state_doc
 
 
 class TestTerminalField:
@@ -44,35 +45,17 @@ class TestTerminalField:
         assert np.all(terminal_field(const_cost) == 1.0)
 
     def test_log_two(self):
-        doc = {
-            "lambda": 1.0,
-            "horizon": 1.0,
-            "states": {"finite": ["a"]},
-            "actions": {"p1": [[0]], "p2": [[0]]},
-            "terminal": [{"state": 0, "value": math.log(2.0)}],
-        }
+        doc = one_state_doc(terminal_cost=math.log(2.0))
         m = model_from_dict(doc)
         assert terminal_field(m)[0] == pytest.approx(2.0, abs=1e-15)
 
     def test_half_lambda(self):
-        doc = {
-            "lambda": 0.5,
-            "horizon": 1.0,
-            "states": {"finite": ["a"]},
-            "actions": {"p1": [[0]], "p2": [[0]]},
-            "terminal": [{"state": 0, "value": 2.0}],
-        }
+        doc = one_state_doc(terminal_cost=2.0, lam=0.5)
         m = model_from_dict(doc)
         assert terminal_field(m)[0] == pytest.approx(math.e, abs=1e-12)
 
     def test_overflow_guard(self):
-        doc = {
-            "lambda": 1.0,
-            "horizon": 1.0,
-            "states": {"finite": ["a"]},
-            "actions": {"p1": [[0]], "p2": [[0]]},
-            "terminal": [{"state": 0, "value": 800.0}],
-        }
+        doc = one_state_doc(terminal_cost=800.0)
         with pytest.raises(SolverError, match="700"):
             terminal_field(model_from_dict(doc))
 
@@ -122,13 +105,7 @@ class TestLocalGameMatrix:
         assert np.allclose(_cell_game(m, [1.0, 1.0]), 0.0, atol=1e-15)
 
     def test_constant_cost_arithmetic(self):
-        doc = {
-            "lambda": 1.0,
-            "horizon": 1.0,
-            "states": {"finite": ["a"]},
-            "actions": {"p1": [[0]], "p2": [[0]]},
-            "costs": [{"state": 0, "a": 0, "b": 0, "value": 1.0}],
-        }
+        doc = one_state_doc(1.0)
         m = model_from_dict(doc)
         assert _cell_game(m, [3.0])[0, 0] == 3.0
 
@@ -209,12 +186,7 @@ class TestBackwardSolve:
 
 class TestPicard:
     def test_trivial_fixed_point_one_sweep(self):
-        doc = {
-            "lambda": 1.0,
-            "horizon": 1.0,
-            "states": {"finite": ["a"]},
-            "actions": {"p1": [[0]], "p2": [[0]]},
-        }
+        doc = one_state_doc()
         m = model_from_dict(doc)
         field, info = picard_solve(m, SolverConfig(n_steps=50), collect_info=True)
         assert np.all(field.phi == 1.0)
@@ -253,13 +225,7 @@ class TestPicard:
 
     def test_non_finite_residual_raises_at_once(self):
         # finite entries of 1e306 sum past the largest float over ten steps of 100
-        doc = {
-            "lambda": 1.0,
-            "horizon": 1000.0,
-            "states": {"finite": ["a"]},
-            "actions": {"p1": [[0]], "p2": [[0]]},
-            "costs": [{"state": 0, "a": 0, "b": 0, "value": 1e306}],
-        }
+        doc = one_state_doc(1e306, horizon=1000.0)
         with np.errstate(over="ignore"), pytest.raises(SolverError, match="Picard sweep 1 has residual inf"):
             picard_solve(model_from_dict(doc), SolverConfig(n_steps=10))
 
@@ -442,6 +408,20 @@ class TestValueField:
             if isinstance(node, ast.Attribute) and node.attr == "phi"
         ]
         assert reads == []
+
+    def test_no_test_module_imports_another(self):
+        # helpers shared between test modules live in support.py, so no test
+        # module's names depend on which other test modules are collected
+        files = sorted(Path(__file__).resolve().parent.glob("*.py"))
+        assert {"support.py", "test_shapley.py"} <= {p.name for p in files}
+        imports = [
+            f"{p.name}:{node.lineno}"
+            for p in files
+            for node in ast.walk(ast.parse(p.read_text()))
+            if isinstance(node, ast.Import) and any(alias.name.startswith("test_") for alias in node.names)
+            or isinstance(node, ast.ImportFrom) and (node.module or "").startswith("test_")
+        ]
+        assert imports == []
 
 
 class TestEdiff:

@@ -18,6 +18,7 @@ from pdmg.simulate import (
 )
 
 from conftest import singleton_strategies
+from support import one_state_doc
 
 
 def flow_pieces(model, x, w0, w1):
@@ -124,13 +125,7 @@ class TestEstimates:
         assert c.mean != a.mean
 
     def test_overflow_reported(self):
-        doc = {
-            "lambda": 1.0,
-            "horizon": 1.0,
-            "states": {"finite": ["a"]},
-            "actions": {"p1": [[0]], "p2": [[0]]},
-            "costs": [{"state": 0, "a": 0, "b": 0, "value": 2000.0}],
-        }
+        doc = one_state_doc(2000.0)
         m = model_from_dict(doc)
         strategies = singleton_strategies(m, n_steps=1)
         with pytest.raises(SolverError, match="overflow"):

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import block_csv
 import rowwise_csv
 from pdmg import demos
-from pdmg.model import model_from_dict
 from pdmg.shapley import (
     _CSV_BLOCK,
     _FMT_CUTOVER,
@@ -30,79 +29,7 @@ from pdmg.shapley import (
     picard_solve,
     saddle_from_field,
 )
-
-# values a mixture entry can take besides random simplices: exact 0s and 1s,
-# a negative zero, a subnormal and repeated fractions
-SPECIAL = [0.0, -0.0, 1.0, 0.5, 0.25, 1.0 / 3.0, 5e-324, 1e-13]
-
-
-def finite_model(widths, horizon=1.0, lam=0.5):
-    """States 0..S-1 with (A_x, B_x) actions; no jumps, no costs."""
-    return model_from_dict({
-        "lambda": lam,
-        "horizon": horizon,
-        "states": {"finite": [f"s{x}" for x in range(len(widths))]},
-        "actions": {"p1": [list(range(a)) for a, _ in widths], "p2": [list(range(b)) for _, b in widths]},
-        "rates": [],
-        "costs": [],
-        "terminal": [],
-    })
-
-
-def random_simplices(rng, n_slices, counts, width, palette):
-    """(N, S, width) simplices padded with zeros past each state's count."""
-    out = np.zeros((n_slices, len(counts), width))
-    rows = np.arange(n_slices)
-    for x, m in enumerate(counts):
-        kind = rng.integers(0, 4, n_slices)
-        block = rng.dirichlet(np.ones(m), n_slices)
-        block[kind == 1] = 1.0 / m
-        onehot = np.zeros((n_slices, m))
-        onehot[rows, rng.integers(0, m, n_slices)] = 1.0
-        block[kind == 0] = onehot[kind == 0]
-        if m > 1:
-            p = rng.choice(palette, n_slices)
-            pair = np.zeros((n_slices, m))
-            pair[:, 0], pair[:, 1] = p, 1.0 - p
-            block[kind == 3] = pair[kind == 3]
-        # runs of repeated rows, as a saddle held over many knots gives
-        repeat = rng.random(n_slices) < 0.5
-        repeat[0] = False
-        block[repeat] = block[np.maximum.accumulate(np.where(repeat, 0, rows))][repeat]
-        out[:, x, :m] = block
-    return out
-
-
-def random_solution(model, n_steps, seed, palette, phis):
-    rng = np.random.default_rng(seed)
-    grid = TimeGrid(n_steps, model.horizon)
-    phi = np.exp(rng.uniform(math.log(1e-300), math.log(1e300), (n_steps + 1, model.n_states)))
-    phi.ravel()[rng.integers(0, phi.size, len(phis))] = phis
-    counts = [(len(a), len(b)) for a, b in zip(model.actions_p1, model.actions_p2)]
-    mu = random_simplices(rng, n_steps, [a for a, _ in counts], model.widths[0], palette)
-    nu = random_simplices(rng, n_steps, [b for _, b in counts], model.widths[1], palette)
-    return ValueField(grid, phi), StrategyField(grid, mu, nu)
-
-
-@st.composite
-def solutions(draw):
-    n = draw(st.integers(1, 3))
-    widths = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=n, max_size=n))
-    model = finite_model(
-        widths,
-        horizon=draw(st.floats(0.01, 1e3, allow_nan=False)),
-        lam=draw(st.floats(0.01, 1.0, allow_nan=False)),
-    )
-    # a few knots, or enough rows for at least two blocks of both export and import
-    n_steps = draw(st.one_of(st.integers(1, 6), st.integers(2 * _CSV_BLOCK // n, 3 * _CSV_BLOCK // n)))
-    palette = draw(st.lists(st.one_of(st.sampled_from(SPECIAL), st.floats(0.0, 1.0)), min_size=1, max_size=4))
-    phis = draw(st.lists(st.sampled_from([1e-300, 1e300, 1.0, 2.5e-7, 7.0e12]), max_size=4))
-    seed = draw(st.integers(0, 2**32 - 1))
-    return model, *random_solution(model, n_steps, seed, palette, phis)
-
-
-def same_bits(a, b):
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+from support import SPECIAL, finite_model, random_solution, same_bits, solutions
 
 
 @pytest.mark.property

@@ -23,6 +23,7 @@ from pdmg.verify import (
 
 from conftest import singleton_strategies
 from picard_loop import contraction_check
+from support import one_state_doc
 
 
 class TestCheckAssumptions:
@@ -221,12 +222,7 @@ class TestContraction:
         assert np.array_equal(a, b)
 
     def test_degenerate_operator_ignores_argument(self):
-        doc = {
-            "lambda": 1.0,
-            "horizon": 1.0,
-            "states": {"finite": ["a"]},
-            "actions": {"p1": [[0]], "p2": [[0]]},
-        }
+        doc = one_state_doc()
         m = model_from_dict(doc)
         ratio, bound = contraction_check(m, 1, SolverConfig(n_steps=30))
         assert ratio == 0.0 and bound == 0.0
