@@ -66,6 +66,14 @@ class GridFlowStates:
     cells: int
     boundary: str = "clamp"
 
+    def __post_init__(self):
+        if len(self.modes) < 1 or self.cells < 2:
+            raise ModelValidationError("grid_flow needs >= 1 mode and >= 2 cells")
+        if not self.grid_min < self.grid_max:
+            raise ModelValidationError("grid_flow: min < max required")
+        if self.boundary not in ("clamp", "reflect"):
+            raise ModelValidationError("grid_flow boundary must be 'clamp' or 'reflect'")
+
     @property
     def n_states(self) -> int:
         return len(self.modes) * self.cells
@@ -225,12 +233,6 @@ class GameModel:
             raise ModelValidationError("state space must contain at least one state")
         if isinstance(self.states, GridFlowStates):
             sp = self.states
-            if len(sp.modes) < 1 or sp.cells < 2:
-                raise ModelValidationError("grid_flow needs >= 1 mode and >= 2 cells")
-            if not sp.grid_min < sp.grid_max:
-                raise ModelValidationError("grid_flow: min < max required")
-            if sp.boundary not in ("clamp", "reflect"):
-                raise ModelValidationError("grid_flow boundary must be 'clamp' or 'reflect'")
             for i, m in enumerate(sp.modes):
                 # the cells crossed over the horizon must stay exact as an int
                 reach = abs(m.drift) * self.horizon * sp.cells / (sp.grid_max - sp.grid_min)
@@ -288,7 +290,12 @@ def _require(doc: dict, key: str, path: str):
 
 
 def _as_index(value, path: str) -> int:
-    """An integer field; anything int() cannot read fails with its path."""
+    """An integer field; a boolean, a number with a fractional part and
+    anything int() cannot read fail with its path."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ModelFormatError(f"{path}: expected an integer, got {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError, OverflowError):
@@ -368,10 +375,17 @@ def _parse_actions(doc, n_states: int, path: str) -> tuple[list, list]:
         for x, row in enumerate(lists):
             if not isinstance(row, list):
                 raise ModelFormatError(f"{path}.{side}[{x}]: expected a list of action labels")
-        return [
+        labels = [
             [_as_index(a, f"{path}.{side}[{x}][{j}]") for j, a in enumerate(row)]
             for x, row in enumerate(lists)
         ]
+        # rates and costs name an action by its label: a repeated one would
+        # be an admissible action that no entry can reach
+        for x, row in enumerate(labels):
+            for j, a in enumerate(row):
+                if a in row[:j]:
+                    raise ModelFormatError(f"{path}.{side}[{x}][{j}]: repeated action label {a}")
+        return labels
 
     return expand(p1, "p1"), expand(p2, "p2")
 

@@ -355,7 +355,8 @@ def check_cfl(model: GameModel, grid: TimeGrid) -> None:
 class _FlowLags:
     """The tables of a model on one grid that every sweep on it reads, built
     once: the rounded flow lookup maps anchored at the terminal time, the
-    time segment of every knot and the operator's terminal slices.
+    time segment of every knot, each segment's bracket tables and the
+    operator's terminal slices.
 
     For grid-flow modes the cell displacement over a lag of l steps is
     round(drift*l*Delta/width); per-step backward lookups use increments of
@@ -369,19 +370,15 @@ class _FlowLags:
     def __init__(self, model: GameModel, grid: TimeGrid):
         self.model = model
         self.grid = grid
-        self.identity = np.arange(model.n_states)
         self.flows = isinstance(model.states, GridFlowStates)
-        if self.flows:
-            sp = model.states
-            lags = np.arange(grid.n_steps + 1)
-            self._disp = np.stack(
-                [
-                    np.floor(m.drift * lags * grid.delta / sp.cell_width + 0.5).astype(int)
-                    for m in sp.modes
-                ]
-            )  # (modes, N+1)
-        else:
-            self._disp = None
+
+    @cached_property
+    def _disp(self) -> np.ndarray:
+        """Cell displacement of every grid-flow mode over lags of 0..N
+        steps, (modes, N+1)."""
+        sp, delta = self.model.states, self.grid.delta
+        lags = np.arange(self.grid.n_steps + 1)
+        return np.stack([np.floor(m.drift * lags * delta / sp.cell_width + 0.5).astype(int) for m in sp.modes])
 
     def _lookups(self, disp: np.ndarray) -> np.ndarray:
         """Row j: the state lookup moving every cell of mode m by disp[m, j]
@@ -392,21 +389,12 @@ class _FlowLags:
         return cells.transpose(1, 0, 2).reshape(disp.shape[1], -1)
 
     @cached_property
-    def lag_table(self) -> np.ndarray:
-        """Row k: the state lookup for a displacement of N-k steps along the
-        flow, from knot k to the terminal time, (N+1, S)."""
-        n = self.grid.n_steps
-        if self._disp is None:
-            return np.tile(self.identity, (n + 1, 1))
-        return self._lookups(self._disp[:, ::-1])
-
-    @cached_property
     def step_table(self) -> np.ndarray:
         """Row k: the lookup from knot k into slice k+1 (increment of the
         anchored path), (N, S)."""
         n = self.grid.n_steps
-        if self._disp is None:
-            return np.tile(self.identity, (n, 1))
+        if not self.flows:
+            return np.tile(np.arange(self.model.n_states), (n, 1))
         return self._lookups(self._disp[:, n:0:-1] - self._disp[:, n - 1 :: -1])
 
     @cached_property
@@ -416,15 +404,22 @@ class _FlowLags:
 
     @cached_property
     def bracket_tables(self) -> list:
-        """:func:`_bracket_tables` of every knot."""
-        return _bracket_tables(self.model, self.segments)
+        """(rows, D, J.T) of every time segment: ``rows`` masks its knots
+        among :attr:`segments`, and D (S, A*B) and J (S*A*B, S) are the step
+        tables of its bracket games lambda*c*u(x) + sum_y q(y|x,a,b)*u(y)."""
+        m, S = self.model, self.model.n_states
+        return [
+            (self.segments == seg, m.lam * m.costs[seg].reshape(S, -1), m.rates[seg].reshape(-1, S).T)
+            for seg in range(m.n_segments)
+        ]
 
     @cached_property
     def terminal(self) -> np.ndarray:
         """Row k: the terminal slice looked up along the flow from knot k,
-        (N+1, S), read-only; errors as :func:`terminal_field` on exponent
-        overflow."""
-        table = terminal_field(self.model)[self.lag_table]
+        a displacement of N-k steps, (N+1, S), read-only; errors as
+        :func:`terminal_field` on exponent overflow."""
+        n, phi = self.grid.n_steps, terminal_field(self.model)
+        table = phi[self._lookups(self._disp[:, ::-1])] if self.flows else np.tile(phi, (n + 1, 1))
         table.flags.writeable = False
         return table
 
@@ -994,46 +989,32 @@ def evaluate_and_respond(
     return pair, rest[0] if A > 1 else pair, rest[-1] if B > 1 else pair
 
 
-def _bracket_tables(model: GameModel, knot_seg: np.ndarray) -> list:
-    """(rows, D, J.T) of every time segment: ``rows`` masks its knots among
-    ``knot_seg``, and D (S, A*B) and J (S*A*B, S) are the step tables of its
-    bracket games lambda*c*u(x) + sum_y q(y|x,a,b)*u(y)."""
-    S = model.n_states
-    tables = []
-    for seg in range(model.n_segments):
-        D, J = model.lam * model.costs[seg].reshape(S, -1), model.rates[seg].reshape(-1, S)
-        tables.append((knot_seg == seg, D, J.T))
-    return tables
-
-
-def _bracket_entries(model: GameModel, u: np.ndarray, tables: list) -> np.ndarray:
-    """Cell games at every row of u, (K, S, A, B), on the :func:`_bracket_tables` of its knots."""
+def _bracket_entries(lags: _FlowLags, u: np.ndarray) -> np.ndarray:
+    """Cell games (K, S, A, B) of the slices u (K, S) at knots 0..K-1, on
+    the bracket tables of those knots."""
+    model = lags.model
     E = np.empty(u.shape + model.widths)
-    for rows, D, JT in tables:
+    for rows, D, JT in lags.bracket_tables:
+        rows = rows[: len(u)]
         E[rows] = _cell_entries(D, JT, u[rows]).reshape((-1, model.n_states) + model.widths)
     return E
 
 
-def gamma_apply(
-    model: GameModel,
-    u: np.ndarray,
-    grid: TimeGrid,
-    lags: Optional[_FlowLags] = None,
-) -> np.ndarray:
+def gamma_apply(lags: _FlowLags, u: np.ndarray) -> np.ndarray:
     """One application of the discretised fixed-point operator.
 
     Gamma u(t_k, x) = exp(lam*g(T, flow(x, T-t_k)))
                       + Delta * sum_{j>k} val[...](t_j, flow(x, t_j - t_k)),
 
-    right-endpoint Riemann quadrature on the grid, which values the cell
-    games of knots 1..N only.  ``lags`` holds the grid's tables; a caller
-    applying the operator more than once passes the same one each time.
+    right-endpoint Riemann quadrature on the grid of ``lags``, which values
+    the cell games of knots 1..N only.  ``lags`` holds the model's tables on
+    that grid; a caller applying the operator more than once passes the
+    same one each time.
     """
-    if lags is None:
-        lags = _FlowLags(model, grid)
+    model, grid = lags.model, lags.grid
     # every knot's entries (a segment's one-row np.dot would round apart from
     # its many-row one), but the games of knots 1..N only: w[0] is never read
-    E = _bracket_entries(model, u, lags.bracket_tables)[1:]
+    E = _bracket_entries(lags, u)[1:]
     g = grid.delta * solve_stack(E, model.cells, fallback=solve_game)[0]
     # suffix accumulation along the terminal-anchored characteristic paths
     # (the same rounded paths the backward stepper composes), so the two
@@ -1080,7 +1061,7 @@ def picard_solve(
     for sweep in range(MAX_PICARD_SWEEPS):
         # an overflow surfaces as the residual that is not finite, named below
         with np.errstate(over="ignore", invalid="ignore"):
-            nxt = gamma_apply(model, u, grid, lags)
+            nxt = gamma_apply(lags, u)
             res = np.abs(nxt - u)
             # sigma_k = 1 at every knot unless some phi is below 1; the row
             # maxima of a narrow field cost 3-5x the rest of this check
@@ -1115,10 +1096,8 @@ def picard_solve(
 
 def saddle_from_field(model: GameModel, field: ValueField) -> StrategyField:
     """Extract per-cell saddle mixtures from a solved value field."""
-    grid = field.grid
-    N = grid.n_steps
-    E = _bracket_entries(model, field.phi[:N], _bracket_tables(model, knot_segments(model, grid)[:N]))
-    return StrategyField(grid, *solve_stack(E, model.cells, fallback=solve_game)[1:])
+    E = _bracket_entries(_FlowLags(model, field.grid), field.phi[:-1])
+    return StrategyField(field.grid, *solve_stack(E, model.cells, fallback=solve_game)[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -54,42 +54,6 @@ def one_state_doc(cost=None, terminal_cost=None, lam=1.0, **keys):
     return doc
 
 
-def random_finite_doc(seed, widths, n_segments):
-    """Finite model with (A_x, B_x) actions per state, jumps between all
-    states and n_segments time segments, each with its own costs and rates."""
-    rng = np.random.default_rng(seed)
-    S = len(widths)
-
-    def tables():
-        costs, rates = [], []
-        for x, (m, n) in enumerate(widths):
-            for a in range(m):
-                for b in range(n):
-                    costs.append({"state": x, "a": a, "b": b, "value": float(rng.uniform(-1.0, 1.0))})
-                    for y in range(S):
-                        if y != x and rng.uniform() < 0.8:
-                            rates.append({"from": x, "a": a, "b": b, "to": y, "rate": float(rng.uniform(0.0, 2.0))})
-        return costs, rates
-
-    horizon = float(rng.uniform(0.5, 2.0))
-    costs, rates = tables()
-    starts = np.sort(rng.uniform(0.05, 0.95, n_segments - 1)) * horizon
-    segments = []
-    for t0 in starts:
-        c, r = tables()
-        segments.append({"t_start": float(t0), "costs": c, "rates": r})
-    return {
-        "lambda": float(rng.uniform(0.1, 1.0)),
-        "horizon": horizon,
-        "states": {"finite": [f"s{x}" for x in range(S)]},
-        "actions": {"p1": [list(range(m)) for m, _ in widths], "p2": [list(range(n)) for _, n in widths]},
-        "rates": rates,
-        "costs": costs,
-        "segments": segments,
-        "terminal": [{"state": x, "value": float(rng.uniform(-1.0, 1.0))} for x in range(S)],
-    }
-
-
 def grid_doc(cells=8, seed=None):
     """Two-mode grid flow with 2x2 actions in every cell.  In mode 0 the cell
     game is lam*c = [[0, 1], [1, 0]]/2 plus a jump to mode 1 on (0, 0), whose
@@ -191,9 +155,9 @@ def draw_model(widths, n_segments, grid, seed):
 
 
 def finite_members(seeds, widths, n_segments):
-    """Models of random_finite_doc, one per seed, on the first seed's horizon
+    """Finite models of random_doc, one per seed, on the first seed's horizon
     and time breaks."""
-    docs = [random_finite_doc(seed, widths, n_segments) for seed in seeds]
+    docs = [random_doc(seed, widths, n_segments, False) for seed in seeds]
     for doc in docs[1:]:
         doc["horizon"] = docs[0]["horizon"]
         for seg, first in zip(doc["segments"], docs[0]["segments"]):

@@ -25,7 +25,7 @@ from support import (
     grid_doc,
     one_state_doc,
     pick_steps,
-    random_finite_doc,
+    random_doc,
 )
 
 
@@ -150,9 +150,9 @@ class TestBatchErrors:
 class TestBatchShape:
     @pytest.mark.parametrize("change", ["states", "actions", "time breaks", "horizon"])
     def test_mismatched_models_raise(self, change):
-        base = random_finite_doc(1, [(2, 2)] * 2, 2)
+        base = random_doc(1, [(2, 2)] * 2, 2, False)
         widths = {"states": [(2, 2)] * 3, "actions": [(2, 2), (2, 1)]}.get(change, [(2, 2)] * 2)
-        other = random_finite_doc(2, widths, 2)
+        other = random_doc(2, widths, 2, False)
         other["horizon"] = base["horizon"] * (2.0 if change == "horizon" else 1.0)
         for seg, first in zip(other["segments"], base["segments"]):
             seg["t_start"] = first["t_start"] * (0.5 if change == "time breaks" else 1.0)
@@ -165,6 +165,6 @@ class TestBatchShape:
             backward_solve_batch([], SolverConfig(n_steps=10))
 
     def test_members_may_differ_in_lambda(self):
-        doc = random_finite_doc(3, [(2, 2)] * 2, 2)
+        doc = random_doc(3, [(2, 2)] * 2, 2, False)
         models = [model_from_dict(doc), model_from_dict({**doc, "lambda": doc["lambda"] / 3.0})]
         assert_batch_is_own_solves(models, 100)

@@ -19,7 +19,7 @@ from pdmg.shapley import (
     backward_solve,
     knot_segments,
 )
-from support import admissible_steps, grid_doc, random_finite_doc
+from support import admissible_steps, grid_doc, random_doc
 
 
 def switching_doc():
@@ -96,7 +96,7 @@ class TestAgainstPerKnotSweep:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_random_finite_models(self, widths, n_segments, n, seed):
-        model = model_from_dict(random_finite_doc(seed, widths, n_segments))
+        model = model_from_dict(random_doc(seed, widths, n_segments, False))
         check_against_reference(model, *solve_both(model, admissible_steps(model, n)))
 
     @settings(max_examples=max(10, settings.default.max_examples // 20), deadline=None)

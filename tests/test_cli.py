@@ -38,6 +38,20 @@ def read_csv_rows(path):
     return header, [ln.split(",") for ln in lines[1:]]
 
 
+GRID_SPACE = "grid_flow needs >= 1 mode and >= 2 cells"
+SEGMENT_START = "$.segments[0].t_start: must lie strictly inside (0, horizon)"
+
+
+def edited(name, value, *keys):
+    """The demo document ``name`` with its entry at ``keys`` set to ``value``."""
+    doc = demos.doc(name)
+    inner = doc
+    for key in keys[:-1]:
+        inner = inner[key]
+    inner[keys[-1]] = value
+    return doc
+
+
 class TestValidate:
     def test_valid_model_exits_zero(self, model_files, capsys):
         assert main(["validate", "--model", model_files["two_state"]]) == 0
@@ -63,7 +77,7 @@ class TestValidate:
         bad.write_text("{")
         assert main(["validate", "--model", str(bad)]) == 2
 
-    @pytest.mark.parametrize("value", [None, "x"])
+    @pytest.mark.parametrize("value", [None, "x", 1.5, True])
     def test_bad_index_field_exits_two_with_its_path(self, tmp_path, capsys, value):
         doc = demos.doc("two_state")
         doc["rates"][0]["from"] = value
@@ -80,6 +94,43 @@ class TestValidate:
         bad.write_text(json.dumps(doc))  # NaN is written as the bare token NaN
         assert main(["validate", "--model", str(bad)]) == 2
         assert "$.rates(seg 0)[0].rate: expected a" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("build, code, message", [
+        (lambda: edited("two_state", [[0, 0], [0]], "actions", "p2"), 2, "$.actions.p2[0][1]: repeated action label 0"),
+        (lambda: edited("grid_flow", -3, "states", "grid_flow", "grid", "cells"), 1, GRID_SPACE),
+        (lambda: edited("grid_flow", 0, "states", "grid_flow", "grid", "cells"), 1, GRID_SPACE),
+        (lambda: edited("grid_flow", 1, "states", "grid_flow", "grid", "cells"), 1, GRID_SPACE),
+        (lambda: edited("grid_flow", [], "states", "grid_flow", "modes"), 1, GRID_SPACE),
+        (lambda: one_state_doc(segments=[{"t_start": 0.5}, {"t_start": 0.5}]), 1,
+         "time segment starts must be strictly increasing"),
+        (lambda: edited("grid_flow", "wrap", "states", "grid_flow", "boundary"), 1,
+         "grid_flow boundary must be 'clamp' or 'reflect'"),
+        (lambda: edited("two_state", -0.1, "lyapunov", "b1"), 1, "lyapunov: b1 >= 0 required"),
+        (lambda: edited("two_state", 0.0, "lyapunov", "kappa"), 1, "lyapunov: kappa, rho2, b2 > 0 required"),
+        (lambda: edited("two_state", [], "states", "finite"), 2, "$.states.finite: expected a nonempty list of names"),
+        (lambda: edited("two_state", {"torus": {}}, "states"), 2, "$.states: unknown state space kind ['torus']"),
+        (lambda: edited("two_state", {}, "states"), 2, "$.states: expected {'finite': ...} or {'grid_flow': ...}"),
+        (lambda: one_state_doc(segments=[{"t_start": 0.0}]), 2, SEGMENT_START),
+        (lambda: one_state_doc(segments=[{"t_start": 1.5}]), 2, SEGMENT_START),
+        (lambda: edited("two_state", 2, "costs", 0, "state"), 2, "$.costs(seg 0)[0].state: index out of range"),
+        (lambda: one_state_doc(terminal=[{"state": 1, "value": 0.0}]), 2, "$.terminal[0].state: index out of range"),
+        (lambda: [], 2, "model document must be a JSON object"),
+        (lambda: edited("two_state", 1.0, "lyapunov", "V"), 2, "$.lyapunov.V: expected a list of numbers"),
+        (lambda: edited("two_state", 0.5, "lyapunov", "M3"), 1, "lyapunov: M1, M2, M3 >= 1 required"),
+        (lambda: edited("two_state", 0, "actions", "p1"), 2, "$.actions.p1: expected per-state lists"),
+        (lambda: edited("two_state", 1, "rates", 0, "b"), 2,
+         "$.rates(seg 0)[0]: action pair (0,1) not admissible at state 0"),
+        (lambda: edited("two_state", 1, "costs", 0, "a"), 2,
+         "$.costs(seg 0)[0]: action pair (1,0) not admissible at state 0"),
+    ], ids=["repeated label", "cells -3", "cells 0", "cells 1", "no modes", "equal segment starts", "wrap",
+            "b1 < 0", "kappa 0", "no finite states", "unknown space", "no space", "segment at 0", "segment past T",
+            "cost state", "terminal state", "list document", "V not a list", "M3 < 1", "actions not a list",
+            "rate action", "cost action"])
+    def test_document_check_exits_with_its_code_and_message(self, tmp_path, capsys, build, code, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(build()))
+        assert main(["validate", "--model", str(bad)]) == code
+        assert f"error: {message}" in capsys.readouterr().err
 
 
 class TestSolve:

@@ -30,7 +30,6 @@ from support import (
     grid_doc,
     pick_steps,
     random_doc,
-    random_finite_doc,
     random_strategies,
     sweeps,
 )
@@ -99,7 +98,7 @@ class TestRejectedCertificates:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_random_finite_models(self, widths, n_segments, n, seed):
-        model = model_from_dict(random_finite_doc(seed, widths, n_segments))
+        model = model_from_dict(random_doc(seed, widths, n_segments, False))
         assert_chunks_change_nothing(model, admissible_steps(model, n))
 
 
@@ -130,7 +129,7 @@ class TestOneState:
         seed=st.integers(0, 2**32 - 5),
     )
     def test_sweeps(self, a, b, n_segments, n, seed):
-        model = model_from_dict(random_finite_doc(seed, [(a, b)], n_segments))
+        model = model_from_dict(random_doc(seed, [(a, b)], n_segments, False))
         n = admissible_steps(model, n)
         field, strategies = backward_solve(model, SolverConfig(n_steps=n))
         if (a, b) == (1, 1):

@@ -399,7 +399,7 @@ class TestParsing:
             model_from_dict(doc)
 
     @pytest.mark.parametrize("field", ["from", "to", "a", "b"])
-    @pytest.mark.parametrize("value", [None, "x"])
+    @pytest.mark.parametrize("value", [None, "x", 1.5, True])
     def test_bad_rate_index_names_its_field(self, field, value):
         entry = {"from": 0, "a": 0, "b": 0, "to": 1, "rate": 1.0, field: value}
         doc = one_state_doc(states={"finite": ["a", "b"]}, rates=[entry])

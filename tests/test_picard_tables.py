@@ -116,11 +116,11 @@ def assert_same_fixed_point(model, n):
 def assert_same_operator(model, n, seed):
     grid = TimeGrid(n, model.horizon)
     u = np.random.default_rng(seed).uniform(0.5, 2.0, (n + 1, model.n_states))
-    assert np.array_equal(gamma_apply(model, u, grid), picard_loop.gamma_apply(model, u, grid))
+    assert np.array_equal(gamma_apply(_FlowLags(model, grid), u), picard_loop.gamma_apply(model, u, grid))
     # a second application on the same tables reads them as the first left them
     lags, ref_lags = _FlowLags(model, grid), picard_loop.FlowLags(model, grid)
-    once = gamma_apply(model, u, grid, lags)
-    twice = gamma_apply(model, once, grid, lags)
+    once = gamma_apply(lags, u)
+    twice = gamma_apply(lags, once)
     assert np.array_equal(twice, picard_loop.gamma_apply(model, once, grid, ref_lags))
 
 
@@ -163,8 +163,8 @@ class TestErrors:
         message = "lambda*g exceeds 700; rescale the model before solving"
         assert outcome(picard_solve, model, config) == outcome(picard_loop.picard_solve, model, config)
         assert outcome(picard_solve, model, config) == (SolverError, message, None)
-        assert outcome(gamma_apply, model, u, grid) == outcome(picard_loop.gamma_apply, model, u, grid)
-        assert outcome(gamma_apply, model, u, grid) == (SolverError, message, None)
+        assert outcome(gamma_apply, _FlowLags(model, grid), u) == outcome(picard_loop.gamma_apply, model, u, grid)
+        assert outcome(gamma_apply, _FlowLags(model, grid), u) == (SolverError, message, None)
 
     # finite entries of 1e306 sum past the largest float over ten steps of 100
     @pytest.mark.parametrize("build", [one_state_doc, flowing], ids=["finite", "grid_flow"])

@@ -20,7 +20,6 @@ from pdmg.shapley import (
     TimeGrid,
     ValueField,
     _bracket_entries,
-    _bracket_tables,
     _ediff,
     backward_solve,
     best_response_solve,
@@ -84,7 +83,7 @@ class TestTimeGrid:
 
 def _cell_game(model, u):
     """The bracket game lambda*c*u(x) + sum_y q(y|x,a,b)*u(y) of state 0 for one slice u."""
-    return _bracket_entries(model, np.array([u], dtype=float), _bracket_tables(model, np.zeros(1, dtype=int)))[0, 0]
+    return _bracket_entries(shapley._FlowLags(model, TimeGrid(1, model.horizon)), np.array([u], dtype=float))[0, 0]
 
 
 class TestLocalGameMatrix:
@@ -238,9 +237,9 @@ class TestPicard:
     def test_sweep_cap_reports_the_last_residual(self, controlled, monkeypatch):
         monkeypatch.setattr(shapley, "MAX_PICARD_SWEEPS", 2)
         grid = TimeGrid(200, controlled.horizon)
-        u = terminal_field(controlled)[shapley._FlowLags(controlled, grid).lag_table]
-        once = gamma_apply(controlled, u, grid)
-        last = float(np.max(np.abs(gamma_apply(controlled, once, grid) - once)))
+        lags = shapley._FlowLags(controlled, grid)
+        once = gamma_apply(lags, lags.terminal)
+        last = float(np.max(np.abs(gamma_apply(lags, once) - once)))
         with pytest.raises(PicardConvergenceError, match="in 2 sweeps") as exc:
             picard_solve(controlled, SolverConfig(n_steps=200))
         assert exc.value.last_residual == last > 1e-9

@@ -11,6 +11,7 @@ from pdmg.shapley import (
     StrategyField,
     TimeGrid,
     ValueField,
+    _FlowLags,
     backward_solve,
     gamma_apply,
 )
@@ -217,8 +218,8 @@ class TestContraction:
         grid = TimeGrid(50, controlled.horizon)
         rng = np.random.default_rng(5)
         u = rng.uniform(0.5, 2.0, size=(51, 2))
-        a = gamma_apply(controlled, u.copy(), grid)
-        b = gamma_apply(controlled, u.copy(), grid)
+        a = gamma_apply(_FlowLags(controlled, grid), u.copy())
+        b = gamma_apply(_FlowLags(controlled, grid), u.copy())
         assert np.array_equal(a, b)
 
     def test_degenerate_operator_ignores_argument(self):
